@@ -74,6 +74,11 @@ void LevelGeom::build(const CartMesh& m) {
   cells = n;
   faces = nf;
 
+  // Cell volumes, read per cell per RK stage by the smoother and the
+  // residual norm: the mesh's own expression, evaluated once.
+  volume.resize(n);
+  for (std::size_t i = 0; i < n; ++i) volume[i] = m.cell_volume(m.cells[i]);
+
   // Per-cell eps^2 with the exact expression the scalar limiter evaluated
   // per face side.
   eps2.resize(n);

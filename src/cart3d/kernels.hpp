@@ -49,6 +49,7 @@ struct LevelGeom {
   std::size_t cells = 0, faces = 0;
 
   // Per-cell streams.
+  std::vector<real_t> volume;  // CartMesh::cell_volume (fluid-scaled)
   std::vector<real_t> eps2;  // venkat (0.3 h)^3, the scalar path's pow
   std::vector<real_t> ginv;  // kGinvStride-blocked LSQ Gram inverse
   std::vector<unsigned char> singular;  // |det| < 1e-30: keep zero gradient

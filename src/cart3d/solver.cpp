@@ -71,6 +71,7 @@ Cart3DSolver::Cart3DSolver(const CartMesh& mesh,
   residual_.resize(nl);
   restricted_snapshot_.resize(nl);
   work_.resize(nl);
+  fresh_.assign(nl, false);
   const Cons uinf = euler::to_conservative(freestream_);
   for (std::size_t l = 0; l < nl; ++l) {
     const std::size_t n = hierarchy_.levels[l].cells.size();
@@ -87,11 +88,24 @@ void Cart3DSolver::compute_residual(int level, const std::vector<Cons>& u,
                                     std::vector<Cons>& res,
                                     bool second_order) {
   OBS_SPAN("cart3d.residual", "level", level);
-  const CartMesh& m = hierarchy_.levels[std::size_t(level)];
-  Workspace& ws = work_[std::size_t(level)];
-  if (!ws.geom.built) ws.geom.build(m);  // pure geometry, built once
-  kernels::residual(ws.geom, m, freestream_, opt_.flux, u, second_order,
-                    ws.k, res);
+  kernels::residual(level_geom(level), hierarchy_.levels[std::size_t(level)],
+                    freestream_, opt_.flux, u, second_order,
+                    work_[std::size_t(level)].k, res);
+  fresh_[std::size_t(level)] = false;  // the level's scratch was overwritten
+}
+
+const kernels::LevelGeom& Cart3DSolver::level_geom(int level) {
+  kernels::LevelGeom& g = work_[std::size_t(level)].geom;
+  if (!g.built) g.build(hierarchy_.levels[std::size_t(level)]);
+  return g;
+}
+
+void Cart3DSolver::level_residual(int level) {
+  if (fresh_[std::size_t(level)]) return;
+  compute_residual(level, state_[std::size_t(level)],
+                   residual_[std::size_t(level)],
+                   opt_.second_order && level == 0);
+  fresh_[std::size_t(level)] = true;
 }
 
 void Cart3DSolver::smooth(int level, int steps) {
@@ -101,6 +115,7 @@ void Cart3DSolver::smooth(int level, int steps) {
   std::vector<Cons>& u = state_[std::size_t(level)];
   const std::vector<Cons>& f = forcing_[std::size_t(level)];
   const std::size_t n = m.cells.size();
+  const real_t* const vol = level_geom(level).volume.data();
 
   // Local time step: dt_i = CFL * V_i / sum(|lambda| A).
   ws.wave.assign(n, 0.0);
@@ -128,17 +143,16 @@ void Cart3DSolver::smooth(int level, int steps) {
     });
   }
 
-  const bool second = opt_.second_order && level == 0;
   // Three-stage Runge-Kutta smoother (Jameson-style coefficients).
   static constexpr real_t kAlpha[3] = {0.1481, 0.4, 1.0};
   for (int step = 0; step < steps; ++step) {
     ws.u0.assign(u.begin(), u.end());
     const std::vector<Cons>& u0 = ws.u0;
     for (real_t alpha : kAlpha) {
-      compute_residual(level, u, residual_[std::size_t(level)], second);
-      std::vector<Cons>& r = residual_[std::size_t(level)];
+      level_residual(level);
+      const std::vector<Cons>& r = residual_[std::size_t(level)];
       for_cells(n, [&](std::size_t i) {
-        const real_t v = m.cell_volume(m.cells[i]);
+        const real_t v = vol[i];
         if (wave[i] <= 0 || v <= 0) return;
         const real_t dt = opt_.cfl * v / wave[i];
         Cons unew = u0[i];
@@ -148,6 +162,7 @@ void Cart3DSolver::smooth(int level, int steps) {
         if (euler::is_valid(unew)) u[i] = unew;
         // else: keep the previous stage value (positivity guard).
       });
+      fresh_[std::size_t(level)] = false;
     }
   }
 }
@@ -159,15 +174,17 @@ void Cart3DSolver::restrict_to(int level) {
   std::vector<Cons>& uc = state_[std::size_t(level) + 1];
   std::vector<Cons>& fc = forcing_[std::size_t(level) + 1];
   const std::size_t nc = coarse.cells.size();
+  const std::vector<real_t>& fine_vol = level_geom(level).volume;
 
   // Volume-weighted state restriction.
   Workspace& wsc = work_[std::size_t(level) + 1];
   wsc.vol.assign(nc, 0.0);
   std::vector<real_t>& vol = wsc.vol;
+  fresh_[std::size_t(level) + 1] = false;
   uc.assign(nc, Cons{});
   for (std::size_t i = 0; i < fine.cells.size(); ++i) {
     const std::size_t j = std::size_t(map[i]);
-    const real_t v = fine.cell_volume(fine.cells[i]);
+    const real_t v = fine_vol[i];
     vol[j] += v;
     for (int c = 0; c < 5; ++c)
       uc[j][std::size_t(c)] += v * state_[std::size_t(level)][i][std::size_t(c)];
@@ -185,9 +202,7 @@ void Cart3DSolver::restrict_to(int level) {
   // residual must come from the operator actually being solved on that
   // level (second order on the finest grid), else the coarse correction
   // targets the wrong equation and multigrid stalls.
-  compute_residual(level, state_[std::size_t(level)],
-                   residual_[std::size_t(level)],
-                   opt_.second_order && level == 0);
+  level_residual(level);
   wsc.transferred.assign(nc, Cons{});
   std::vector<Cons>& transferred = wsc.transferred;
   for (std::size_t i = 0; i < fine.cells.size(); ++i) {
@@ -197,7 +212,9 @@ void Cart3DSolver::restrict_to(int level) {
           residual_[std::size_t(level)][i][std::size_t(c)] -
           forcing_[std::size_t(level)][i][std::size_t(c)];
   }
-  compute_residual(level + 1, uc, residual_[std::size_t(level) + 1], false);
+  // R(u_c) is the coarse smoother's own operator (first order below the
+  // fine level), so its first stage reuses it.
+  level_residual(level + 1);
   fc.assign(nc, Cons{});
   for (std::size_t j = 0; j < nc; ++j)
     for (int c = 0; c < 5; ++c)
@@ -222,19 +239,19 @@ void Cart3DSolver::prolong_correction(int level) {
                               (uc[j][std::size_t(c)] - snap[j][std::size_t(c)]);
     if (euler::is_valid(unew)) uf[i] = unew;
   });
+  fresh_[std::size_t(level)] = false;
 }
 
 real_t Cart3DSolver::residual_norm() {
-  compute_residual(0, state_[0], residual_[0],
-                   opt_.second_order);
-  const CartMesh& m = hierarchy_.levels[0];
+  level_residual(0);
+  const real_t* const vol = level_geom(0).volume.data();
   // Deterministic tree reduction: fixed chunking, partials combined in
   // chunk order, so the norm is bit-identical for every thread count.
   const real_t sum = smp::ThreadPool::global().reduce_sum(
       0, residual_[0].size(), kCellGrain, [&](std::size_t b, std::size_t e) {
         real_t s = 0;
         for (std::size_t i = b; i < e; ++i) {
-          const real_t v = m.cell_volume(m.cells[i]);
+          const real_t v = vol[i];
           if (v <= 0) continue;
           const real_t r = residual_[0][i][0] / v;
           s += r * r;
@@ -249,6 +266,7 @@ real_t Cart3DSolver::run_cycle() { return driver_.run_cycle(*this); }
 /// Fault hook (COLUMBIA_FAULTS state_nan): poison one energy entry after
 /// the cycle's updates so the guard sees a non-finite residual.
 void Cart3DSolver::poison_state(std::size_t i) {
+  fresh_[0] = false;
   state_[0][i][4] = std::numeric_limits<real_t>::quiet_NaN();
 }
 
@@ -274,6 +292,7 @@ void Cart3DSolver::restore_checkpoint(const resil::Checkpoint& c) {
   auto& u = state_[0];
   for (std::size_t i = 0; i < u.size(); ++i)
     for (std::size_t k = 0; k < 5; ++k) u[i][k] = c.state[i * 5 + k];
+  fresh_.assign(fresh_.size(), false);
 }
 
 resil::GuardedSolveResult Cart3DSolver::solve_guarded(

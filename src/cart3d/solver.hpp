@@ -152,12 +152,24 @@ class Cart3DSolver {
   };
   std::vector<Workspace> work_;
 
+  /// Per level: residual_[l] and work_[l].k hold R(state_[l]) under the
+  /// operator smooth(l) uses. The residual that ends a cycle (or a
+  /// restriction) is then the one the next RK stage starts from, so it
+  /// is computed once. Cleared by every write to state_[l] and by the
+  /// public compute_residual, which overwrites the scratch.
+  std::vector<bool> fresh_;
+
   /// Cycle orchestration (level walk, convergence loop, guard wiring,
   /// telemetry, fault hooks) lives in the shared driver; this class keeps
   /// only the physics it feeds the driver.
   core::MultigridDriver<Cart3DSolver> driver_{"cart3d"};
 
   void smooth(int level, int steps);
+  /// The level's precomputed geometry, built on first use.
+  const kernels::LevelGeom& level_geom(int level);
+  /// R(state_[level]) into residual_[level] with smooth(level)'s
+  /// operator, unless still fresh.
+  void level_residual(int level);
   void restrict_to(int level);        // level -> level+1 (state + forcing)
   void prolong_correction(int level); // level+1 -> level
 

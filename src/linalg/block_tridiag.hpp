@@ -30,18 +30,21 @@ struct TridiagStatus {
 /// for i = 0..n-1 (lower[0] and upper[n-1] ignored), in place in `rhs`.
 ///
 /// On a singular pivot block the status identifies the failing row and
-/// column; `rhs` is then undefined.
+/// column; `rhs` is then undefined. `lu` is caller-owned factorization
+/// scratch (resized to the line length), so a sweep that keeps it across
+/// lines allocates nothing once it has grown.
 template <int N>
 TridiagStatus solve_block_tridiag_status(std::vector<BlockMat<N>>& lower,
                                          std::vector<BlockMat<N>>& diag,
                                          std::vector<BlockMat<N>>& upper,
-                                         std::vector<BlockVec<N>>& rhs) {
+                                         std::vector<BlockVec<N>>& rhs,
+                                         std::vector<BlockLU<N>>& lu) {
   const std::size_t n = diag.size();
   COLUMBIA_REQUIRE(lower.size() == n && upper.size() == n && rhs.size() == n);
   if (n == 0) return TridiagStatus{};
 
   // Forward elimination: diag[i] <- diag[i] - lower[i] D^{-1}_{i-1} upper[i-1]
-  std::vector<BlockLU<N>> lu(n);
+  lu.resize(n);
   FactorStatus fs = lu[0].factor_status(diag[0]);
   if (!fs) return TridiagStatus{fs, 0};
   for (std::size_t i = 1; i < n; ++i) {
@@ -65,6 +68,16 @@ TridiagStatus solve_block_tridiag_status(std::vector<BlockMat<N>>& lower,
     rhs[i] = lu[i].solve(r);
   }
   return TridiagStatus{};
+}
+
+/// solve_block_tridiag_status with its own factorization scratch.
+template <int N>
+TridiagStatus solve_block_tridiag_status(std::vector<BlockMat<N>>& lower,
+                                         std::vector<BlockMat<N>>& diag,
+                                         std::vector<BlockMat<N>>& upper,
+                                         std::vector<BlockVec<N>>& rhs) {
+  std::vector<BlockLU<N>> lu;
+  return solve_block_tridiag_status<N>(lower, diag, upper, rhs, lu);
 }
 
 /// Boolean convenience wrapper around solve_block_tridiag_status.

@@ -20,13 +20,16 @@ namespace {
 
 // Chunk grains for the pooled loops; fixed constants so chunk boundaries —
 // and with them floating-point combine order — never depend on the thread
-// count (see smp::ThreadPool's determinism contract).
+// count (see smp::ThreadPool's determinism contract). The edge grain is
+// sized for the coarse levels: a lock-free chunk claim costs one CAS, so
+// 64-edge chunks let every thread share a coarse level's small colors
+// (level 1 of the Fig. 14a wing: 20 colors of 4-1,170 edges).
 constexpr std::size_t kNodeGrain = 256;
-constexpr std::size_t kEdgeGrain = 512;
+constexpr std::size_t kEdgeGrain = 64;
 constexpr std::size_t kLineGrain = 2;
 
 /// Runs `body(edge)` over every edge, one color span at a time. Edges in
-/// a span touch disjoint nodes (Level::finalize_edges), so the scatter is
+/// a span touch disjoint nodes (Level::order_edges), so the scatter is
 /// race-free; processing colors in order keeps per-node accumulation
 /// order fixed for every thread count.
 template <class Fn>
@@ -130,6 +133,14 @@ void Scratch::resize(const Level& lvl) {
   gb.resize(n * kGradStride);
   ph.resize(n * kPhiStride);
   edq.resize(lvl.edges.size() * kEdqStride);
+}
+
+void Scratch::LineScratch::reserve(std::size_t len) {
+  lower.reserve(len);
+  dd.reserve(len);
+  upper.reserve(len);
+  rhs.reserve(len);
+  lu.reserve(len);
 }
 
 namespace {
@@ -683,6 +694,15 @@ void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s) {
   });
 }
 
+// The diagonal blocks are gathered per node over Level::incident rather
+// than scattered per edge: each edge side only updates its own node's
+// block, and incident lists are in edge storage order (color-major) —
+// the order the colored scatter added the terms in — so every block
+// accumulates the identical sequence. The gather needs no color barriers
+// and no thread ever writes another node's 6x6 block. On the coarse
+// levels, whose scattered node numbering made the scatter's blocks bounce
+// between cores every color, that turned no speedup at 4 threads into
+// 2.5x; at 1 thread it costs the same as the scatter.
 void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
                    std::span<const State> u, Scratch& s) {
   const std::size_t n = std::size_t(lvl.num_nodes);
@@ -691,6 +711,8 @@ void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
   const real_t* const mut = s.mut.data();
   const real_t* const wave = s.wave.data();
   const real_t* const snd = s.snd.data();
+  const index_t* const ea = lvl.edge_a.data();
+  const index_t* const eb = lvl.edge_b.data();
   BlockMat<6>* const diag = s.diag.data();
   const real_t mu_lam = phys.mu_lam;
   const bool viscous = phys.viscous;
@@ -698,53 +720,39 @@ void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
   for_nodes(n, [&](std::size_t i) {
     const real_t dt =
         wave[i] > 0 ? cfl * lvl.node_volume[i] / wave[i] : 1e30;
-    diag[i] = BlockMat<6>::diagonal(lvl.node_volume[i] / dt);
-  });
-  const index_t* const ea = lvl.edge_a.data();
-  const index_t* const eb = lvl.edge_b.data();
-  for_edges_colored(lvl, [&](std::size_t e) {
-    const std::size_t a = std::size_t(ea[e]);
-    const std::size_t b = std::size_t(eb[e]);
-    const real_t area = lvl.edge_area[e];
-    if (area <= 0) return;
-    const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
-    const real_t lam_a = (std::abs(dot(w[a].vel, nh)) + snd[a]) * area;
-    const real_t lam_b = (std::abs(dot(w[b].vel, nh)) + snd[b]) * area;
-    // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
-    const BlockMat<5> ja = euler::flux_jacobian(w[a], lvl.edge_normal[e]);
-    const BlockMat<5> jb =
-        euler::flux_jacobian(w[b], -1.0 * lvl.edge_normal[e]);
-    for (int rr = 0; rr < 5; ++rr)
-      for (int cc = 0; cc < 5; ++cc) {
-        diag[a](rr, cc) += 0.5 * ja(rr, cc);
-        diag[b](rr, cc) += 0.5 * jb(rr, cc);
-      }
-    for (int rr = 0; rr < 5; ++rr) {
-      diag[a](rr, rr) += 0.5 * lam_a;
-      diag[b](rr, rr) += 0.5 * lam_b;
-    }
-    diag[a](5, 5) += 0.5 * lam_a;
-    diag[b](5, 5) += 0.5 * lam_b;
-    if (viscous && lvl.edge_geo[e] > 0) {
-      const real_t geo = lvl.edge_geo[e];
-      const real_t cm = (mu_lam + 0.5 * (mut[a] + mut[b])) * geo;
-      const real_t cs =
-          (mu_lam + 0.5 * (u[a][5] + u[b][5])) / kSigma * geo;
-      for (std::size_t s2 : {a, b}) {
-        for (int rr = 1; rr <= 4; ++rr) diag[s2](rr, rr) += cm;
-        diag[s2](5, 5) += cs;
+    BlockMat<6> d = BlockMat<6>::diagonal(lvl.node_volume[i] / dt);
+    for (const auto& [eid, sgn] : lvl.incident[i]) {
+      const std::size_t e = std::size_t(eid);
+      const real_t area = lvl.edge_area[e];
+      if (area <= 0) continue;
+      const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
+      const real_t lam = (std::abs(dot(w[i].vel, nh)) + snd[i]) * area;
+      // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
+      const BlockMat<5> j = euler::flux_jacobian(
+          w[i], sgn > 0 ? lvl.edge_normal[e] : -1.0 * lvl.edge_normal[e]);
+      for (int rr = 0; rr < 5; ++rr)
+        for (int cc = 0; cc < 5; ++cc) d(rr, cc) += 0.5 * j(rr, cc);
+      for (int rr = 0; rr < 5; ++rr) d(rr, rr) += 0.5 * lam;
+      d(5, 5) += 0.5 * lam;
+      if (viscous && lvl.edge_geo[e] > 0) {
+        const std::size_t a = std::size_t(ea[e]), b = std::size_t(eb[e]);
+        const real_t geo = lvl.edge_geo[e];
+        const real_t cm = (mu_lam + 0.5 * (mut[a] + mut[b])) * geo;
+        const real_t cs =
+            (mu_lam + 0.5 * (u[a][5] + u[b][5])) / kSigma * geo;
+        for (int rr = 1; rr <= 4; ++rr) d(rr, rr) += cm;
+        d(5, 5) += cs;
       }
     }
-  });
-  // Farfield linearization keeps boundary nodes well conditioned.
-  for_nodes(n, [&](std::size_t i) {
+    // Farfield linearization keeps boundary nodes well conditioned.
     Vec3 bn{};
     for (const Vec3& t : lvl.boundary_normal[i]) bn += t;
     const real_t ba = norm(bn);
     if (ba > 0) {
       const real_t lam = euler::spectral_radius(w[i], bn / ba) * ba;
-      for (int rr = 0; rr < 6; ++rr) diag[i](rr, rr) += 0.5 * lam;
+      for (int rr = 0; rr < 6; ++rr) d(rr, rr) += 0.5 * lam;
     }
+    diag[i] = d;
   });
 }
 
@@ -791,14 +799,18 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
   // node-disjoint, so they solve in parallel; each pool thread uses its
   // own factorization scratch.
   smp::ThreadPool& pool = smp::ThreadPool::global();
-  if (s.line_scratch.size() < std::size_t(pool.num_threads()))
+  const auto& all_lines = lvl.lines.lines;
+  if (s.line_scratch.size() < std::size_t(pool.num_threads())) {
+    std::size_t longest = 0;
+    for (const auto& line : all_lines) longest = std::max(longest, line.size());
     s.line_scratch.resize(std::size_t(pool.num_threads()));
+    for (Scratch::LineScratch& ls : s.line_scratch) ls.reserve(longest);
+  }
   const Prim* const w = s.w.data();
   const real_t* const mut = s.mut.data();
   const BlockMat<6>* const diag = s.diag.data();
   const real_t mu_lam = phys.mu_lam;
   const bool viscous = phys.viscous;
-  const auto& all_lines = lvl.lines.lines;
   OBS_COUNT("nsu3d.line_solves", all_lines.size());
   pool.parallel_for(0, all_lines.size(), kLineGrain,
                     [&](std::size_t lb, std::size_t le, int tid) {
@@ -867,7 +879,8 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
         }
         lower[k + 1] = offl;
       }
-      if (!linalg::solve_block_tridiag_status<6>(lower, dd, upper, rhs)) {
+      if (!linalg::solve_block_tridiag_status<6>(lower, dd, upper, rhs,
+                                                 ls.lu)) {
         OBS_COUNT("resil.singular_pivot", 1);
         continue;
       }

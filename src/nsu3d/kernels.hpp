@@ -135,8 +135,13 @@ struct Scratch {
   struct LineScratch {
     std::vector<linalg::BlockMat<6>> lower, dd, upper;
     std::vector<linalg::BlockVec<6>> rhs;
+    std::vector<linalg::BlockLU<6>> lu;  // factorization scratch
+    void reserve(std::size_t len);
   };
-  std::vector<LineScratch> line_scratch;  // one slot per pool thread
+  /// One slot per pool thread, each reserved for the level's longest line:
+  /// chunks go to whichever thread claims them first, so any slot may meet
+  /// any line, and none grows in steady state.
+  std::vector<LineScratch> line_scratch;
 
   /// Sizes the per-node and per-edge arrays (residual-path fields only;
   /// smoother fields are sized by their kernels).

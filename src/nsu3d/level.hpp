@@ -83,10 +83,15 @@ struct Level {
   void build_incident();
   void build_line_edges();
 
-  /// Colors + reorders the edge arrays color-major (when `color` is set),
-  /// precomputes the per-edge geometry, and (re)builds `incident`. Must
-  /// run after edges/normals/lengths/centers are final.
-  void finalize_edges(bool color);
+  /// Colors + reorders the edge arrays color-major (when `color` is set).
+  /// The next coarser level is built from this order.
+  void order_edges(bool color);
+
+  /// Sorts each color span by first node, precomputes the per-edge
+  /// geometry, and (re)builds `incident` and `line_edges`. Must run after
+  /// edges/normals/lengths/centers are final and the next coarser level
+  /// has been built.
+  void finalize_edges();
 
   index_t num_edge_colors() const {
     return color_offsets.size() < 2 ? 0 : index_t(color_offsets.size() - 1);

@@ -67,6 +67,7 @@ Nsu3dSolver::Nsu3dSolver(const mesh::UnstructuredMesh& m,
   residual_.resize(nl);
   restricted_snapshot_.resize(nl);
   work_.resize(nl);
+  fresh_.assign(nl, false);
   State uinf{};
   const euler::Cons c5 = euler::to_conservative(freestream_);
   for (int k = 0; k < 5; ++k) uinf[std::size_t(k)] = c5[std::size_t(k)];
@@ -112,6 +113,14 @@ void Nsu3dSolver::compute_residual(int l, const std::vector<State>& u,
   OBS_SPAN("nsu3d.residual", "level", l);
   kernels::residual(levels_[std::size_t(l)], phys_, l, u, second_order,
                     work_[std::size_t(l)].k, res);
+  fresh_[std::size_t(l)] = false;  // the level's kernel scratch was overwritten
+}
+
+void Nsu3dSolver::level_residual(int l) {
+  if (fresh_[std::size_t(l)]) return;
+  compute_residual(l, state_[std::size_t(l)], residual_[std::size_t(l)],
+                   opt_.second_order && l == 0);
+  fresh_[std::size_t(l)] = true;
 }
 
 void Nsu3dSolver::smooth(int l, int steps) {
@@ -120,20 +129,20 @@ void Nsu3dSolver::smooth(int l, int steps) {
   Workspace& ws = work_[std::size_t(l)];
   std::vector<State>& u = state_[std::size_t(l)];
   const std::vector<State>& f = forcing_[std::size_t(l)];
-  const bool second = opt_.second_order && l == 0;
   const bool lines = opt_.smoother == SmootherKind::LineImplicit;
 
   for (int step = 0; step < steps; ++step) {
-    compute_residual(l, u, residual_[std::size_t(l)], second);
-    std::vector<State>& r = residual_[std::size_t(l)];
-    // The primitive/SoA caches in ws.k were just refreshed by
-    // compute_residual from the same u.
+    level_residual(l);
+    const std::vector<State>& r = residual_[std::size_t(l)];
+    // The primitive/SoA caches in ws.k hold the same u as r (level_residual
+    // refreshed them, or they are still fresh).
     kernels::wave_speeds(lvl, phys_, ws.k);
     kernels::assemble_diag(lvl, phys_, opt_.cfl, u, ws.k);
     if (!lines)
       kernels::point_sweep(lvl, opt_.relax, f, r, ws.k, u);
     else
       kernels::line_sweep(lvl, phys_, opt_.relax, f, r, ws.k, u);
+    fresh_[std::size_t(l)] = false;
     apply_strong_bcs(l, u);
   }
 }
@@ -148,6 +157,7 @@ void Nsu3dSolver::restrict_to(int l) {
   std::vector<State>& fc = forcing_[std::size_t(l) + 1];
   const std::size_t nc = std::size_t(coarse.num_nodes);
 
+  fresh_[std::size_t(l) + 1] = false;
   uc.assign(nc, State{});
   wsc.vol.assign(nc, 0.0);
   std::vector<real_t>& vol = wsc.vol;
@@ -163,8 +173,7 @@ void Nsu3dSolver::restrict_to(int l) {
       for (int c = 0; c < 6; ++c) uc[j][std::size_t(c)] /= vol[j];
   restricted_snapshot_[std::size_t(l) + 1] = uc;
 
-  compute_residual(l, state_[std::size_t(l)], residual_[std::size_t(l)],
-                   opt_.second_order && l == 0);
+  level_residual(l);
   wsc.transferred.assign(nc, State{});
   std::vector<State>& transferred = wsc.transferred;
   for (index_t i = 0; i < fine.num_nodes; ++i) {
@@ -174,7 +183,9 @@ void Nsu3dSolver::restrict_to(int l) {
           residual_[std::size_t(l)][std::size_t(i)][std::size_t(c)] -
           forcing_[std::size_t(l)][std::size_t(i)][std::size_t(c)];
   }
-  compute_residual(l + 1, uc, residual_[std::size_t(l) + 1], false);
+  // R(u_c) is the coarse smoother's own operator (first order below the
+  // fine level), so its first smoothing step reuses it.
+  level_residual(l + 1);
   fc.assign(nc, State{});
   for (std::size_t j = 0; j < nc; ++j)
     for (int c = 0; c < 6; ++c)
@@ -197,11 +208,12 @@ void Nsu3dSolver::prolong_correction(int l) {
                               (uc[j][std::size_t(c)] - snap[j][std::size_t(c)]);
     if (state_valid(unew)) uf[i] = unew;
   });
+  fresh_[std::size_t(l)] = false;
   apply_strong_bcs(l, uf);
 }
 
 real_t Nsu3dSolver::residual_norm() {
-  compute_residual(0, state_[0], residual_[0], opt_.second_order);
+  level_residual(0);
   const Level& lvl = levels_[0];
   const std::size_t n = std::size_t(lvl.num_nodes);
   // Deterministic tree reduction: fixed chunking, partials combined in
@@ -228,6 +240,7 @@ real_t Nsu3dSolver::run_cycle() { return driver_.run_cycle(*this); }
 /// Fault hook (COLUMBIA_FAULTS state_nan): poison one energy entry after
 /// the cycle's updates so the guard sees a non-finite residual.
 void Nsu3dSolver::poison_state(std::size_t i) {
+  fresh_[0] = false;
   state_[0][i][4] = std::numeric_limits<real_t>::quiet_NaN();
 }
 
@@ -253,6 +266,7 @@ void Nsu3dSolver::restore_checkpoint(const resil::Checkpoint& c) {
   auto& u = state_[0];
   for (std::size_t i = 0; i < u.size(); ++i)
     for (std::size_t k = 0; k < 6; ++k) u[i][k] = c.state[i * 6 + k];
+  fresh_.assign(fresh_.size(), false);
 }
 
 resil::GuardedSolveResult Nsu3dSolver::solve_guarded(

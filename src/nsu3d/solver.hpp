@@ -149,6 +149,13 @@ class Nsu3dSolver {
   };
   std::vector<Workspace> work_;
 
+  /// Per level: residual_[l] and work_[l].k hold R(state_[l]) under the
+  /// operator smooth(l) uses. The residual that ends a cycle (or a
+  /// restriction) is then the one the next smoothing step starts from,
+  /// so it is computed once. Cleared by every write to state_[l] and by
+  /// the public compute_residual, which overwrites the scratch.
+  std::vector<bool> fresh_;
+
   /// Physical constants handed to the kernel layer (built once in the
   /// constructor from the options and flow conditions).
   kernels::Physics phys_;
@@ -159,6 +166,9 @@ class Nsu3dSolver {
   core::MultigridDriver<Nsu3dSolver> driver_{"nsu3d"};
 
   void smooth(int l, int steps);
+  /// R(state_[l]) into residual_[l] with smooth(l)'s operator, unless
+  /// still fresh.
+  void level_residual(int l);
   void apply_strong_bcs(int l, std::vector<State>& u) const;
   void restrict_to(int l);
   void prolong_correction(int l);

@@ -11,14 +11,17 @@
 #include <new>
 
 #include "cart3d/partitioned.hpp"
+#include "cart3d/solver.hpp"
 #include "core/exchange_plan.hpp"
 #include "core/params.hpp"
 #include "geom/components.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
+#include "nsu3d/solver.hpp"
 #include "perf/loads.hpp"
 #include "resil/faults.hpp"
 #include "smp/hybrid.hpp"
+#include "smp/pool.hpp"
 #include "support/random.hpp"
 
 // ---------------------------------------------------------------------------
@@ -232,6 +235,59 @@ TEST(ExchangePlan, SteadyStateExchangePerformsZeroAllocations) {
   }
   EXPECT_EQ(g_alloc_count.load() - split_before, 0u)
       << "ExchangePlan::post/finish allocated on the steady-state path";
+}
+
+/// Heap allocations made by two steady-state cycles of `s`, after one
+/// warm-up cycle has grown every workspace.
+template <class Solver>
+std::uint64_t steady_cycle_allocations(Solver& s) {
+  s.residual_norm();
+  s.run_cycle();
+  const std::uint64_t before = g_alloc_count.load();
+  s.run_cycle();
+  s.run_cycle();
+  return g_alloc_count.load() - before;
+}
+
+// The solvers' cycles keep the same contract: workspaces and line-solve
+// scratch keep their capacity, the pool binds range functions by
+// reference and reuses its reduction partials.
+TEST(SteadyState, SolverCyclesPerformZeroAllocations) {
+  mesh::WingMeshSpec spec;
+  spec.n_wrap = 24;
+  spec.n_span = 3;
+  spec.n_normal = 10;
+  spec.wall_spacing = 1e-4;
+  const mesh::UnstructuredMesh wing = mesh::make_wing_mesh(spec);
+  euler::FlowConditions wing_fc;
+  wing_fc.mach = 0.75;
+  wing_fc.reynolds = 3e6;
+  nsu3d::Nsu3dOptions no;
+  no.mg_levels = 3;
+
+  geom::Aabb domain;
+  domain.expand({-1.5, -1.5, -1.5});
+  domain.expand({1.5, 1.5, 1.5});
+  cartesian::CartMeshOptions mo;
+  mo.base_n = 8;
+  mo.max_level = 1;
+  const cartesian::CartMesh box = cartesian::build_cart_mesh(
+      geom::make_sphere({0, 0, 0}, 0.4, 12, 24), domain, mo);
+  euler::FlowConditions box_fc;
+  box_fc.mach = 0.3;
+  cart3d::SolverOptions co;
+  co.mg_levels = 2;
+
+  for (const int threads : {1, 4}) {
+    smp::set_global_threads(threads);
+    nsu3d::Nsu3dSolver ns(wing, wing_fc, no);
+    EXPECT_EQ(steady_cycle_allocations(ns), 0u)
+        << "nsu3d run_cycle allocated at " << threads << " threads";
+    cart3d::Cart3DSolver cs(box, box_fc, co);
+    EXPECT_EQ(steady_cycle_allocations(cs), 0u)
+        << "cart3d run_cycle allocated at " << threads << " threads";
+  }
+  smp::set_global_threads(1);
 }
 
 TEST(ExchangePlan, ScheduleStatisticsMatchRequestLists) {

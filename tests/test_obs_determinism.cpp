@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cart3d/solver.hpp"
 #include "core/exchange_plan.hpp"
+#include "core/params.hpp"
 #include "geom/components.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
@@ -258,6 +260,89 @@ TEST(ObsDeterminism, PartitionedResidualCommObservatoryInvisible) {
                                                 true, comm))
           << "faulted, threads " << threads;
     }
+  }
+}
+
+// The residual spans double as a ledger of residual evaluations: a cycle
+// makes exactly the closed-form count below, which is how the solvers'
+// reuse of an unchanged state's residual is pinned.
+
+/// Begin events of span `name` recorded since the last reset_trace().
+std::size_t span_count(const char* name) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& e : obs::trace_snapshot())
+    if (e.phase == 'B' && std::strcmp(e.name, name) == 0) ++n;
+  return n;
+}
+
+/// Residual evaluations in one cycle, from the driver's level walk
+/// (core::cycle_visits). Each visit smooths `p.smooth_steps` steps of
+/// `per_step` residuals; each visit above the coarsest restricts (a fine
+/// and a coarse residual) and post-smooths; the cycle ends with the fine
+/// residual norm. Two of those are reused, not recomputed: the norm's
+/// residual by the next cycle's first fine step, and each restriction's
+/// coarse residual by the coarse level's next first step.
+std::size_t residuals_per_cycle(const core::SolveParams& p, int per_step) {
+  const std::vector<index_t> visits = core::cycle_visits(p.mg_levels, p.cycle);
+  std::size_t computed = 1, restrictions = 0;
+  for (int l = 0; l < p.mg_levels; ++l) {
+    const std::size_t v = std::size_t(visits[std::size_t(l)]);
+    computed += v * std::size_t(p.smooth_steps * per_step);
+    if (l + 1 < p.mg_levels) {
+      computed += v * std::size_t(2 + p.post_smooth_steps * per_step);
+      restrictions += v;
+    }
+  }
+  return computed - 1 - restrictions;
+}
+
+template <class Solver>
+std::size_t residual_spans_per_cycle(Solver& s, const char* span) {
+  constexpr int kCycles = 3;
+  s.residual_norm();
+  obs::reset_trace();
+  for (int c = 0; c < kCycles; ++c) s.run_cycle();
+  const std::size_t n = span_count(span);
+  EXPECT_EQ(n % kCycles, 0u) << "cycles differ in residual count";
+  return n / kCycles;
+}
+
+TEST(ResidualReuse, Nsu3dSpansMatchClosedForm) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const auto m = small_wing();
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.reynolds = 3e6;
+  for (const core::CycleType cycle : {core::CycleType::W, core::CycleType::V}) {
+    Guard guard;
+    obs::set_enabled(true);
+    nsu3d::Nsu3dOptions o;
+    o.mg_levels = 3;
+    o.cycle = cycle;
+    nsu3d::Nsu3dSolver s(m, fc, o);
+    // 3-level W-cycle: visits 1, 2, 2 -> 15 evaluations, 4 of them reused.
+    EXPECT_EQ(residual_spans_per_cycle(s, "nsu3d.residual"),
+              residuals_per_cycle(o, 1));
+  }
+}
+
+TEST(ResidualReuse, Cart3dSpansMatchClosedForm) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const auto m = small_sphere_mesh();
+  euler::FlowConditions fc;
+  fc.mach = 0.3;
+  fc.alpha_deg = 2.0;
+  for (const int levels : {1, 2}) {
+    Guard guard;
+    obs::set_enabled(true);
+    cart3d::SolverOptions o;
+    o.mg_levels = levels;
+    cart3d::Cart3DSolver s(m, fc, o);
+    // Three RK stages per smoothing step. Single grid: 7 evaluations per
+    // cycle, 1 reused.
+    EXPECT_EQ(residual_spans_per_cycle(s, "cart3d.residual"),
+              residuals_per_cycle(o, 3))
+        << levels << " levels";
   }
 }
 

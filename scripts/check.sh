@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the full suite in the release preset, then the
-# thread-sensitive suites (labels tsan + resil) under ThreadSanitizer.
+# Tier-1 verification: the full suite in the release preset, the
+# thread-sensitive suites (labels tsan + resil) under ThreadSanitizer, the
+# memory-sensitive suites (label asan) under AddressSanitizer, the soak
+# matrix and the perf gate.
 #
-#   scripts/check.sh            # release + tsan
+#   scripts/check.sh            # release + tsan + asan + soak + perf gate
 #   JOBS=8 scripts/check.sh     # override parallelism
 set -euo pipefail
 
@@ -19,6 +21,15 @@ echo "== tsan: configure + build + ctest -L tsan (includes resil) =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 ctest --preset tsan -j "$JOBS"
+
+echo
+echo "== asan: configure + build + ctest -L asan =="
+# The asan label covers the mesher's bit-identity suite, the resilience
+# and core suites (checkpoints, fault injection, allocation counting) and
+# the fork-free overlap suite.
+cmake --preset asan
+cmake --build --preset asan -j "$JOBS"
+ctest --preset asan -j "$JOBS"
 
 echo
 echo "== soak: distributed fault matrix (scripts/soak.sh) =="

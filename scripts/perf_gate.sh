@@ -17,8 +17,8 @@
 # from a shared CI container, and the gate's job is catching step-function
 # regressions (an accidental O(n^2), a lost workspace reuse), not 5% noise.
 # Thread-sweep rows the host cannot run (threads > hardware threads) are
-# skipped inside columbia_report with an explicit reason rather than failed
-# — the CI container has a single hardware thread (see ROADMAP.md).
+# skipped inside columbia_report with an explicit reason rather than failed.
+# The cartesian_mesh_* rows gate mesh generation (ns per generated cell).
 #
 # BENCH_comm.json also carries the comm-observatory rows ("wait/exchange
 # (us)", measured with span recording on): those are Timing-gated like the

@@ -1,11 +1,9 @@
 #include "cartesian/adaptation.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 
-#include "cartesian/clip.hpp"
-#include "geom/tribox.hpp"
 #include "support/assert.hpp"
 
 namespace columbia::cartesian {
@@ -123,47 +121,17 @@ CartMesh refine_cells(const CartMesh& m, const geom::TriSurface* surface,
     active = std::move(next);
   }
 
-  // Classify against the surface (cut flags, fluid fractions, wall areas).
-  std::vector<geom::Aabb> tri_boxes;
-  const InsideClassifier* classifier = nullptr;
-  std::unique_ptr<InsideClassifier> owned;
-  if (surface != nullptr) {
-    tri_boxes.resize(std::size_t(surface->num_triangles()));
-    for (index_t t = 0; t < surface->num_triangles(); ++t)
-      tri_boxes[std::size_t(t)] = surface->triangle_bounds(t);
-    owned = std::make_unique<InsideClassifier>(*surface);
-    classifier = owned.get();
-  }
-
+  // Classify against the surface (cut flags, fluid fractions, wall areas)
+  // exactly as the initial build does.
+  std::optional<CutCellClassifier> classifier;
+  if (surface != nullptr) classifier.emplace(*surface);
   for (const Proto& p : active) {
     CartCell c;
     c.anchor = p.anchor;
     c.level = p.level;
-    if (surface != nullptr) {
-      const geom::Aabb box = out.cell_box(c);
-      bool cut = false;
-      geom::Vec3 wall{};
-      for (index_t t = 0; t < surface->num_triangles(); ++t) {
-        if (!tri_boxes[std::size_t(t)].overlaps(box)) continue;
-        const geom::Triangle& tri = surface->triangle(t);
-        if (!cut &&
-            geom::triangle_box_overlap(surface->vertex(tri.v[0]),
-                                       surface->vertex(tri.v[1]),
-                                       surface->vertex(tri.v[2]), box))
-          cut = true;
-        wall += polygon_area_vector(clip_triangle_to_box(
-            surface->vertex(tri.v[0]), surface->vertex(tri.v[1]),
-            surface->vertex(tri.v[2]), box));
-      }
-      if (cut) {
-        c.cut = true;
-        c.fluid_frac = classifier->fluid_fraction(box, 3);
-        if (c.fluid_frac < min_fluid_frac) continue;
-        c.wall_area = -1.0 * wall;
-      } else if (classifier->inside(box.center())) {
-        continue;  // fully solid
-      }
-    }
+    if (classifier &&
+        !classifier->classify(c, out.cell_box(c), 3, min_fluid_frac))
+      continue;  // solid
     out.cells.push_back(c);
   }
 

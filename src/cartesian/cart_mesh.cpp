@@ -78,31 +78,111 @@ real_t CartMesh::total_fluid_volume() const {
   return v;
 }
 
-namespace {
+TriangleBoxIndex::TriangleBoxIndex(const geom::TriSurface& surface) {
+  const std::size_t ntri = std::size_t(surface.num_triangles());
+  boxes_.resize(ntri);
+  for (index_t t = 0; t < surface.num_triangles(); ++t) {
+    boxes_[std::size_t(t)] = surface.triangle_bounds(t);
+    bounds_.merge(boxes_[std::size_t(t)]);
+  }
+  n_ = std::clamp(int(std::ceil(std::cbrt(real_t(ntri)))), 1, 128);
+  const Vec3 ext = bounds_.hi - bounds_.lo;
+  for (int a = 0; a < 3; ++a)
+    inv_width_[std::size_t(a)] = ext[a] > 0 ? real_t(n_) / ext[a] : 0;
 
-/// Candidate triangles possibly overlapping `box`, by brute AABB test.
-/// Surfaces in this repo stay small enough (1e4-1e5 tris) that the n_cells
-/// x n_tris AABB prefilter dominated by refinement locality is acceptable.
-void candidates(const geom::TriSurface& s,
-                const std::vector<Aabb>& tri_boxes, const Aabb& box,
-                std::vector<index_t>& out) {
-  out.clear();
-  for (index_t t = 0; t < s.num_triangles(); ++t)
-    if (tri_boxes[std::size_t(t)].overlaps(box)) out.push_back(t);
+  // Counting sort of (bin, triangle) pairs into CSR; ids stay ascending
+  // within each bin.
+  const std::size_t nbins = std::size_t(n_) * std::size_t(n_) * std::size_t(n_);
+  start_.assign(nbins + 1, 0);
+  auto for_each_bin = [&](const Aabb& b, auto&& fn) {
+    const int i0 = bin(b.lo.x, 0), i1 = bin(b.hi.x, 0);
+    const int j0 = bin(b.lo.y, 1), j1 = bin(b.hi.y, 1);
+    const int k0 = bin(b.lo.z, 2), k1 = bin(b.hi.z, 2);
+    for (int k = k0; k <= k1; ++k)
+      for (int j = j0; j <= j1; ++j)
+        for (int i = i0; i <= i1; ++i)
+          fn((std::size_t(k) * std::size_t(n_) + std::size_t(j)) *
+                 std::size_t(n_) +
+             std::size_t(i));
+  };
+  for (const Aabb& b : boxes_)
+    for_each_bin(b, [&](std::size_t bin_id) { ++start_[bin_id + 1]; });
+  for (std::size_t b = 0; b < nbins; ++b) start_[b + 1] += start_[b];
+  ids_.resize(std::size_t(start_[nbins]));
+  std::vector<index_t> fill(start_.begin(), start_.end() - 1);
+  for (std::size_t t = 0; t < ntri; ++t)
+    for_each_bin(boxes_[t], [&](std::size_t bin_id) {
+      ids_[std::size_t(fill[bin_id]++)] = index_t(t);
+    });
 }
 
-bool intersects_surface(const geom::TriSurface& s,
-                        std::span<const index_t> cand, const Aabb& box) {
-  for (index_t t : cand) {
-    const geom::Triangle& tri = s.triangle(t);
-    if (geom::triangle_box_overlap(s.vertex(tri.v[0]), s.vertex(tri.v[1]),
-                                   s.vertex(tri.v[2]), box))
+int TriangleBoxIndex::bin(real_t x, int axis) const {
+  real_t f = (x - bounds_.lo[axis]) * inv_width_[std::size_t(axis)];
+  const real_t top = real_t(n_ - 1);
+  if (!(f > 0)) f = 0;  // also catches NaN
+  if (f > top) f = top;
+  return int(f);
+}
+
+void TriangleBoxIndex::query(const Aabb& box, std::vector<index_t>& out) const {
+  out.clear();
+  // Every triangle box lies inside bounds_, so a box missing bounds_ misses
+  // them all.
+  if (!bounds_.overlaps(box)) return;
+  const int i0 = bin(box.lo.x, 0), i1 = bin(box.hi.x, 0);
+  const int j0 = bin(box.lo.y, 1), j1 = bin(box.hi.y, 1);
+  const int k0 = bin(box.lo.z, 2), k1 = bin(box.hi.z, 2);
+  // Bins i0..i1 of one (j, k) row are contiguous in the CSR arrays.
+  for (int k = k0; k <= k1; ++k)
+    for (int j = j0; j <= j1; ++j) {
+      const std::size_t row =
+          (std::size_t(k) * std::size_t(n_) + std::size_t(j)) * std::size_t(n_);
+      for (index_t e = start_[row + std::size_t(i0)];
+           e < start_[row + std::size_t(i1) + 1]; ++e) {
+        const index_t t = ids_[std::size_t(e)];
+        if (boxes_[std::size_t(t)].overlaps(box)) out.push_back(t);
+      }
+    }
+  // A triangle spanning several bins of the query is listed once per bin.
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+CutCellClassifier::CutCellClassifier(const geom::TriSurface& surface)
+    : surface_(surface), index_(surface), inside_(surface) {}
+
+bool CutCellClassifier::cuts(const Aabb& box) {
+  index_.query(box, cand_);
+  for (index_t t : cand_) {
+    const geom::Triangle& tri = surface_.triangle(t);
+    if (geom::triangle_box_overlap(surface_.vertex(tri.v[0]),
+                                   surface_.vertex(tri.v[1]),
+                                   surface_.vertex(tri.v[2]), box))
       return true;
   }
   return false;
 }
 
-}  // namespace
+bool CutCellClassifier::classify(CartCell& c, const Aabb& box, int samples,
+                                 real_t min_fluid_frac) {
+  if (!cuts(box)) return !inside_.inside(box.center());
+  c.cut = true;
+  c.fluid_frac = inside_.fluid_fraction(box, samples);
+  if (c.fluid_frac < min_fluid_frac) return false;  // effectively solid
+  // Wall area vector: clipped surface polygons, summed in ascending
+  // triangle order. Triangle normals point out of the solid (into the
+  // fluid); the wall boundary of the fluid control volume points the other
+  // way.
+  Vec3 wall{};
+  for (index_t t : cand_) {
+    const geom::Triangle& tri = surface_.triangle(t);
+    wall += polygon_area_vector(clip_triangle_to_box(
+        surface_.vertex(tri.v[0]), surface_.vertex(tri.v[1]),
+        surface_.vertex(tri.v[2]), box));
+  }
+  c.wall_area = -1.0 * wall;
+  return true;
+}
 
 std::uint64_t sfc_key_of(const CartMesh& m, const CartCell& c, SfcKind kind) {
   const std::uint32_t half = m.cell_span(c) / 2;
@@ -231,9 +311,7 @@ CartMesh build_cart_mesh(const geom::TriSurface& surface, const Aabb& domain,
   m.base_n = opt.base_n;
   m.max_level = opt.max_level;
 
-  std::vector<Aabb> tri_boxes(std::size_t(surface.num_triangles()));
-  for (index_t t = 0; t < surface.num_triangles(); ++t)
-    tri_boxes[std::size_t(t)] = surface.triangle_bounds(t);
+  CutCellClassifier classifier(surface);
 
   // 1) Base grid.
   std::vector<Proto> active;
@@ -252,7 +330,6 @@ CartMesh build_cart_mesh(const geom::TriSurface& surface, const Aabb& domain,
   };
 
   // 2) Refine cells that intersect the surface, level by level.
-  std::vector<index_t> cand;
   for (int lvl = 0; lvl < opt.max_level; ++lvl) {
     std::vector<Proto> next;
     next.reserve(active.size());
@@ -261,9 +338,7 @@ CartMesh build_cart_mesh(const geom::TriSurface& surface, const Aabb& domain,
         next.push_back(p);
         continue;
       }
-      const Aabb box = proto_box(p);
-      candidates(surface, tri_boxes, box, cand);
-      if (!intersects_surface(surface, cand, box)) {
+      if (!classifier.cuts(proto_box(p))) {
         next.push_back(p);
         continue;
       }
@@ -344,34 +419,13 @@ CartMesh build_cart_mesh(const geom::TriSurface& surface, const Aabb& domain,
   }
 
   // 4) Classify cells: cut / fluid / solid. Solid cells are dropped.
-  const InsideClassifier classifier(surface);
   for (const Proto& p : active) {
     CartCell c;
     c.anchor = p.anchor;
     c.level = p.level;
-    const Aabb box = m.cell_box(c);
-    candidates(surface, tri_boxes, box, cand);
-    if (intersects_surface(surface, cand, box)) {
-      c.cut = true;
-      c.fluid_frac = classifier.fluid_fraction(box, opt.classify_samples);
-      if (c.fluid_frac < opt.min_fluid_frac) continue;  // effectively solid
-      // Wall area vector: clipped surface polygons. Triangle normals point
-      // out of the solid (into the fluid); the wall boundary of the fluid
-      // control volume points the other way.
-      Vec3 wall{};
-      for (index_t t : cand) {
-        const geom::Triangle& tri = surface.triangle(t);
-        const auto poly =
-            clip_triangle_to_box(surface.vertex(tri.v[0]),
-                                 surface.vertex(tri.v[1]),
-                                 surface.vertex(tri.v[2]), box);
-        wall += polygon_area_vector(poly);
-      }
-      c.wall_area = -1.0 * wall;
-    } else {
-      if (classifier.inside(box.center())) continue;  // solid: drop
-    }
-    m.cells.push_back(c);
+    if (classifier.classify(c, m.cell_box(c), opt.classify_samples,
+                            opt.min_fluid_frac))
+      m.cells.push_back(c);
   }
 
   // 5) SFC ordering + 6) faces.

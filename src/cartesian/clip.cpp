@@ -7,11 +7,11 @@ using geom::Vec3;
 namespace {
 
 /// Clips `poly` against the half-space {p : sign*(p[axis] - value) <= 0}.
-std::vector<Vec3> clip_halfspace(const std::vector<Vec3>& poly, int axis,
-                                 real_t value, real_t sign) {
-  std::vector<Vec3> out;
+void clip_halfspace(const ClipPolygon& poly, int axis, real_t value,
+                    real_t sign, ClipPolygon& out) {
+  out.n = 0;
   const std::size_t n = poly.size();
-  if (n == 0) return out;
+  if (n == 0) return;
   auto side = [&](const Vec3& p) {
     const real_t coord = axis == 0 ? p.x : (axis == 1 ? p.y : p.z);
     return sign * (coord - value);
@@ -26,24 +26,26 @@ std::vector<Vec3> clip_halfspace(const std::vector<Vec3>& poly, int axis,
       out.push_back(cur + t * (nxt - cur));
     }
   }
-  return out;
 }
 
 }  // namespace
 
-std::vector<Vec3> clip_triangle_to_box(const Vec3& a, const Vec3& b,
-                                       const Vec3& c, const geom::Aabb& box) {
-  std::vector<Vec3> poly{a, b, c};
-  poly = clip_halfspace(poly, 0, box.lo.x, -1);
-  poly = clip_halfspace(poly, 0, box.hi.x, +1);
-  poly = clip_halfspace(poly, 1, box.lo.y, -1);
-  poly = clip_halfspace(poly, 1, box.hi.y, +1);
-  poly = clip_halfspace(poly, 2, box.lo.z, -1);
-  poly = clip_halfspace(poly, 2, box.hi.z, +1);
+ClipPolygon clip_triangle_to_box(const Vec3& a, const Vec3& b, const Vec3& c,
+                                 const geom::Aabb& box) {
+  ClipPolygon poly, tmp;
+  poly.push_back(a);
+  poly.push_back(b);
+  poly.push_back(c);
+  clip_halfspace(poly, 0, box.lo.x, -1, tmp);
+  clip_halfspace(tmp, 0, box.hi.x, +1, poly);
+  clip_halfspace(poly, 1, box.lo.y, -1, tmp);
+  clip_halfspace(tmp, 1, box.hi.y, +1, poly);
+  clip_halfspace(poly, 2, box.lo.z, -1, tmp);
+  clip_halfspace(tmp, 2, box.hi.z, +1, poly);
   return poly;
 }
 
-Vec3 polygon_area_vector(const std::vector<Vec3>& poly) {
+Vec3 polygon_area_vector(std::span<const Vec3> poly) {
   Vec3 area{};
   if (poly.size() < 3) return area;
   for (std::size_t i = 1; i + 1 < poly.size(); ++i)

@@ -40,45 +40,66 @@ std::size_t InsideClassifier::bucket_of(real_t x, real_t y) const {
   return std::size_t(iy) * std::size_t(grid_) + std::size_t(ix);
 }
 
-bool InsideClassifier::inside(const Vec3& p) const {
-  if (!bounds_.contains(p)) return false;
-  // Count crossings of the downward ray {(p.x, p.y, z) : z < p.z}.
-  int crossings = 0;
-  for (index_t t : buckets_[bucket_of(p.x, p.y)]) {
+void InsideClassifier::count_crossings(real_t x, real_t y,
+                                       std::span<const real_t> zs,
+                                       std::span<int> below) const {
+  std::fill(below.begin(), below.end(), 0);
+  for (index_t t : buckets_[bucket_of(x, y)]) {
     const geom::Triangle& tri = surface_.triangle(t);
     const Vec3& a = surface_.vertex(tri.v[0]);
     const Vec3& b = surface_.vertex(tri.v[1]);
     const Vec3& c = surface_.vertex(tri.v[2]);
     // 2D point-in-triangle in the (x, y) projection via edge functions.
-    const real_t d1 = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x);
-    const real_t d2 = (c.x - b.x) * (p.y - b.y) - (c.y - b.y) * (p.x - b.x);
-    const real_t d3 = (a.x - c.x) * (p.y - c.y) - (a.y - c.y) * (p.x - c.x);
+    const real_t d1 = (b.x - a.x) * (y - a.y) - (b.y - a.y) * (x - a.x);
+    const real_t d2 = (c.x - b.x) * (y - b.y) - (c.y - b.y) * (x - b.x);
+    const real_t d3 = (a.x - c.x) * (y - c.y) - (a.y - c.y) * (x - c.x);
     const bool has_neg = (d1 < 0) || (d2 < 0) || (d3 < 0);
     const bool has_pos = (d1 > 0) || (d2 > 0) || (d3 > 0);
     if (has_neg && has_pos) continue;  // outside the projected triangle
-    // Height of the triangle plane at (p.x, p.y).
+    // Height of the triangle plane at (x, y).
     const Vec3 n = cross(b - a, c - a);
     if (std::abs(n.z) < 1e-30) continue;  // vertical triangle: no z-crossing
-    const real_t z =
-        a.z - ((p.x - a.x) * n.x + (p.y - a.y) * n.y) / n.z;
-    if (z < p.z) ++crossings;
+    const real_t z = a.z - ((x - a.x) * n.x + (y - a.y) * n.y) / n.z;
+    for (std::size_t k = 0; k < zs.size(); ++k)
+      if (z < zs[k]) ++below[k];
   }
+}
+
+bool InsideClassifier::inside(const Vec3& p) const {
+  if (!bounds_.contains(p)) return false;
+  // Count crossings of the downward ray {(p.x, p.y, z) : z < p.z}.
+  int crossings = 0;
+  count_crossings(p.x, p.y, {&p.z, 1}, {&crossings, 1});
   return (crossings % 2) == 1;
 }
 
 real_t InsideClassifier::fluid_fraction(const geom::Aabb& box,
                                         int samples) const {
   COLUMBIA_REQUIRE(samples >= 1);
-  int fluid = 0;
   const Vec3 size = box.hi - box.lo;
+  std::vector<real_t> zs(std::size_t(samples), 0.0);
+  std::vector<int> below(std::size_t(samples), 0);
   for (int k = 0; k < samples; ++k)
-    for (int j = 0; j < samples; ++j)
-      for (int i = 0; i < samples; ++i) {
-        const Vec3 p = box.lo + Vec3{size.x * (i + 0.5) / samples,
-                                     size.y * (j + 0.5) / samples,
-                                     size.z * (k + 0.5) / samples};
-        if (!inside(p)) ++fluid;
+    zs[std::size_t(k)] = box.lo.z + size.z * (k + 0.5) / samples;
+  int fluid = 0;
+  for (int j = 0; j < samples; ++j)
+    for (int i = 0; i < samples; ++i) {
+      const real_t x = box.lo.x + size.x * (i + 0.5) / samples;
+      const real_t y = box.lo.y + size.y * (j + 0.5) / samples;
+      // Outside the padded bounds in (x, y): the whole column is fluid.
+      if (!(x >= bounds_.lo.x && x <= bounds_.hi.x && y >= bounds_.lo.y &&
+            y <= bounds_.hi.y)) {
+        fluid += samples;
+        continue;
       }
+      count_crossings(x, y, zs, below);
+      for (int k = 0; k < samples; ++k) {
+        const real_t z = zs[std::size_t(k)];
+        const bool solid = z >= bounds_.lo.z && z <= bounds_.hi.z &&
+                           below[std::size_t(k)] % 2 == 1;
+        if (!solid) ++fluid;
+      }
+    }
   return real_t(fluid) / real_t(samples * samples * samples);
 }
 

@@ -7,6 +7,7 @@
 // column.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "geom/surface.hpp"
@@ -23,7 +24,10 @@ class InsideClassifier {
   bool inside(const geom::Vec3& p) const;
 
   /// Fraction of `samples`^3 sub-points of the box that are in the fluid
-  /// (outside the solid). 1 = fully fluid, 0 = fully solid.
+  /// (outside the solid). 1 = fully fluid, 0 = fully solid. Each (x, y)
+  /// sample column is intersected with the surface once; every sample on
+  /// it is classified against those crossing heights, so the answer is
+  /// the per-sample inside() count exactly.
   real_t fluid_fraction(const geom::Aabb& box, int samples = 3) const;
 
  private:
@@ -34,6 +38,10 @@ class InsideClassifier {
   std::vector<std::vector<index_t>> buckets_;  // triangle ids per (x,y) cell
 
   std::size_t bucket_of(real_t x, real_t y) const;
+  /// For each height zs[k], counts the surface crossings of the downward
+  /// ray from (x, y, zs[k]) into below[k].
+  void count_crossings(real_t x, real_t y, std::span<const real_t> zs,
+                       std::span<int> below) const;
 };
 
 }  // namespace columbia::cartesian

@@ -318,9 +318,10 @@ void limiter(const Level& lvl, Scratch& s) {
     real_t* const ed = edq + e * kEdqStride;
     // Vectorized directional differences, cached per edge: the flux
     // reconstruction reuses them bitwise instead of re-gathering the
-    // gradients. The venkat pass stays scalar: the data-dependent branches
-    // skip the division entirely for near-constant components, which a
-    // branchless/vectorized form (measured) cannot.
+    // gradients. The venkat pass stays scalar and branchy: a branchless/
+    // vectorized form measured slower both at freestream (where most
+    // components skip the division) and on a developed flow (where the
+    // branches are nearly always taken and predict well).
     limiter_dq(ed, ga, gbb, dxe, dye, dze);
     for (std::size_t c = 0; c < 6; ++c) {
       const real_t dqa = ed[c];

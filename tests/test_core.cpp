@@ -50,6 +50,31 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the runtime, they would hand our free()-based deletes memory from
+// another allocator, which AddressSanitizer rejects as a mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void* operator new(std::size_t n, std::align_val_t al,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n, al);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, std::align_val_t al,
+                     const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, al, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -60,6 +85,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 // ---------------------------------------------------------------------------
@@ -235,6 +272,19 @@ TEST(ExchangePlan, SteadyStateExchangePerformsZeroAllocations) {
   }
   EXPECT_EQ(g_alloc_count.load() - split_before, 0u)
       << "ExchangePlan::post/finish allocated on the steady-state path";
+}
+
+TEST(SteadyState, AllocationCounterCountsNothrowForms) {
+  const std::uint64_t before = g_alloc_count.load();
+  void* a = ::operator new(16, std::nothrow);
+  void* b = ::operator new[](16, std::nothrow);
+  void* c = ::operator new(64, std::align_val_t(64), std::nothrow);
+  void* d = ::operator new[](64, std::align_val_t(64), std::nothrow);
+  EXPECT_EQ(g_alloc_count.load() - before, 4u);
+  ::operator delete(a, std::nothrow);
+  ::operator delete[](b, std::nothrow);
+  ::operator delete(c, std::align_val_t(64), std::nothrow);
+  ::operator delete[](d, std::align_val_t(64), std::nothrow);
 }
 
 /// Heap allocations made by two steady-state cycles of `s`, after one

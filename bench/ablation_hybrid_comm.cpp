@@ -1,17 +1,17 @@
 // Ablation (paper Fig. 7): thread-to-thread vs master-thread hybrid
-// communication, measured on the in-process message-passing runtime.
+// communication, measured on the core::ExchangePlan schedules the solvers
+// run.
 //
 // The paper: "the thread parallel approach to communication scales poorly
 // due to the MPI calls locking ... Thus, the master thread communication
 // strategy is used exclusively in this work", and the master strategy
 // "results in a smaller number of larger messages". We measure message
 // counts and mean message sizes for a real halo exchange over the wing
-// mesh decomposition.
-// A second set of series compares the legacy per-call exchange entry
-// points (which re-derive message layouts and reallocate buffers every
-// call) against the persistent core::ExchangePlan the solvers use in
-// steady state: one-time plan build cost, per-exchange wall time, and
-// heap allocations per steady-state exchange (the plan contract is zero).
+// mesh decomposition, at 1 (thread-to-thread), 2, 4 and 8 partitions per
+// process.
+// A second set of series prices the persistent plan itself: one-time
+// build cost, per-exchange wall time, and heap allocations per
+// steady-state exchange (the plan contract is zero).
 // A third set of series is the overlap ablation: the same halo schedule
 // driven blocking (exchange(); compute) vs split (post(); compute;
 // finish()) over a real two-member wire (core::LocalGroup) with a
@@ -33,7 +33,6 @@
 #include "obs/comm_report.hpp"
 #include "obs/obs.hpp"
 #include "obs/shard.hpp"
-#include "smp/hybrid.hpp"
 #include "support/timer.hpp"
 
 // Allocation counter for the allocations-per-exchange column.
@@ -59,7 +58,7 @@ int main(int argc, char** argv) {
   bench::banner("Ablation — Fig. 7 hybrid communication strategies",
                 "messages and payloads, thread-to-thread vs master-thread");
   bench::Reporter rep(argc, argv, "ablation_hybrid_comm");
-  rep.meta("strategy", "thread-to-thread + master-thread (plan vs legacy)");
+  rep.meta("strategy", "thread-to-thread + master-thread (ExchangePlan)");
 
   // A real decomposition of the wing mesh provides the halo pattern.
   mesh::WingMeshSpec spec;
@@ -79,8 +78,8 @@ int main(int argc, char** argv) {
   // ghost request lists implied by cross-partition edges.
   auto make_halo = [nparts](const nsu3d::Level& L,
                             const std::vector<index_t>& part,
-                            smp::PartitionData& data,
-                            smp::RequestLists& requests) {
+                            core::PartitionData& data,
+                            core::RequestLists& requests) {
     std::vector<std::vector<index_t>> local_ids(std::size_t(nparts),
                                                 std::vector<index_t>{});
     std::vector<index_t> slot(std::size_t(L.num_nodes));
@@ -95,7 +94,7 @@ int main(int argc, char** argv) {
       for (std::size_t k = 0; k < data[std::size_t(p)].size(); ++k)
         data[std::size_t(p)][k] = real_t(p) + 1e-3 * real_t(k);
     }
-    requests.assign(std::size_t(nparts), std::vector<smp::HaloRequest>{});
+    requests.assign(std::size_t(nparts), std::vector<core::HaloRequest>{});
     for (std::size_t e = 0; e < L.edges.size(); ++e) {
       const auto [a, b] = L.edges[e];
       const index_t pa = part[std::size_t(a)];
@@ -109,78 +108,50 @@ int main(int argc, char** argv) {
       }
     }
   };
-  smp::PartitionData data;
-  smp::RequestLists requests;
+  core::PartitionData data;
+  core::RequestLists requests;
   make_halo(lvl, plan.levels[0].part, data, requests);
 
   Table t({"strategy", "ranks", "messages", "total MB", "mean msg (KB)"});
-  {
-    smp::Runtime rt{int(nparts)};
-    smp::exchange_thread_to_thread(rt, data, requests);
-    const auto tr = rt.total_traffic();
-    t.add_row({"thread-to-thread (Fig 7a)", std::to_string(nparts),
-               std::to_string(tr.messages),
-               Table::num(double(tr.bytes) / 1e6, 3),
-               Table::num(double(tr.bytes) / double(tr.messages) / 1024, 2)});
-  }
-  for (int tpp : {2, 4, 8}) {
-    smp::Runtime rt{int(nparts) / tpp};
-    smp::exchange_master_thread(rt, data, requests, tpp);
-    const auto tr = rt.total_traffic();
+  for (int tpp : {1, 2, 4, 8}) {
+    // One partition per process is the thread-to-thread layout.
+    const bool t2t = tpp == 1;
+    core::ExchangePlan xplan(requests,
+                             {t2t ? core::ExchangeStrategy::ThreadToThread
+                                  : core::ExchangeStrategy::MasterThread,
+                              tpp});
+    xplan.exchange(data);
+    const core::ExchangeStats& st = xplan.stats();
     char name[64];
     std::snprintf(name, sizeof(name), "master-thread, %d threads (Fig 7b)",
                   tpp);
-    t.add_row({name, std::to_string(nparts / tpp),
-               std::to_string(tr.messages),
-               Table::num(double(tr.bytes) / 1e6, 3),
-               Table::num(tr.messages
-                              ? double(tr.bytes) / double(tr.messages) / 1024
+    t.add_row({t2t ? "thread-to-thread (Fig 7a)" : name,
+               std::to_string(nparts / tpp),
+               std::to_string(st.messages),
+               Table::num(double(st.bytes) / 1e6, 3),
+               Table::num(st.messages
+                              ? double(st.bytes) / double(st.messages) / 1024
                               : 0.0,
                           2)});
   }
   t.print();
   rep.table("strategies", t);
 
-  // Legacy per-call API vs the persistent ExchangePlan, per strategy.
+  // The persistent plan per strategy: build once, exchange allocation-free.
   const int kExchanges = 50;
   Table pt({"schedule", "build (ms)", "exchange (us)", "allocs/exchange",
             "messages", "total MB"});
   struct Config {
     const char* name;
     core::ExchangePlanOptions opt;
-    int tpp;  // 0 = thread-to-thread
   };
   const Config configs[] = {
       {"thread-to-thread (Fig 7a)",
-       {core::ExchangeStrategy::ThreadToThread, 1}, 0},
+       {core::ExchangeStrategy::ThreadToThread, 1}},
       {"master-thread, 4 threads (Fig 7b)",
-       {core::ExchangeStrategy::MasterThread, 4}, 4},
+       {core::ExchangeStrategy::MasterThread, 4}},
   };
   for (const Config& cfg : configs) {
-    // Legacy: layouts re-derived (and buffers reallocated) on every call.
-    double legacy_us = 0;
-    std::uint64_t legacy_allocs = 0;
-    {
-      smp::Runtime rt{cfg.tpp ? int(nparts) / cfg.tpp : int(nparts)};
-      const std::uint64_t a0 = g_alloc_count.load();
-      WallTimer timer;
-      for (int e = 0; e < kExchanges; ++e) {
-        if (cfg.tpp)
-          smp::exchange_master_thread(rt, data, requests, cfg.tpp);
-        else
-          smp::exchange_thread_to_thread(rt, data, requests);
-      }
-      legacy_us = timer.seconds() * 1e6 / kExchanges;
-      legacy_allocs = (g_alloc_count.load() - a0) / std::uint64_t(kExchanges);
-      const auto tr = rt.total_traffic();
-      char name[96];
-      std::snprintf(name, sizeof(name), "legacy %s", cfg.name);
-      pt.add_row({name, Table::num(0.0, 3), Table::num(legacy_us, 1),
-                  std::to_string(legacy_allocs),
-                  std::to_string(tr.messages / std::uint64_t(kExchanges)),
-                  Table::num(double(tr.bytes) / kExchanges / 1e6, 3)});
-    }
-    // Plan: layouts precomputed once, buffers persistent.
     WallTimer build_timer;
     core::ExchangePlan xplan(requests, cfg.opt);
     const double build_ms = build_timer.seconds() * 1e3;
@@ -202,7 +173,7 @@ int main(int argc, char** argv) {
                     3)});
   }
   pt.print();
-  rep.table("plan_vs_legacy", pt);
+  rep.table("plan", pt);
 
   // Comm observatory: wait-state cost per exchange, per strategy. This
   // pass runs with span recording ON (the timing/alloc passes above run
@@ -308,8 +279,8 @@ int main(int argc, char** argv) {
   // The coarse rows (level 1) repeat the ablation on the next multigrid
   // level's halo pattern: tiny partitions leave little interior compute
   // to hide behind, which is the Fig. 19 agglomeration motivation.
-  smp::PartitionData data1;
-  smp::RequestLists requests1;
+  core::PartitionData data1;
+  core::RequestLists requests1;
   make_halo(levels[1], plan.levels[1].part, data1, requests1);
 
   struct MemberResult {
@@ -320,8 +291,8 @@ int main(int argc, char** argv) {
   static volatile double g_sink = 0;
   const int kOverlapIters = 20;
 
-  auto run_overlap = [&](const smp::RequestLists& reqs,
-                         const smp::PartitionData& dat,
+  auto run_overlap = [&](const core::RequestLists& reqs,
+                         const core::PartitionData& dat,
                          core::ExchangeStrategy strat, int tpp, int level,
                          bool split, int reps_base, MemberResult out[2]) {
     core::LocalGroup group(2);
@@ -404,8 +375,8 @@ int main(int argc, char** argv) {
        1, 50},
   };
   for (const OverlapConfig& cfg : ocfgs) {
-    const smp::RequestLists& reqs = cfg.level == 0 ? requests : requests1;
-    const smp::PartitionData& dat = cfg.level == 0 ? data : data1;
+    const core::RequestLists& reqs = cfg.level == 0 ? requests : requests1;
+    const core::PartitionData& dat = cfg.level == 0 ? data : data1;
     // Schedule wire cost is a build-time property; read it off a local
     // throwaway plan rather than racing the member threads for theirs.
     const std::uint64_t msgs =

@@ -16,9 +16,9 @@ namespace columbia::core {
 
 namespace {
 
-/// Same attempt cap as smp::hybrid: a sender never injects into more than
-/// kMaxHaloAttempts - 1 attempts of one message, so the final attempt is
-/// always clean and every exchange terminates with the original payload.
+/// A sender never injects into more than kMaxHaloAttempts - 1 attempts of
+/// one message, so the final attempt is always clean and every exchange
+/// terminates with the original payload.
 constexpr int kMaxHaloAttempts = 4;
 
 }  // namespace
@@ -45,10 +45,8 @@ ExchangePlan::ExchangePlan(RequestLists requests, ExchangePlanOptions options)
   auto rank_of = [&](index_t part) { return part / tpp; };
 
   // Message layouts, keyed (sender rank, receiver rank). Iterating the
-  // receivers' request lists in order reproduces the legacy strategies'
-  // deterministic packing: smp::exchange_* builds its send lists the same
-  // way and unpacks with per-sender cursors, so pack[i] -> unpack[i] here
-  // lands each value in exactly the slot the legacy API fills.
+  // receivers' request lists in order gives a deterministic packing, and
+  // pack[i] -> unpack[i] lands each value in its request's slot.
   std::map<std::pair<index_t, index_t>, Channel> channels;
   ghost_items_.assign(std::size_t(nparts_), 0);
   neighbor_count_.assign(std::size_t(nparts_), 0);
@@ -106,7 +104,7 @@ void ExchangePlan::transmit(Channel& ch, std::uint64_t seq) {
   // (sender side) and one wait span (receiver side), so the observatory's
   // k-th-post-to-k-th-wait matching survives retransmitted attempts. The
   // plan runs both sides on the calling thread, so "wait" here is the
-  // validation cost, not a blocking mailbox wait (smp::hybrid records the
+  // validation cost, not a blocking wait (the wire path below records the
   // genuine blocking flavor).
   const std::int64_t sender = std::int64_t(ch.sender);
   const std::int64_t receiver = std::int64_t(ch.receiver);

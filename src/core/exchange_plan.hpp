@@ -1,14 +1,12 @@
 // Persistent halo-exchange schedules (paper Figs. 6-7; FASTEST-3D-style
 // precomputed communication).
 //
-// The smp::hybrid strategies re-derive every pack list and reallocate
-// every buffer on each call — fine for validating the protocol, wrong for
-// a steady-state solver that exchanges the same halo thousands of times.
-// An ExchangePlan is built once per (partitioning, strategy): it
-// precomputes the per-neighbor message layouts (pack gather lists, unpack
-// scatter slots, intra-rank copies) and owns persistent send/receive
-// buffers sized at build, so steady-state exchanges perform ZERO heap
-// allocations (asserted in tests/test_core.cpp).
+// A steady-state solver exchanges the same halo thousands of times, so an
+// ExchangePlan is built once per (partitioning, strategy): it precomputes
+// the per-neighbor message layouts (pack gather lists, unpack scatter
+// slots, intra-rank copies) and owns persistent send/receive buffers
+// sized at build, so steady-state exchanges perform ZERO heap allocations
+// (asserted in tests/test_core.cpp).
 //
 // Both hybrid strategies of paper Fig. 7 are plan policies:
 //
@@ -19,14 +17,20 @@
 //     one packed message and are scattered to the local partitions'
 //     request slots. Fewer, larger messages — NSU3D's strategy.
 //
-// Resilience semantics match smp::exchange_* exactly: every message
-// travels in a checksummed frame ([count, crc32, payload...]); faulted
-// frames (COLUMBIA_FAULTS halo_corrupt / halo_drop) are rejected and
-// retransmitted, bounded by the same attempt cap and drawing the same
-// deterministic fault sites halo_site(seq, sender, receiver, attempt).
-// Delivered values are therefore bit-identical to the legacy API with
-// fault injection on or off (tests/test_core.cpp pins this down).
-// Multi-process execution (this PR's transport seam): attaching a
+// Specification (pinned by tests/test_core.cpp against
+// tests/halo_oracle.hpp): every delivered ghost equals its owner's value,
+// and with partition p on rank p / threads_per_process a fault-free
+// exchange sends one message per ordered (sender rank, receiver rank) pair
+// with at least one request, n requests framed as n + 2 words.
+//
+// Resilience: every message travels in a checksummed frame ([count,
+// crc32, payload...]); faulted frames (COLUMBIA_FAULTS halo_corrupt /
+// halo_drop) are rejected and retransmitted, bounded by an attempt cap and
+// drawing deterministic fault sites halo_site(seq, sender, receiver,
+// attempt). Delivered values are therefore the same with fault injection
+// on or off.
+//
+// Multi-process execution (the transport seam): attaching a
 // core::Transport to the options turns the plan into one member's view of
 // a process group. Every member runs the same schedule over replicated
 // data; a channel whose endpoints map to different members moves its frame
@@ -95,10 +99,8 @@ inline int strategy_id(ExchangeStrategy s) {
   return s == ExchangeStrategy::MasterThread ? 1 : 0;
 }
 
-/// Cumulative transport counters across all exchanges of one plan. The
-/// plan moves values by direct copy rather than through smp mailboxes, so
-/// it keeps its own ledger (mirroring smp::TrafficStats accounting:
-/// retransmitted frames count as extra messages/bytes).
+/// Cumulative transport counters across all exchanges of one plan:
+/// every framed send counts, so retransmitted frames add messages/bytes.
 struct ExchangeStats {
   std::uint64_t exchanges = 0;
   std::uint64_t messages = 0;

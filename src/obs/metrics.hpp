@@ -6,8 +6,8 @@
 // references returned by counter()/gauge()/histogram() stay valid for the
 // process lifetime — cache them at call sites:
 //
-//   static obs::Counter& c = obs::counter("halo.master.messages");
-//   c.add(msgs);
+//   static obs::Counter& c = obs::counter("resil.halo.retransmits");
+//   c.add(1);
 //
 // reset_metrics() zeroes values but keeps the entries (and references).
 #pragma once

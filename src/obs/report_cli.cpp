@@ -624,15 +624,24 @@ void gate_micro_kernels(GateResult& g, const JsonValue& baseline,
 
 /// bench::Reporter schema: {"bench","meta",...,"tables":{series:[rows]}}.
 /// Rows are matched within a series by the value of their first member
-/// (e.g. "strategy", "schedule").
+/// (e.g. "strategy", "schedule"). A baseline series or row the current
+/// report lacks is a regression: renaming or dropping a table must not let
+/// its rows through ungated.
 void gate_reporter_tables(GateResult& g, const JsonValue& baseline,
                           const JsonValue& current, double tol) {
   const JsonValue* base_tables = baseline.find("tables");
+  if (base_tables == nullptr) return;
   const JsonValue* cur_tables = current.find("tables");
-  if (base_tables == nullptr || cur_tables == nullptr) return;
   for (const auto& [series, brows] : base_tables->members()) {
-    const JsonValue* crows = cur_tables->find(series);
-    if (crows == nullptr || !crows->is_array() || !brows.is_array()) continue;
+    if (!brows.is_array()) continue;
+    const JsonValue* crows =
+        cur_tables == nullptr ? nullptr : cur_tables->find(series);
+    if (crows == nullptr || !crows->is_array()) {
+      ++g.regressions;
+      g.table.add_row({series, "-", "-", "-", "-", "n/a",
+                       "REGRESSION (series missing)"});
+      continue;
+    }
     auto key_of = [](const JsonValue& row) -> std::string {
       if (!row.is_object() || row.members().empty()) return "?";
       const JsonValue& v = row.members().front().second;

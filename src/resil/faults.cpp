@@ -250,16 +250,6 @@ std::uint64_t site_hash(std::uint64_t seed, std::uint64_t site) {
   return gen.next();
 }
 
-std::vector<real_t> frame_payload(std::span<const real_t> payload) {
-  std::vector<real_t> frame;
-  frame.reserve(payload.size() + 2);
-  frame.push_back(real_t(payload.size()));
-  frame.push_back(real_t(
-      crc32(payload.data(), payload.size() * sizeof(real_t))));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
-}
-
 void frame_payload_into(std::span<const real_t> payload,
                         std::vector<real_t>& frame) {
   frame.resize(payload.size() + 2);

@@ -5,7 +5,7 @@
 // attempt, a solver cycle, a database case), so the set of injected faults
 // is reproducible from the seed alone — thread interleavings cannot change
 // it. That makes every recovery path exercisable in CI: corrupt or drop a
-// halo payload in smp::exchange_*, poison a solver's state mid-cycle,
+// halo payload in core::ExchangePlan, poison a solver's state mid-cycle,
 // throw from a database case worker, all on demand.
 //
 // Spec grammar (COLUMBIA_FAULTS environment variable, mirroring
@@ -168,11 +168,8 @@ std::uint64_t site_hash(std::uint64_t seed, std::uint64_t site);
 // corruption; the sender retransmits until a clean frame goes out, so the
 // delivered values are always exactly the originals.
 
-/// Wraps a payload in a checksummed frame.
-std::vector<real_t> frame_payload(std::span<const real_t> payload);
-
-/// In-place variant of frame_payload: rewrites `frame` without allocating
-/// once its capacity covers payload.size() + 2. Persistent-buffer
+/// Wraps a payload in a checksummed frame, rewriting `frame` in place: no
+/// allocation once its capacity covers payload.size() + 2. Persistent-buffer
 /// exchanges (core::ExchangePlan) re-frame into the same vector every
 /// attempt, so steady-state retransmits stay allocation-free.
 void frame_payload_into(std::span<const real_t> payload,

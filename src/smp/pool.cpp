@@ -188,10 +188,10 @@ void ThreadPool::worker_loop(int tid) {
 
 void ThreadPool::work_chunks(const Job& job, std::uint64_t gen, int tid) {
   // Utilization accounting is gated on the runtime obs flag so the
-  // tracing-off path costs one relaxed load per job.
+  // tracing-off path costs one relaxed load per job. A chunk's stats land
+  // before its done_ increment, so the caller reads complete stats once
+  // the job returns.
   const bool timed = obs::enabled();
-  std::uint64_t chunks = 0;
-  std::uint64_t busy_ns = 0;
   std::uint64_t w = word_.load(std::memory_order_relaxed);
   while (gen_of(w) == gen && chunk_of(w) < job.num_chunks) {
     // The CAS only succeeds on (gen, c): a chunk is claimed exactly once,
@@ -204,17 +204,14 @@ void ThreadPool::work_chunks(const Job& job, std::uint64_t gen, int tid) {
     if (timed) {
       const std::uint64_t t0 = WallTimer::now_ns();
       job.fn(b, e, tid);
-      busy_ns += WallTimer::now_ns() - t0;
-      ++chunks;
+      stats_[tid].busy_ns.fetch_add(WallTimer::now_ns() - t0,
+                                    std::memory_order_relaxed);
+      stats_[tid].chunks.fetch_add(1, std::memory_order_relaxed);
     } else {
       job.fn(b, e, tid);
     }
     done_.fetch_add(1, std::memory_order_release);
     ++w;  // the expected next word; a failed CAS reloads it
-  }
-  if (timed && chunks > 0) {
-    stats_[tid].chunks.fetch_add(chunks, std::memory_order_relaxed);
-    stats_[tid].busy_ns.fetch_add(busy_ns, std::memory_order_relaxed);
   }
 }
 

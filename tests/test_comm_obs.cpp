@@ -2,9 +2,9 @@
 // fixture traces (every expectation below is hand-computed from the span
 // timestamps in tests/data/comm_trace_*.json), the `columbia_report comm`
 // subcommand over the same fixtures, and retransmit accounting — the
-// halo.xchg.retransmit span count must equal the transport's own ledger
-// and the resil counter on both the plan and legacy paths, at 1/2/4
-// threads per process, with fault injection armed.
+// halo.xchg.retransmit span count must equal the plan's own ledger and
+// the resil counter at 1/2/4 threads per process, with fault injection
+// armed.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +19,7 @@
 #include "cartesian/cart_mesh.hpp"
 #include "core/exchange_plan.hpp"
 #include "geom/components.hpp"
+#include "halo_oracle.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
 #include "obs/comm_report.hpp"
@@ -26,8 +27,6 @@
 #include "obs/obs.hpp"
 #include "obs/report_cli.hpp"
 #include "resil/faults.hpp"
-#include "smp/hybrid.hpp"
-#include "support/random.hpp"
 
 namespace columbia {
 namespace {
@@ -275,39 +274,9 @@ struct ObsGuard {
   }
 };
 
-struct Scenario {
-  core::PartitionData data;
-  core::RequestLists requests;
-};
-
-Scenario make_scenario(index_t nparts, index_t items_per_part,
-                       index_t requests_per_part, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  Scenario s;
-  s.data.resize(std::size_t(nparts));
-  for (auto& d : s.data) {
-    d.resize(std::size_t(items_per_part));
-    for (auto& v : d) v = rng.uniform(-10, 10);
-  }
-  s.requests.resize(std::size_t(nparts));
-  for (index_t p = 0; p < nparts; ++p)
-    for (index_t k = 0; k < requests_per_part; ++k) {
-      core::HaloRequest r;
-      r.from_partition = index_t(rng.below(std::uint64_t(nparts)));
-      r.item = index_t(rng.below(std::uint64_t(items_per_part)));
-      s.requests[std::size_t(p)].push_back(r);
-    }
-  return s;
-}
-
-core::PartitionData expected(const Scenario& s) {
-  core::PartitionData out(s.data.size(), std::vector<real_t>{});
-  for (std::size_t p = 0; p < s.data.size(); ++p)
-    for (const core::HaloRequest& r : s.requests[p])
-      out[p].push_back(
-          s.data[std::size_t(r.from_partition)][std::size_t(r.item)]);
-  return out;
-}
+using halo_oracle::expected;
+using halo_oracle::make_scenario;
+using halo_oracle::Scenario;
 
 std::uint64_t retransmit_spans(const std::vector<obs::PhaseEvent>& events) {
   std::uint64_t n = 0;
@@ -355,40 +324,6 @@ TEST(RetransmitAccounting, PlanSpansMatchStatsAndCounter) {
       EXPECT_EQ(g.level, 2);
       EXPECT_EQ(g.strat, core::strategy_id(cfg.strategy));
     }
-  }
-}
-
-// Same three-way agreement on the legacy per-call transports, which drive
-// real OS threads through smp::Runtime (1, 2, and 4 partitions per rank).
-TEST(RetransmitAccounting, HybridSpansMatchCounter) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
-  const Scenario s = make_scenario(8, 16, 12, 17);
-  const core::PartitionData want = expected(s);
-  for (int tpp : {1, 2, 4}) {
-    ObsGuard guard;
-    resil::FaultInjector::global().configure(
-        resil::parse_fault_spec("seed=19,halo_corrupt=0.4,halo_drop=0.2"));
-    obs::reset_trace();
-    obs::set_enabled(true);
-    const std::uint64_t c0 = obs::counter("resil.halo.retransmits").value();
-    smp::Runtime rt(8 / tpp);
-    // Several rounds: the 2-process master layout moves only two messages
-    // per exchange, so a single round can dodge the fault sites entirely.
-    for (int round = 0; round < 6; ++round) {
-      const core::PartitionData got =
-          tpp == 1 ? smp::exchange_thread_to_thread(rt, s.data, s.requests,
-                                                    /*level=*/0)
-                   : smp::exchange_master_thread(rt, s.data, s.requests, tpp,
-                                                 /*level=*/0);
-      EXPECT_EQ(got, want) << "tpp " << tpp << " round " << round;
-    }
-    obs::set_enabled(false);
-    const std::uint64_t counted =
-        obs::counter("resil.halo.retransmits").value() - c0;
-    const std::vector<obs::PhaseEvent> events = obs::phase_events_since();
-    EXPECT_GT(counted, 0u) << "fault spec never fired";
-    EXPECT_EQ(retransmit_spans(events), counted) << "tpp " << tpp;
-    EXPECT_EQ(obs::build_comm_report(events).retransmits, counted);
   }
 }
 

@@ -1,7 +1,8 @@
-// The shared solver-runtime core: persistent ExchangePlans must be
-// bit-identical to the legacy per-call smp::exchange_* reference
-// implementation (both strategies, with halo fault injection on or off),
-// allocation-free in steady state, and the unified cycle bookkeeping must
+// The shared solver-runtime core: persistent ExchangePlans must meet the
+// halo specification of tests/halo_oracle.hpp (every ghost equals its
+// owner's value, fault-free traffic equals the closed form) for both
+// strategies, with halo fault injection on or off, and stay
+// allocation-free in steady state; the unified cycle bookkeeping must
 // reproduce the solvers' historical visit counts.
 #include <gtest/gtest.h>
 
@@ -15,14 +16,13 @@
 #include "core/exchange_plan.hpp"
 #include "core/params.hpp"
 #include "geom/components.hpp"
+#include "halo_oracle.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
 #include "nsu3d/solver.hpp"
 #include "perf/loads.hpp"
 #include "resil/faults.hpp"
-#include "smp/hybrid.hpp"
 #include "smp/pool.hpp"
-#include "support/random.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: replaces operator new/delete for this binary so
@@ -111,62 +111,52 @@ struct InjectorGuard {
   ~InjectorGuard() { resil::FaultInjector::global().reset(); }
 };
 
-/// Random partition data + random cross-partition requests (mirrors the
-/// scenario generator of tests/test_hybrid_comm.cpp so the two suites pin
-/// the same protocol).
-struct Scenario {
-  PartitionData data;
-  RequestLists requests;
-};
+using halo_oracle::expected;
+using halo_oracle::expected_traffic;
+using halo_oracle::make_scenario;
+using halo_oracle::Scenario;
 
-Scenario make_scenario(index_t nparts, index_t items_per_part,
-                       index_t requests_per_part, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  Scenario s;
-  s.data.resize(std::size_t(nparts));
-  for (auto& d : s.data) {
-    d.resize(std::size_t(items_per_part));
-    for (auto& v : d) v = rng.uniform(-10, 10);
-  }
-  s.requests.resize(std::size_t(nparts));
-  for (index_t p = 0; p < nparts; ++p) {
-    for (index_t k = 0; k < requests_per_part; ++k) {
-      HaloRequest r;
-      r.from_partition = index_t(rng.below(std::uint64_t(nparts)));
-      r.item = index_t(rng.below(std::uint64_t(items_per_part)));
-      s.requests[std::size_t(p)].push_back(r);
-    }
-  }
-  return s;
-}
-
-PartitionData expected(const Scenario& s) {
-  PartitionData out(s.data.size(), std::vector<real_t>{});
-  for (std::size_t p = 0; p < s.data.size(); ++p)
-    for (const HaloRequest& r : s.requests[p])
-      out[p].push_back(
-          s.data[std::size_t(r.from_partition)][std::size_t(r.item)]);
+/// Thread-to-thread plus master-thread at every tpp in {1, 2, 3, 4, 8}
+/// that divides the partition count.
+std::vector<ExchangePlanOptions> strategy_sweep(index_t nparts) {
+  std::vector<ExchangePlanOptions> out = {{ExchangeStrategy::ThreadToThread}};
+  for (int tpp : {1, 2, 3, 4, 8})
+    if (nparts % tpp == 0) out.push_back({ExchangeStrategy::MasterThread, tpp});
   return out;
 }
 
+std::string describe(const ExchangePlanOptions& opt) {
+  return opt.strategy == ExchangeStrategy::ThreadToThread
+             ? std::string("thread-to-thread")
+             : "master-thread tpp " + std::to_string(opt.threads_per_process);
+}
+
+/// Fault-injection inputs: two 8-partition scenarios and a 12-partition
+/// one, so the sweep covers master-thread at tpp 1, 2, 3, 4 and 8.
+std::vector<Scenario> fault_scenarios(std::uint64_t seed) {
+  return {make_scenario(8, 20, 15, seed), make_scenario(8, 16, 12, 21),
+          make_scenario(12, 30, 25, 3)};
+}
+
 TEST(ExchangePlan, ThreadToThreadMatchesLegacyBitwise) {
-  const Scenario s = make_scenario(8, 20, 15, 1);
-  smp::Runtime rt(8);
-  const auto legacy = smp::exchange_thread_to_thread(rt, s.data, s.requests);
-  ExchangePlan plan(s.requests);
-  EXPECT_EQ(plan.exchange(s.data), legacy);
-  EXPECT_EQ(legacy, expected(s));
+  for (const Scenario& s :
+       {make_scenario(8, 20, 15, 1), make_scenario(12, 30, 25, 3)}) {
+    ExchangePlan plan(s.requests);
+    EXPECT_EQ(plan.exchange(s.data), expected(s))
+        << s.data.size() << " partitions";
+  }
 }
 
 TEST(ExchangePlan, MasterThreadMatchesLegacyBitwise) {
   const Scenario s = make_scenario(8, 20, 15, 2);
   for (int tpp : {1, 2, 4, 8}) {
-    smp::Runtime rt(8 / tpp);
-    const auto legacy = smp::exchange_master_thread(rt, s.data, s.requests, tpp);
-    ExchangePlan plan(s.requests,
-                      {ExchangeStrategy::MasterThread, tpp});
-    EXPECT_EQ(plan.exchange(s.data), legacy) << tpp << " threads per process";
+    ExchangePlan plan(s.requests, {ExchangeStrategy::MasterThread, tpp});
+    EXPECT_EQ(plan.exchange(s.data), expected(s))
+        << tpp << " threads per process";
   }
+  const Scenario twelve = make_scenario(12, 30, 25, 3);
+  ExchangePlan plan(twelve.requests, {ExchangeStrategy::MasterThread, 3});
+  EXPECT_EQ(plan.exchange(twelve.data), expected(twelve));
 }
 
 TEST(ExchangePlan, RepeatedExchangesTrackChangingData) {
@@ -181,39 +171,76 @@ TEST(ExchangePlan, RepeatedExchangesTrackChangingData) {
 }
 
 TEST(ExchangePlan, FaultFreeTrafficMatchesLegacyCounters) {
-  // Same wire accounting as smp::Comm::send: one message per framed send,
-  // frame bytes (payload + count + crc words) per message.
-  const Scenario s = make_scenario(10, 25, 20, 4);
+  // Hand-counted input: partition 0 asks partition 1 twice (duplicates
+  // count) and partition 2 once; partition 1 asks 0; partition 2 asks
+  // itself. Thread-to-thread: messages 1->0 (2 values), 2->0 and 0->1
+  // (1 value each). Two partitions per process: only 1->0 (process 1 to
+  // process 0, 1 value) crosses a process boundary.
+  Scenario hand = make_scenario(4, 4, 0, 9);
+  hand.requests[0] = {{1, 0}, {1, 0}, {2, 3}};
+  hand.requests[1] = {{0, 1}};
+  hand.requests[2] = {{2, 2}};
+  const halo_oracle::Traffic t2t = expected_traffic(hand.requests, 1);
+  EXPECT_EQ(t2t.messages, 3u);
+  EXPECT_EQ(t2t.bytes, (4 + 3 + 3) * sizeof(real_t));
+  const halo_oracle::Traffic paired = expected_traffic(hand.requests, 2);
+  EXPECT_EQ(paired.messages, 1u);
+  EXPECT_EQ(paired.bytes, 3 * sizeof(real_t));
 
-  smp::Runtime flat(10);
-  smp::exchange_thread_to_thread(flat, s.data, s.requests);
-  ExchangePlan plan(s.requests);
-  plan.exchange(s.data);
-  EXPECT_EQ(plan.stats().messages, flat.total_traffic().messages);
-  EXPECT_EQ(plan.stats().bytes, flat.total_traffic().bytes);
-  EXPECT_EQ(plan.stats().messages, plan.messages_per_exchange());
+  // Every request stays inside its process: partner partitions p ^ 1
+  // share a process at two partitions per process.
+  Scenario intra = make_scenario(8, 10, 0, 5);
+  for (index_t p = 0; p < 8; ++p)
+    for (index_t k = 0; k < 5; ++k)
+      intra.requests[std::size_t(p)].push_back({p ^ 1, k});
+  EXPECT_EQ(expected_traffic(intra.requests, 2).messages, 0u);
 
-  smp::Runtime packed(5);
-  smp::exchange_master_thread(packed, s.data, s.requests, 2);
-  ExchangePlan mplan(s.requests, {ExchangeStrategy::MasterThread, 2});
-  mplan.exchange(s.data);
-  EXPECT_EQ(mplan.stats().messages, packed.total_traffic().messages);
-  EXPECT_EQ(mplan.stats().bytes, packed.total_traffic().bytes);
-  // Fig. 7b: fewer, larger messages.
-  EXPECT_LT(mplan.messages_per_exchange(), plan.messages_per_exchange());
+  // A single partition only ever asks itself.
+  Scenario single = make_scenario(1, 5, 3, 6);
+  for (auto& reqs : single.requests)
+    for (auto& r : reqs) r.from_partition = 0;
+  EXPECT_EQ(expected_traffic(single.requests, 1).messages, 0u);
+
+  const Scenario wide = make_scenario(16, 50, 40, 4);
+  for (const Scenario& s : {hand, intra, single, make_scenario(10, 25, 20, 4),
+                            wide, make_scenario(12, 30, 25, 3)}) {
+    for (const ExchangePlanOptions& opt :
+         strategy_sweep(index_t(s.data.size()))) {
+      const halo_oracle::Traffic want =
+          expected_traffic(s.requests, index_t(opt.threads_per_process));
+      ExchangePlan plan(s.requests, opt);
+      EXPECT_EQ(plan.exchange(s.data), expected(s)) << describe(opt);
+      EXPECT_EQ(plan.stats().messages, want.messages) << describe(opt);
+      EXPECT_EQ(plan.stats().bytes, want.bytes) << describe(opt);
+      EXPECT_EQ(plan.messages_per_exchange(), want.messages) << describe(opt);
+      EXPECT_EQ(plan.payload_bytes_per_exchange(),
+                want.bytes - 2 * sizeof(real_t) * want.messages)
+          << describe(opt);
+    }
+  }
+
+  // Fig. 7b: the master thread sends fewer, larger messages.
+  const halo_oracle::Traffic flat = expected_traffic(wide.requests, 1);
+  const halo_oracle::Traffic packed = expected_traffic(wide.requests, 4);
+  EXPECT_LT(packed.messages, flat.messages);
+  EXPECT_GT(packed.bytes / packed.messages, flat.bytes / flat.messages);
 }
 
 TEST(ExchangePlan, BitIdenticalUnderHaloCorruption) {
-  const Scenario s = make_scenario(8, 20, 15, 5);
-  const PartitionData want = expected(s);
   InjectorGuard faults("seed=5,halo_corrupt=0.5");
-  for (int tpp : {1, 2, 4}) {
-    ExchangePlan plan(s.requests, {ExchangeStrategy::MasterThread, tpp});
-    for (int round = 0; round < 4; ++round)
-      EXPECT_EQ(plan.exchange(s.data), want)
-          << "tpp " << tpp << " round " << round;
-    smp::Runtime rt(8 / tpp);
-    EXPECT_EQ(smp::exchange_master_thread(rt, s.data, s.requests, tpp), want);
+  for (const Scenario& s : fault_scenarios(5)) {
+    const PartitionData want = expected(s);
+    std::uint64_t retransmits = 0;
+    for (const ExchangePlanOptions& opt :
+         strategy_sweep(index_t(s.data.size()))) {
+      ExchangePlan plan(s.requests, opt);
+      for (int round = 0; round < 4; ++round)
+        EXPECT_EQ(plan.exchange(s.data), want)
+            << describe(opt) << " round " << round;
+      EXPECT_EQ(plan.stats().rejected, plan.stats().retransmits);
+      retransmits += plan.stats().retransmits;
+    }
+    EXPECT_GT(retransmits, 0u) << s.data.size() << " partitions";
   }
   EXPECT_GT(resil::FaultInjector::global().injected(
                 resil::FaultKind::HaloCorrupt),
@@ -221,18 +248,40 @@ TEST(ExchangePlan, BitIdenticalUnderHaloCorruption) {
 }
 
 TEST(ExchangePlan, BitIdenticalUnderHaloDrops) {
-  const Scenario s = make_scenario(8, 20, 15, 6);
-  const PartitionData want = expected(s);
-  InjectorGuard faults("seed=3,halo_drop=0.5");
-  ExchangePlan t2t(s.requests);
-  ExchangePlan master(s.requests, {ExchangeStrategy::MasterThread, 4});
-  for (int round = 0; round < 4; ++round) {
-    EXPECT_EQ(t2t.exchange(s.data), want);
-    EXPECT_EQ(master.exchange(s.data), want);
+  constexpr int kRounds = 4;
+  struct Drops {
+    const char* spec;
+    bool every_attempt;
+  };
+  for (const Drops drops : {Drops{"seed=3,halo_drop=0.5", false},
+                            Drops{"seed=3,halo_drop=1", true}}) {
+    InjectorGuard faults(drops.spec);
+    for (const Scenario& s : fault_scenarios(6)) {
+      const PartitionData want = expected(s);
+      std::uint64_t retransmits = 0;
+      for (const ExchangePlanOptions& opt :
+           strategy_sweep(index_t(s.data.size()))) {
+        ExchangePlan plan(s.requests, opt);
+        for (int round = 0; round < kRounds; ++round)
+          EXPECT_EQ(plan.exchange(s.data), want)
+              << drops.spec << ", " << describe(opt) << " round " << round;
+        retransmits += plan.stats().retransmits;
+        if (drops.every_attempt) {
+          // Every attempt the injector may touch is dropped, so each
+          // message runs into the attempt cap: three dropped frames, then
+          // the guaranteed-clean fourth.
+          const std::uint64_t sends = kRounds * plan.messages_per_exchange();
+          EXPECT_EQ(plan.stats().messages, 4 * sends) << describe(opt);
+          EXPECT_EQ(plan.stats().retransmits, 3 * sends) << describe(opt);
+        }
+      }
+      EXPECT_GT(retransmits, 0u)
+          << drops.spec << ", " << s.data.size() << " partitions";
+    }
+    EXPECT_GT(
+        resil::FaultInjector::global().injected(resil::FaultKind::HaloDrop),
+        0u);
   }
-  EXPECT_GT(t2t.stats().retransmits + master.stats().retransmits, 0u);
-  EXPECT_GT(resil::FaultInjector::global().injected(resil::FaultKind::HaloDrop),
-            0u);
 }
 
 TEST(ExchangePlan, SteadyStateExchangePerformsZeroAllocations) {

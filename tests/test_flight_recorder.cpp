@@ -25,12 +25,12 @@
 #include "core/clock_sync.hpp"
 #include "core/exchange_plan.hpp"
 #include "core/transport.hpp"
+#include "halo_oracle.hpp"
 #include "obs/comm_report.hpp"
 #include "obs/obs.hpp"
 #include "obs/report_cli.hpp"
 #include "obs/shard.hpp"
 #include "smp/process_group.hpp"
-#include "support/random.hpp"
 
 namespace columbia {
 namespace {
@@ -329,31 +329,8 @@ TEST(ShardMerge, ProvenanceMismatchRaisesWarning) {
 
 // --- end-to-end: forked groups, gathered shards, merged comm report ---------
 
-struct Scenario {
-  core::PartitionData data;
-  core::RequestLists requests;
-};
-
-Scenario make_scenario(index_t nparts, index_t items_per_part,
-                       index_t requests_per_part, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  Scenario s;
-  s.data.resize(std::size_t(nparts));
-  for (auto& d : s.data) {
-    d.resize(std::size_t(items_per_part));
-    for (auto& v : d) v = rng.uniform(-10, 10);
-  }
-  s.requests.resize(std::size_t(nparts));
-  for (index_t p = 0; p < nparts; ++p) {
-    for (index_t k = 0; k < requests_per_part; ++k) {
-      core::HaloRequest r;
-      r.from_partition = index_t(rng.below(std::uint64_t(nparts)));
-      r.item = index_t(rng.below(std::uint64_t(items_per_part)));
-      s.requests[std::size_t(p)].push_back(r);
-    }
-  }
-  return s;
-}
+using halo_oracle::make_scenario;
+using halo_oracle::Scenario;
 
 /// Child body: a few replicated exchange rounds over the group wire.
 /// `result_base`, when set, writes the exchanged values hexfloat-exact to

@@ -23,13 +23,13 @@
 #include "core/exchange_plan.hpp"
 #include "core/transport.hpp"
 #include "geom/components.hpp"
+#include "halo_oracle.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
 #include "resil/faults.hpp"
 #include "smp/pool.hpp"
 #include "smp/shm_transport.hpp"
 #include "smp/tcp_transport.hpp"
-#include "support/random.hpp"
 
 namespace columbia {
 namespace {
@@ -45,40 +45,9 @@ struct PoolGuard {
   ~PoolGuard() { smp::set_global_threads(1); }
 };
 
-struct Scenario {
-  core::PartitionData data;
-  core::RequestLists requests;
-};
-
-Scenario make_scenario(index_t nparts, index_t items_per_part,
-                       index_t requests_per_part, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  Scenario s;
-  s.data.resize(std::size_t(nparts));
-  for (auto& d : s.data) {
-    d.resize(std::size_t(items_per_part));
-    for (auto& v : d) v = rng.uniform(-10, 10);
-  }
-  s.requests.resize(std::size_t(nparts));
-  for (index_t p = 0; p < nparts; ++p) {
-    for (index_t k = 0; k < requests_per_part; ++k) {
-      core::HaloRequest r;
-      r.from_partition = index_t(rng.below(std::uint64_t(nparts)));
-      r.item = index_t(rng.below(std::uint64_t(items_per_part)));
-      s.requests[std::size_t(p)].push_back(r);
-    }
-  }
-  return s;
-}
-
-core::PartitionData expected(const Scenario& s) {
-  core::PartitionData out(s.data.size(), std::vector<real_t>{});
-  for (std::size_t p = 0; p < s.data.size(); ++p)
-    for (const core::HaloRequest& r : s.requests[p])
-      out[p].push_back(
-          s.data[std::size_t(r.from_partition)][std::size_t(r.item)]);
-  return out;
-}
+using halo_oracle::expected;
+using halo_oracle::make_scenario;
+using halo_oracle::Scenario;
 
 core::WireOptions test_wire() {
   core::WireOptions w;

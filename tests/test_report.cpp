@@ -366,6 +366,47 @@ TEST(PerfGateTest, MismatchedBenchNamesAreAUsageError) {
   EXPECT_EQ(r.exit_code, obs::report::kUsage);
 }
 
+// The reporter-table path that gates BENCH_comm.json: rows keyed by their
+// first member within each named series.
+CliResult gate_comm(const std::string& current) {
+  return run_cli({fixture(current), "--baseline",
+                  fixture("bench_comm_base.json")});
+}
+
+TEST(PerfGateTest, CommIdenticalReportPasses) {
+  const CliResult r = gate_comm("bench_comm_base.json");
+  EXPECT_EQ(r.exit_code, obs::report::kOk) << r.out << r.err;
+  // 2 strategies rows x 4 exact columns + the plan row's timing, alloc
+  // count, messages and total MB.
+  EXPECT_NE(r.out.find("12 compared, 0 skipped, 0 regressions"),
+            std::string::npos)
+      << r.out;
+}
+
+TEST(PerfGateTest, CommDroppedRowFails) {
+  const CliResult r = gate_comm("bench_comm_dropped_row.json");
+  EXPECT_EQ(r.exit_code, obs::report::kRegression) << r.out;
+  EXPECT_NE(r.out.find("REGRESSION (row missing)"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("1 regression\n"), std::string::npos) << r.out;
+}
+
+TEST(PerfGateTest, CommDroppedSeriesFails) {
+  const CliResult r = gate_comm("bench_comm_dropped_series.json");
+  EXPECT_EQ(r.exit_code, obs::report::kRegression) << r.out;
+  EXPECT_NE(r.out.find("REGRESSION (series missing)"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("1 regression\n"), std::string::npos) << r.out;
+}
+
+TEST(PerfGateTest, CommChangedMessageCountFails) {
+  const CliResult r = gate_comm("bench_comm_changed_messages.json");
+  EXPECT_EQ(r.exit_code, obs::report::kRegression) << r.out;
+  EXPECT_NE(r.out.find("REGRESSION (value changed)"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("1 regression\n"), std::string::npos) << r.out;
+}
+
 // --- round trip: live spans -> Chrome trace -> offline ingest -------------
 
 TEST(ReportRoundTripTest, LiveProfileMatchesOfflineTraceIngest) {

@@ -1,14 +1,16 @@
 // The shared solver-runtime core: persistent ExchangePlans must meet the
 // halo specification of tests/halo_oracle.hpp (every ghost equals its
-// owner's value, fault-free traffic equals the closed form) for both
-// strategies, with halo fault injection on or off, and stay
+// owner's value bit for bit, fault-free traffic equals the closed form)
+// for both strategies, with halo fault injection on or off, and stay
 // allocation-free in steady state; the unified cycle bookkeeping must
 // reproduce the solvers' historical visit counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include "cart3d/partitioned.hpp"
@@ -131,32 +133,48 @@ std::string describe(const ExchangePlanOptions& opt) {
              : "master-thread tpp " + std::to_string(opt.threads_per_process);
 }
 
-/// Fault-injection inputs: two 8-partition scenarios and a 12-partition
-/// one, so the sweep covers master-thread at tpp 1, 2, 3, 4 and 8.
+/// Fault-injection inputs: an 8-partition scenario and a 12-partition one,
+/// so the sweep covers master-thread at tpp 1, 2, 3, 4 and 8. The seed-21
+/// input of the HaloFaults suite (test_resil) is a third.
 std::vector<Scenario> fault_scenarios(std::uint64_t seed) {
-  return {make_scenario(8, 20, 15, seed), make_scenario(8, 16, 12, 21),
-          make_scenario(12, 30, 25, 3)};
+  return {make_scenario(8, 20, 15, seed), make_scenario(12, 30, 25, 3)};
+}
+
+/// Overwrites the first items of every partition with values that only a
+/// bitwise comparison tells apart: -0.0 (equals +0.0), a NaN carrying a
+/// payload (equals nothing), the smallest denormal and -inf.
+Scenario with_special_values(Scenario s) {
+  const real_t special[] = {-0.0,
+                            std::bit_cast<real_t>(0x7ff8'0000'0000'1234ull),
+                            std::numeric_limits<real_t>::denorm_min(),
+                            -std::numeric_limits<real_t>::infinity()};
+  for (auto& d : s.data)
+    for (std::size_t k = 0; k < std::size(special) && k < d.size(); ++k)
+      d[k] = special[k];
+  return s;
+}
+
+/// Bit patterns of every value, parallel to the partition data.
+std::vector<std::vector<std::uint64_t>> bits(const PartitionData& d) {
+  std::vector<std::vector<std::uint64_t>> out(d.size());
+  for (std::size_t p = 0; p < d.size(); ++p)
+    for (real_t v : d[p]) out[p].push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
 }
 
 TEST(ExchangePlan, ThreadToThreadMatchesLegacyBitwise) {
-  for (const Scenario& s :
-       {make_scenario(8, 20, 15, 1), make_scenario(12, 30, 25, 3)}) {
-    ExchangePlan plan(s.requests);
-    EXPECT_EQ(plan.exchange(s.data), expected(s))
-        << s.data.size() << " partitions";
-  }
+  const Scenario s = with_special_values(make_scenario(8, 20, 15, 1));
+  ExchangePlan plan(s.requests);
+  EXPECT_EQ(bits(plan.exchange(s.data)), bits(expected(s)));
 }
 
 TEST(ExchangePlan, MasterThreadMatchesLegacyBitwise) {
-  const Scenario s = make_scenario(8, 20, 15, 2);
+  const Scenario s = with_special_values(make_scenario(8, 20, 15, 2));
   for (int tpp : {1, 2, 4, 8}) {
     ExchangePlan plan(s.requests, {ExchangeStrategy::MasterThread, tpp});
-    EXPECT_EQ(plan.exchange(s.data), expected(s))
+    EXPECT_EQ(bits(plan.exchange(s.data)), bits(expected(s)))
         << tpp << " threads per process";
   }
-  const Scenario twelve = make_scenario(12, 30, 25, 3);
-  ExchangePlan plan(twelve.requests, {ExchangeStrategy::MasterThread, 3});
-  EXPECT_EQ(plan.exchange(twelve.data), expected(twelve));
 }
 
 TEST(ExchangePlan, RepeatedExchangesTrackChangingData) {
@@ -187,23 +205,10 @@ TEST(ExchangePlan, FaultFreeTrafficMatchesLegacyCounters) {
   EXPECT_EQ(paired.messages, 1u);
   EXPECT_EQ(paired.bytes, 3 * sizeof(real_t));
 
-  // Every request stays inside its process: partner partitions p ^ 1
-  // share a process at two partitions per process.
-  Scenario intra = make_scenario(8, 10, 0, 5);
-  for (index_t p = 0; p < 8; ++p)
-    for (index_t k = 0; k < 5; ++k)
-      intra.requests[std::size_t(p)].push_back({p ^ 1, k});
-  EXPECT_EQ(expected_traffic(intra.requests, 2).messages, 0u);
-
-  // A single partition only ever asks itself.
-  Scenario single = make_scenario(1, 5, 3, 6);
-  for (auto& reqs : single.requests)
-    for (auto& r : reqs) r.from_partition = 0;
-  EXPECT_EQ(expected_traffic(single.requests, 1).messages, 0u);
-
-  const Scenario wide = make_scenario(16, 50, 40, 4);
-  for (const Scenario& s : {hand, intra, single, make_scenario(10, 25, 20, 4),
-                            wide, make_scenario(12, 30, 25, 3)}) {
+  // The intra-process, single-partition and Fig. 7b inputs are the
+  // HybridComm suite's (test_hybrid_comm).
+  for (const Scenario& s :
+       {hand, make_scenario(10, 25, 20, 4), make_scenario(12, 30, 25, 3)}) {
     for (const ExchangePlanOptions& opt :
          strategy_sweep(index_t(s.data.size()))) {
       const halo_oracle::Traffic want =
@@ -218,12 +223,6 @@ TEST(ExchangePlan, FaultFreeTrafficMatchesLegacyCounters) {
           << describe(opt);
     }
   }
-
-  // Fig. 7b: the master thread sends fewer, larger messages.
-  const halo_oracle::Traffic flat = expected_traffic(wide.requests, 1);
-  const halo_oracle::Traffic packed = expected_traffic(wide.requests, 4);
-  EXPECT_LT(packed.messages, flat.messages);
-  EXPECT_GT(packed.bytes / packed.messages, flat.bytes / flat.messages);
 }
 
 TEST(ExchangePlan, BitIdenticalUnderHaloCorruption) {

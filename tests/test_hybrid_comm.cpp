@@ -1,90 +1,65 @@
+// The two hybrid halo strategies of Fig. 7 (thread-to-thread, and
+// master-thread with fewer, larger messages), run through
+// core::ExchangePlan and checked against the specification of
+// tests/halo_oracle.hpp.
 #include <gtest/gtest.h>
 
-#include "smp/hybrid.hpp"
-#include "support/random.hpp"
+#include "core/exchange_plan.hpp"
+#include "halo_oracle.hpp"
 
-namespace columbia::smp {
+namespace columbia::core {
 namespace {
 
-/// Random partition data + random cross-partition requests.
-struct Scenario {
-  PartitionData data;
-  RequestLists requests;
-};
-
-Scenario make_scenario(index_t nparts, index_t items_per_part,
-                       index_t requests_per_part, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  Scenario s;
-  s.data.resize(std::size_t(nparts));
-  for (auto& d : s.data) {
-    d.resize(std::size_t(items_per_part));
-    for (auto& v : d) v = rng.uniform(-10, 10);
-  }
-  s.requests.resize(std::size_t(nparts));
-  for (index_t p = 0; p < nparts; ++p) {
-    for (index_t k = 0; k < requests_per_part; ++k) {
-      HaloRequest r;
-      r.from_partition = index_t(rng.below(std::uint64_t(nparts)));
-      r.item = index_t(rng.below(std::uint64_t(items_per_part)));
-      s.requests[std::size_t(p)].push_back(r);
-    }
-  }
-  return s;
-}
-
-/// Ground truth: direct lookups.
-PartitionData expected(const Scenario& s) {
-  PartitionData out(s.data.size(), std::vector<real_t>{});
-  for (std::size_t p = 0; p < s.data.size(); ++p)
-    for (const HaloRequest& r : s.requests[p])
-      out[p].push_back(
-          s.data[std::size_t(r.from_partition)][std::size_t(r.item)]);
-  return out;
-}
+using halo_oracle::expected;
+using halo_oracle::expected_traffic;
+using halo_oracle::make_scenario;
+using halo_oracle::Scenario;
 
 TEST(HybridComm, ThreadToThreadMatchesDirect) {
   const Scenario s = make_scenario(8, 20, 15, 1);
-  Runtime rt(8);
-  const auto got = exchange_thread_to_thread(rt, s.data, s.requests);
-  EXPECT_EQ(got, expected(s));
+  ExchangePlan plan(s.requests);
+  EXPECT_EQ(plan.exchange(s.data), expected(s));
 }
 
 TEST(HybridComm, MasterThreadMatchesDirect) {
   const Scenario s = make_scenario(8, 20, 15, 2);
   for (int tpp : {1, 2, 4, 8}) {
-    Runtime rt(8 / tpp);
-    const auto got = exchange_master_thread(rt, s.data, s.requests, tpp);
-    EXPECT_EQ(got, expected(s)) << tpp << " threads per process";
+    ExchangePlan plan(s.requests, {ExchangeStrategy::MasterThread, tpp});
+    EXPECT_EQ(plan.exchange(s.data), expected(s))
+        << tpp << " threads per process";
   }
 }
 
 TEST(HybridComm, BothStrategiesAgree) {
   const Scenario s = make_scenario(12, 30, 25, 3);
-  Runtime rt_a(12);
-  const auto a = exchange_thread_to_thread(rt_a, s.data, s.requests);
-  Runtime rt_b(4);
-  const auto b = exchange_master_thread(rt_b, s.data, s.requests, 3);
-  EXPECT_EQ(a, b);
+  ExchangePlan t2t(s.requests);
+  ExchangePlan master(s.requests, {ExchangeStrategy::MasterThread, 3});
+  const PartitionData a = t2t.exchange(s.data);
+  EXPECT_EQ(a, master.exchange(s.data));
+  EXPECT_EQ(a, expected(s));
 }
 
 TEST(HybridComm, MasterThreadSendsFewerLargerMessages) {
   // The paper's rationale for the master-thread strategy (Fig. 7b):
   // "a smaller number of larger messages being issued by the MPI
-  // routines". Verify with the runtime's traffic counters.
+  // routines". The plans' wire counts must equal the closed form.
   const Scenario s = make_scenario(16, 50, 40, 4);
 
-  Runtime flat(16);
-  exchange_thread_to_thread(flat, s.data, s.requests);
-  const auto t_flat = flat.total_traffic();
+  ExchangePlan flat(s.requests);
+  flat.exchange(s.data);
+  const halo_oracle::Traffic t_flat = expected_traffic(s.requests, 1);
+  EXPECT_EQ(flat.stats().messages, t_flat.messages);
+  EXPECT_EQ(flat.stats().bytes, t_flat.bytes);
 
-  Runtime packed(4);  // 4 threads per process
-  exchange_master_thread(packed, s.data, s.requests, 4);
-  const auto t_packed = packed.total_traffic();
+  ExchangePlan packed(s.requests, {ExchangeStrategy::MasterThread, 4});
+  packed.exchange(s.data);
+  const halo_oracle::Traffic t_packed = expected_traffic(s.requests, 4);
+  EXPECT_EQ(packed.stats().messages, t_packed.messages);
+  EXPECT_EQ(packed.stats().bytes, t_packed.bytes);
 
   EXPECT_LT(t_packed.messages, t_flat.messages);
-  EXPECT_GT(real_t(t_packed.bytes) / real_t(std::max<std::uint64_t>(1, t_packed.messages)),
-            real_t(t_flat.bytes) / real_t(std::max<std::uint64_t>(1, t_flat.messages)));
+  EXPECT_GT(t_packed.bytes / t_packed.messages,
+            t_flat.bytes / t_flat.messages);
 }
 
 TEST(HybridComm, IntraProcessRequestsNeedNoMessages) {
@@ -93,20 +68,27 @@ TEST(HybridComm, IntraProcessRequestsNeedNoMessages) {
   for (index_t p = 0; p < 8; ++p)
     for (index_t k = 0; k < 5; ++k)
       s.requests[std::size_t(p)].push_back({p ^ 1, k});  // partner partition
-  Runtime rt(4);  // pairs (0,1),(2,3),... share a process
-  const auto got = exchange_master_thread(rt, s.data, s.requests, 2);
-  EXPECT_EQ(got, expected(s));
-  EXPECT_EQ(rt.total_traffic().messages, 0u);
+  // Two partitions per process: pairs (0,1),(2,3),... share a process.
+  ExchangePlan plan(s.requests, {ExchangeStrategy::MasterThread, 2});
+  EXPECT_EQ(plan.exchange(s.data), expected(s));
+  EXPECT_EQ(expected_traffic(s.requests, 2).messages, 0u);
+  EXPECT_EQ(plan.stats().messages, 0u);
+  EXPECT_EQ(plan.messages_per_exchange(), 0u);
 }
 
 TEST(HybridComm, SinglePartitionDegenerate) {
   Scenario s = make_scenario(1, 5, 3, 6);
   for (auto& reqs : s.requests)
     for (auto& r : reqs) r.from_partition = 0;
-  Runtime rt(1);
-  const auto got = exchange_master_thread(rt, s.data, s.requests, 1);
-  EXPECT_EQ(got, expected(s));
+  EXPECT_EQ(expected_traffic(s.requests, 1).messages, 0u);
+  for (const ExchangePlanOptions& opt :
+       {ExchangePlanOptions{ExchangeStrategy::ThreadToThread},
+        ExchangePlanOptions{ExchangeStrategy::MasterThread, 1}}) {
+    ExchangePlan plan(s.requests, opt);
+    EXPECT_EQ(plan.exchange(s.data), expected(s));
+    EXPECT_EQ(plan.stats().messages, 0u);
+  }
 }
 
 }  // namespace
-}  // namespace columbia::smp
+}  // namespace columbia::core

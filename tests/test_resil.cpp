@@ -1,6 +1,7 @@
 // Resilience layer: checkpoint round-trips (bit-identical restart at 1 and
 // 4 threads), deterministic fault injection, guarded solves, checksummed
-// halo frames, and database sweep recovery/resume.
+// halo frames, halo exchanges under injected faults, and database sweep
+// recovery/resume.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +11,9 @@
 #include <vector>
 
 #include "cart3d/solver.hpp"
+#include "core/exchange_plan.hpp"
 #include "driver/database.hpp"
+#include "halo_oracle.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/solver.hpp"
 #include "resil/checkpoint.hpp"
@@ -480,6 +483,42 @@ TEST(GuardedSolve, ResumesFromDurableCheckpointBitIdentically) {
   for (std::size_t i = 0; i < whole.history.size(); ++i)
     EXPECT_EQ(rest.history[i], whole.history[i]) << "cycle " << i;
   std::remove(path.c_str());
+}
+
+// --- Halo exchanges under injected faults ----------------------------------
+
+/// Eight partitions of 16 items, 12 requests each (seed 21).
+halo_oracle::Scenario halo_scenario() {
+  return halo_oracle::make_scenario(8, 16, 12, 21);
+}
+
+TEST(HaloFaults, DroppedMessagesAreRetransmittedExactly) {
+  const halo_oracle::Scenario s = halo_scenario();
+  InjectorGuard faults("seed=3,halo_drop=1");
+  core::ExchangePlan plan(s.requests);
+  EXPECT_EQ(plan.exchange(s.data), halo_oracle::expected(s));
+  // Every attempt the injector may touch is dropped: three rejected
+  // frames per message, then the guaranteed-clean fourth.
+  const std::uint64_t sends = plan.messages_per_exchange();
+  EXPECT_EQ(plan.stats().messages, 4 * sends);
+  EXPECT_EQ(plan.stats().retransmits, 3 * sends);
+  EXPECT_EQ(plan.stats().rejected, 3 * sends);
+  EXPECT_GT(resil::FaultInjector::global().injected(
+                resil::FaultKind::HaloDrop),
+            0u);
+}
+
+TEST(HaloFaults, CorruptedMessagesAreRejectedAndResent) {
+  const halo_oracle::Scenario s = halo_scenario();
+  InjectorGuard faults("seed=5,halo_corrupt=0.5");
+  core::ExchangePlan plan(s.requests,
+                          {core::ExchangeStrategy::MasterThread, 2});
+  EXPECT_EQ(plan.exchange(s.data), halo_oracle::expected(s));
+  EXPECT_GT(plan.stats().rejected, 0u);
+  EXPECT_EQ(plan.stats().rejected, plan.stats().retransmits);
+  EXPECT_GT(resil::FaultInjector::global().injected(
+                resil::FaultKind::HaloCorrupt),
+            0u);
 }
 
 // --- Database sweep recovery -----------------------------------------------

@@ -162,7 +162,7 @@ void print_interconnect_series(perf::Nsu3dLoadModel& lm, int use_levels,
                                const std::string& series) {
   perf::MachineModel model;
   const int use = std::min(use_levels, lm.num_levels() - first_level);
-  const auto visits = perf::cycle_visits(use, true);
+  const auto visits = core::cycle_visits(use, core::CycleType::W);
 
   // The paper runs every NSU3D case spread across all four boxes (Sec.
   // VI: even 128 CPUs use 32 per box), so box-to-box traffic is always

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cartesian/coarsen.hpp"
+#include "core/params.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/solver.hpp"
 #include "perf/loads.hpp"

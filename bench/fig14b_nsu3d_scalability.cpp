@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> tf;
     for (int nl : variants) {
       const int use = std::min(nl, lm.num_levels());
-      const auto visits = perf::cycle_visits(use, true);
+      const auto visits = core::cycle_visits(use, core::CycleType::W);
       auto loads = lm.loads(P, visits, use);
       auto ref_loads = lm.loads(128, visits, use);
       perf::HybridLayout lay = ref;
@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
 
   // Sec. VI wall-clock anchor.
   {
-    const auto visits = perf::cycle_visits(std::min(6, lm.num_levels()), true);
+    const auto visits =
+        core::cycle_visits(std::min(6, lm.num_levels()), core::CycleType::W);
     perf::HybridLayout lay;
     lay.total_cpus = 2008;
     const auto ct =

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   auto lm = fx.load_model();
   perf::MachineModel model;
   const int use = std::min(6, lm.num_levels());
-  const auto visits = perf::cycle_visits(use, true);
+  const auto visits = core::cycle_visits(use, core::CycleType::W);
 
   // Baseline: pure MPI on NUMAlink, 128 CPUs.
   perf::HybridLayout base;

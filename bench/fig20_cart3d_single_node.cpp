@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   auto lm = fx.load_model();
   perf::MachineModel model;
   const int use = lm.num_levels();
-  const auto visits = perf::cycle_visits(use, true);
+  const auto visits = core::cycle_visits(use, core::CycleType::W);
 
   perf::HybridLayout ref;
   ref.total_cpus = 32;

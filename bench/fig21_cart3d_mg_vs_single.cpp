@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   ref.total_cpus = 32;
   ref.fabric = perf::Interconnect::NumaLink4;
 
-  const auto visits_mg = perf::cycle_visits(lm.num_levels(), true);
+  const auto visits_mg =
+      core::cycle_visits(lm.num_levels(), core::CycleType::W);
   const std::vector<index_t> visits_1{1};
   const auto ref_mg = lm.loads(32, visits_mg);
   const auto ref_1 = lm.loads(32, visits_1, 1);

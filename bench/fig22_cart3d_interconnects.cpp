@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   perf::HybridLayout ref;
   ref.total_cpus = 32;
   ref.fabric = perf::Interconnect::NumaLink4;
-  const auto visits = perf::cycle_visits(lm.num_levels(), true);
+  const auto visits = core::cycle_visits(lm.num_levels(), core::CycleType::W);
   const auto ref_loads = lm.loads(32, visits);
 
   // The paper's placements: 32-496 on one box, 508-1000 across two,

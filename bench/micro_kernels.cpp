@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the hot kernels of both solvers:
-// Riemann fluxes, 6x6 block solves, block-tridiagonal lines, SFC encoding,
-// graph partitioning, and RCM reordering.
+// Riemann fluxes, 6x6 block solves, block-tridiagonal lines, SFC encoding
+// and graph partitioning.
 //
 // `micro_kernels --kernels-json [path]` switches to the solver-kernel
 // timing mode: it sweeps the shared-memory pool over thread counts on the
@@ -27,7 +27,6 @@
 #include "euler/jacobian.hpp"
 #include "geom/components.hpp"
 #include "graph/partition.hpp"
-#include "graph/rcm.hpp"
 #include "linalg/block_tridiag.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/kernels.hpp"
@@ -155,14 +154,6 @@ void BM_Partition16(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * g.num_vertices());
 }
 BENCHMARK(BM_Partition16);
-
-void BM_Rcm(benchmark::State& state) {
-  const graph::Csr g = make_grid(64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::reverse_cuthill_mckee(g));
-  }
-}
-BENCHMARK(BM_Rcm);
 
 // ---------------------------------------------------------------------------
 // --kernels-json mode: solver-kernel thread sweep with a seed baseline.

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full suite in the release preset, the
 # thread-sensitive suites (labels tsan + resil) under ThreadSanitizer, the
-# memory-sensitive suites (label asan) under AddressSanitizer, the soak
+# memory-sensitive suites (label asan) under AddressSanitizer, the obs
+# suites with observability compiled out, the reachability gate, the soak
 # matrix and the perf gate.
 #
-#   scripts/check.sh            # release + tsan + asan + soak + perf gate
+#   scripts/check.sh            # release, tsan, asan, obs-off, reach,
+#                               # soak, perf gate
 #   JOBS=8 scripts/check.sh     # override parallelism
 set -euo pipefail
 
@@ -30,6 +32,20 @@ echo "== asan: configure + build + ctest -L asan =="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 ctest --preset asan -j "$JOBS"
+
+echo
+echo "== obs-off: configure + build + ctest -L obs with COLUMBIA_OBS=OFF =="
+# The compiled-out stubs: exporters must still produce valid, empty
+# documents (ObsTest.CompiledOutExportsEmptyDocuments runs only here).
+cmake --preset obs-off
+cmake --build --preset obs-off -j "$JOBS"
+ctest --preset obs-off -j "$JOBS"
+
+echo
+echo "== reach: every library function has a production user (scripts/reach.sh) =="
+# Fails on a function no bench, example, tool or columbia_bench links in,
+# unless scripts/reach_allow.txt lists it with its reason.
+JOBS="$JOBS" scripts/reach.sh
 
 echo
 echo "== soak: distributed fault matrix (scripts/soak.sh) =="

@@ -336,19 +336,4 @@ Forces Cart3DSolver::integrate_forces() const {
   return out;
 }
 
-std::vector<LevelWork> Cart3DSolver::level_work() const {
-  const std::vector<index_t> visits =
-      core::cycle_visits(int(hierarchy_.levels.size()), opt_.cycle);
-
-  std::vector<LevelWork> w;
-  for (std::size_t l = 0; l < hierarchy_.levels.size(); ++l) {
-    LevelWork lw;
-    lw.cells = hierarchy_.levels[l].num_cells();
-    lw.faces = index_t(hierarchy_.levels[l].faces.size());
-    lw.visits_per_cycle = visits[l];
-    w.push_back(lw);
-  }
-  return w;
-}
-
 }  // namespace columbia::cart3d

@@ -47,14 +47,6 @@ struct Forces {
   real_t cd = 0;      // drag (freestream direction)
 };
 
-/// Work performed per multigrid level in one cycle; the machine model
-/// consumes these together with the partition communication graphs.
-struct LevelWork {
-  index_t cells = 0;
-  index_t faces = 0;
-  index_t visits_per_cycle = 0;  // W-cycle visits coarse levels 2^(l-1) times
-};
-
 class Cart3DSolver {
  public:
   Cart3DSolver(const cartesian::CartMesh& mesh,
@@ -111,9 +103,6 @@ class Cart3DSolver {
   }
 
   Forces integrate_forces() const;
-
-  /// Per-level cell/face counts with W/V visit multiplicity.
-  std::vector<LevelWork> level_work() const;
 
   /// Density residual norm of the current fine-grid state.
   real_t residual_norm();

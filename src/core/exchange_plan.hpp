@@ -145,7 +145,6 @@ class ExchangePlan {
   /// before tearing the member down.
   void drain(int quiet_ms = 300);
 
-  index_t num_partitions() const { return nparts_; }
   ExchangeStrategy strategy() const { return opt_.strategy; }
   int threads_per_process() const { return opt_.threads_per_process; }
   const RequestLists& requests() const { return requests_; }

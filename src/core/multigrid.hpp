@@ -83,12 +83,6 @@ struct AgglomerationSchedule {
     }
     return s;
   }
-
-  bool engaged() const {
-    for (const int a : active)
-      if (a < group_size) return true;
-    return false;
-  }
 };
 
 template <class Physics>

@@ -37,13 +37,6 @@ real_t TriSurface::total_area() const {
   return s;
 }
 
-Vec3 TriSurface::centroid(index_t tri) const {
-  const Triangle& t = triangles_[std::size_t(tri)];
-  return (vertices_[std::size_t(t.v[0])] + vertices_[std::size_t(t.v[1])] +
-          vertices_[std::size_t(t.v[2])]) /
-         3.0;
-}
-
 Aabb TriSurface::bounds() const {
   Aabb box;
   for (const Vec3& p : vertices_) box.expand(p);
@@ -99,10 +92,6 @@ void TriSurface::translate(const Vec3& d) {
   for (Vec3& p : vertices_) p += d;
 }
 
-void TriSurface::scale(real_t s) {
-  for (Vec3& p : vertices_) p *= s;
-}
-
 namespace {
 
 Vec3 rotate_point(const Vec3& p, const Vec3& origin, const Vec3& axis,
@@ -120,17 +109,6 @@ void TriSurface::rotate(const Vec3& origin, const Vec3& axis,
                         real_t angle_rad) {
   const Vec3 u = normalized(axis);
   for (Vec3& p : vertices_) p = rotate_point(p, origin, u, angle_rad);
-}
-
-void TriSurface::rotate_vertices_if(const Vec3& origin, const Vec3& axis,
-                                    real_t angle_rad,
-                                    std::span<const index_t> verts) {
-  const Vec3 u = normalized(axis);
-  for (index_t v : verts) {
-    COLUMBIA_REQUIRE(v >= 0 && v < num_vertices());
-    vertices_[std::size_t(v)] =
-        rotate_point(vertices_[std::size_t(v)], origin, u, angle_rad);
-  }
 }
 
 real_t TriSurface::enclosed_volume() const {

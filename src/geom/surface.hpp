@@ -37,9 +37,6 @@ class TriSurface {
   const Triangle& triangle(index_t i) const {
     return triangles_[std::size_t(i)];
   }
-  index_t component_of(index_t tri) const {
-    return components_[std::size_t(tri)];
-  }
   index_t num_components() const;
 
   std::span<const Vec3> vertices() const { return vertices_; }
@@ -49,7 +46,6 @@ class TriSurface {
   Vec3 scaled_normal(index_t tri) const;
   real_t area(index_t tri) const { return 0.5 * norm(scaled_normal(tri)); }
   real_t total_area() const;
-  Vec3 centroid(index_t tri) const;
 
   Aabb bounds() const;
   Aabb triangle_bounds(index_t tri) const;
@@ -63,14 +59,8 @@ class TriSurface {
 
   /// Rigid transforms, applied to all vertices.
   void translate(const Vec3& d);
-  void scale(real_t s);
   /// Rotates around axis (unit) through `origin` by `angle_rad`.
   void rotate(const Vec3& origin, const Vec3& axis, real_t angle_rad);
-
-  /// Rotates only the vertices with x >= plane_x (used to deflect a control
-  /// surface hinged on a constant-x plane in component-local coordinates).
-  void rotate_vertices_if(const Vec3& origin, const Vec3& axis,
-                          real_t angle_rad, std::span<const index_t> verts);
 
   /// Signed volume enclosed by the surface (positive when outward-oriented).
   real_t enclosed_volume() const;

@@ -6,22 +6,6 @@
 
 namespace columbia::graph {
 
-std::vector<index_t> greedy_color(const Csr& g) {
-  const index_t n = g.num_vertices();
-  std::vector<index_t> color(std::size_t(n), kInvalidIndex);
-  std::vector<index_t> mark(std::size_t(g.max_degree()) + 1, kInvalidIndex);
-  for (index_t v = 0; v < n; ++v) {
-    for (index_t u : g.neighbors(v)) {
-      const index_t c = color[std::size_t(u)];
-      if (c >= 0 && c < index_t(mark.size())) mark[std::size_t(c)] = v;
-    }
-    index_t c = 0;
-    while (c < index_t(mark.size()) && mark[std::size_t(c)] == v) ++c;
-    color[std::size_t(v)] = c;
-  }
-  return color;
-}
-
 std::vector<index_t> color_edges(
     index_t num_vertices,
     std::span<const std::pair<index_t, index_t>> edges) {

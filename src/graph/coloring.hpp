@@ -1,4 +1,4 @@
-// Greedy graph coloring.
+// Greedy edge coloring.
 //
 // On vector processors NSU3D colors the edge loop so that edges in one color
 // touch disjoint vertices and the accumulate-to-points loop vectorizes
@@ -11,10 +11,6 @@
 #include "graph/csr.hpp"
 
 namespace columbia::graph {
-
-/// Greedy first-fit vertex coloring; returns one color id per vertex.
-/// Uses at most max_degree+1 colors.
-std::vector<index_t> greedy_color(const Csr& g);
 
 /// Colors mesh edges (given as endpoint pairs over `num_vertices` vertices)
 /// so no two edges of the same color share a vertex. Returns per-edge colors.

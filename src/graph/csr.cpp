@@ -1,8 +1,5 @@
 #include "graph/csr.hpp"
 
-#include <cmath>
-#include <cstdlib>
-
 #include "support/assert.hpp"
 
 namespace columbia::graph {
@@ -80,57 +77,6 @@ real_t Csr::total_vertex_weight() const {
   real_t s = 0;
   for (real_t w : vweights_) s += w;
   return s;
-}
-
-index_t Csr::max_degree() const {
-  index_t m = 0;
-  for (index_t v = 0; v < num_vertices(); ++v) m = std::max(m, degree(v));
-  return m;
-}
-
-Csr permute(const Csr& g, std::span<const index_t> perm) {
-  const index_t n = g.num_vertices();
-  COLUMBIA_REQUIRE(index_t(perm.size()) == n);
-  std::vector<index_t> inv(std::size_t(n), kInvalidIndex);
-  for (index_t i = 0; i < n; ++i) inv[std::size_t(perm[std::size_t(i)])] = i;
-  for (index_t i = 0; i < n; ++i) COLUMBIA_REQUIRE(inv[std::size_t(i)] >= 0);
-
-  std::vector<std::pair<index_t, index_t>> edges;
-  std::vector<real_t> w;
-  edges.reserve(std::size_t(g.num_directed_edges()) / 2);
-  for (index_t v = 0; v < n; ++v) {
-    const auto nbrs = g.neighbors(v);
-    const auto ws = g.edge_weights(v);
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      if (nbrs[k] > v) {
-        edges.emplace_back(inv[std::size_t(v)], inv[std::size_t(nbrs[k])]);
-        if (!ws.empty()) w.push_back(ws[k]);
-      }
-    }
-  }
-  Csr out = w.empty() ? Csr::from_edges(n, edges)
-                      : Csr::from_weighted_edges(n, edges, w);
-  if (g.has_vertex_weights()) {
-    std::vector<real_t> vw(std::size_t(n), 0.0);
-    for (index_t i = 0; i < n; ++i)
-      vw[std::size_t(i)] = g.vertex_weight(perm[std::size_t(i)]);
-    out.set_vertex_weights(std::move(vw));
-  }
-  return out;
-}
-
-double mean_edge_span(const Csr& g) {
-  double total = 0;
-  std::size_t count = 0;
-  for (index_t v = 0; v < g.num_vertices(); ++v) {
-    for (index_t u : g.neighbors(v)) {
-      if (u > v) {
-        total += std::abs(double(u) - double(v));
-        ++count;
-      }
-    }
-  }
-  return count == 0 ? 0.0 : total / double(count);
 }
 
 }  // namespace columbia::graph

@@ -1,6 +1,6 @@
 // Compressed-sparse-row adjacency structure.
 //
-// Every graph algorithm in the library (partitioning, agglomeration, RCM,
+// Every graph algorithm in the library (partitioning, agglomeration,
 // coloring, line extraction) operates on this one structure. Vertex and
 // edge weights are optional; an empty weight vector means "all ones".
 #pragma once
@@ -51,20 +51,14 @@ class Csr {
     return xadj_[std::size_t(v) + 1] - xadj_[std::size_t(v)];
   }
 
-  bool has_vertex_weights() const { return !vweights_.empty(); }
   bool has_edge_weights() const { return !eweights_.empty(); }
 
   real_t vertex_weight(index_t v) const {
     return vweights_.empty() ? 1.0 : vweights_[std::size_t(v)];
   }
   void set_vertex_weights(std::vector<real_t> w) { vweights_ = std::move(w); }
-  std::span<const real_t> vertex_weights() const { return vweights_; }
 
   real_t total_vertex_weight() const;
-
-  /// Maximum vertex degree (paper quotes 18 for the fine-grid communication
-  /// graph and 19 for the inter-grid graph).
-  index_t max_degree() const;
 
   const std::vector<index_t>& xadj() const { return xadj_; }
   const std::vector<index_t>& adjncy() const { return adjncy_; }
@@ -81,12 +75,5 @@ class Csr {
   std::vector<real_t> eweights_;  // per directed edge, optional
   std::vector<real_t> vweights_;  // per vertex, optional
 };
-
-/// Permutes a graph: new vertex `i` is old vertex `perm[i]`.
-Csr permute(const Csr& g, std::span<const index_t> perm);
-
-/// Mean inverse bandwidth proxy: average |perm-index distance| over edges.
-/// Lower is better cache locality; RCM should reduce it substantially.
-double mean_edge_span(const Csr& g);
 
 }  // namespace columbia::graph

@@ -150,20 +150,4 @@ std::vector<index_t> expand_line_partition(const ContractedGraph& cg,
   return part;
 }
 
-std::vector<std::vector<index_t>> group_lines_for_vectorization(
-    const LineSet& ls, index_t group_size) {
-  COLUMBIA_REQUIRE(group_size >= 1);
-  std::vector<index_t> idx(ls.lines.size());
-  std::iota(idx.begin(), idx.end(), index_t(0));
-  std::stable_sort(idx.begin(), idx.end(), [&](index_t a, index_t b) {
-    return ls.lines[std::size_t(a)].size() > ls.lines[std::size_t(b)].size();
-  });
-  std::vector<std::vector<index_t>> groups;
-  for (std::size_t i = 0; i < idx.size(); i += std::size_t(group_size)) {
-    const std::size_t end = std::min(idx.size(), i + std::size_t(group_size));
-    groups.emplace_back(idx.begin() + long(i), idx.begin() + long(end));
-  }
-  return groups;
-}
-
 }  // namespace columbia::graph

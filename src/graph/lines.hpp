@@ -53,10 +53,4 @@ ContractedGraph contract_lines(const Csr& g, const LineSet& ls);
 std::vector<index_t> expand_line_partition(
     const ContractedGraph& cg, std::span<const index_t> line_part);
 
-/// Sorts lines by decreasing length and groups them into batches of
-/// `group_size` (64 in the paper) for vectorized line solves. Returns
-/// indices into ls.lines, batch by batch.
-std::vector<std::vector<index_t>> group_lines_for_vectorization(
-    const LineSet& ls, index_t group_size = 64);
-
 }  // namespace columbia::graph

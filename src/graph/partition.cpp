@@ -341,32 +341,4 @@ PartitionQuality evaluate_partition(const Csr& g,
   return q;
 }
 
-Csr communication_graph(const Csr& g, std::span<const index_t> part,
-                        index_t nparts) {
-  std::unordered_map<std::uint64_t, real_t> cut;
-  for (index_t v = 0; v < g.num_vertices(); ++v) {
-    const index_t pv = part[std::size_t(v)];
-    const auto nbrs = g.neighbors(v);
-    const auto ws = g.edge_weights(v);
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      const index_t u = nbrs[k];
-      if (u <= v) continue;
-      const index_t pu = part[std::size_t(u)];
-      if (pu == pv) continue;
-      const index_t lo = std::min(pv, pu), hi = std::max(pv, pu);
-      const std::uint64_t key =
-          (std::uint64_t(std::uint32_t(lo)) << 32) | std::uint32_t(hi);
-      cut[key] += ws.empty() ? 1.0 : ws[k];
-    }
-  }
-  std::vector<std::pair<index_t, index_t>> edges;
-  std::vector<real_t> w;
-  edges.reserve(cut.size());
-  for (const auto& [key, weight] : cut) {
-    edges.emplace_back(index_t(key >> 32), index_t(key & 0xffffffffu));
-    w.push_back(weight);
-  }
-  return Csr::from_weighted_edges(nparts, edges, w);
-}
-
 }  // namespace columbia::graph

@@ -44,10 +44,4 @@ PartitionQuality evaluate_partition(const Csr& g,
                                     std::span<const index_t> part,
                                     index_t nparts);
 
-/// Communication graph between parts: vertices = parts, edge (p,q) present
-/// when any mesh edge straddles p and q; edge weight = number (or weight
-/// sum) of straddling edges. This is what the machine model consumes.
-Csr communication_graph(const Csr& g, std::span<const index_t> part,
-                        index_t nparts);
-
 }  // namespace columbia::graph

@@ -89,26 +89,4 @@ bool solve_block_tridiag(std::vector<BlockMat<N>>& lower,
   return solve_block_tridiag_status<N>(lower, diag, upper, rhs).ok();
 }
 
-/// Scalar tridiagonal convenience overload (used in tests and the 1-equation
-/// turbulence line sweep).
-inline bool solve_tridiag(std::vector<real_t>& lower, std::vector<real_t>& diag,
-                          std::vector<real_t>& upper, std::vector<real_t>& rhs) {
-  const std::size_t n = diag.size();
-  COLUMBIA_REQUIRE(lower.size() == n && upper.size() == n && rhs.size() == n);
-  if (n == 0) return true;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (diag[i - 1] == 0.0) return false;
-    const real_t f = lower[i] / diag[i - 1];
-    diag[i] -= f * upper[i - 1];
-    rhs[i] -= f * rhs[i - 1];
-  }
-  if (diag[n - 1] == 0.0) return false;
-  rhs[n - 1] /= diag[n - 1];
-  for (std::size_t i = n - 1; i-- > 0;) {
-    if (diag[i] == 0.0) return false;
-    rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i];
-  }
-  return true;
-}
-
 }  // namespace columbia::linalg

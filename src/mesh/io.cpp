@@ -1,8 +1,6 @@
 #include "mesh/io.hpp"
 
 #include <cmath>
-#include <cstring>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -10,111 +8,6 @@
 #include "support/assert.hpp"
 
 namespace columbia::mesh {
-
-namespace {
-
-constexpr char kMagic[8] = {'C', 'O', 'L', 'M', 'E', 'S', 'H', '1'};
-
-template <typename T>
-void put(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T get(std::istream& in) {
-  T v;
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw std::runtime_error("columbia mesh: truncated stream");
-  return v;
-}
-
-}  // namespace
-
-std::size_t binary_size_bytes(const UnstructuredMesh& m) {
-  std::size_t bytes = sizeof(kMagic) + 3 * sizeof(std::uint64_t);
-  bytes += std::size_t(m.num_points()) * 3 * sizeof(real_t);
-  for (const Element& e : m.elements)
-    bytes += 1 + std::size_t(e.num_nodes()) * sizeof(index_t);
-  for (const BoundaryFace& f : m.boundary)
-    bytes += 2 + std::size_t(f.n) * sizeof(index_t);
-  return bytes;
-}
-
-std::size_t write_binary(std::ostream& out, const UnstructuredMesh& m) {
-  out.write(kMagic, sizeof(kMagic));
-  put<std::uint64_t>(out, std::uint64_t(m.num_points()));
-  put<std::uint64_t>(out, std::uint64_t(m.num_elements()));
-  put<std::uint64_t>(out, std::uint64_t(m.boundary.size()));
-  for (const geom::Vec3& p : m.points) {
-    put(out, p.x);
-    put(out, p.y);
-    put(out, p.z);
-  }
-  for (const Element& e : m.elements) {
-    put<std::uint8_t>(out, std::uint8_t(e.type));
-    for (int k = 0; k < e.num_nodes(); ++k) put(out, e.nodes[std::size_t(k)]);
-  }
-  for (const BoundaryFace& f : m.boundary) {
-    put<std::uint8_t>(out, std::uint8_t(f.n));
-    put<std::uint8_t>(out, std::uint8_t(f.tag));
-    for (int k = 0; k < f.n; ++k) put(out, f.nodes[std::size_t(k)]);
-  }
-  return binary_size_bytes(m);
-}
-
-UnstructuredMesh read_binary(std::istream& in) {
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    throw std::runtime_error("columbia mesh: bad magic");
-  const auto np = get<std::uint64_t>(in);
-  const auto ne = get<std::uint64_t>(in);
-  const auto nb = get<std::uint64_t>(in);
-
-  UnstructuredMesh m;
-  m.points.resize(np);
-  for (geom::Vec3& p : m.points) {
-    p.x = get<real_t>(in);
-    p.y = get<real_t>(in);
-    p.z = get<real_t>(in);
-  }
-  m.elements.reserve(ne);
-  for (std::uint64_t i = 0; i < ne; ++i) {
-    Element e;
-    const auto t = get<std::uint8_t>(in);
-    if (t > std::uint8_t(ElementType::Hex))
-      throw std::runtime_error("columbia mesh: bad element type");
-    e.type = ElementType(t);
-    e.nodes.fill(kInvalidIndex);
-    for (int k = 0; k < e.num_nodes(); ++k) {
-      e.nodes[std::size_t(k)] = get<index_t>(in);
-      if (e.nodes[std::size_t(k)] < 0 ||
-          std::uint64_t(e.nodes[std::size_t(k)]) >= np)
-        throw std::runtime_error("columbia mesh: element index out of range");
-    }
-    m.elements.push_back(e);
-  }
-  m.boundary.reserve(nb);
-  for (std::uint64_t i = 0; i < nb; ++i) {
-    BoundaryFace f;
-    f.n = get<std::uint8_t>(in);
-    if (f.n != 3 && f.n != 4)
-      throw std::runtime_error("columbia mesh: bad boundary face size");
-    const auto tag = get<std::uint8_t>(in);
-    if (tag > std::uint8_t(BoundaryTag::Symmetry))
-      throw std::runtime_error("columbia mesh: bad boundary tag");
-    f.tag = BoundaryTag(tag);
-    f.nodes.fill(kInvalidIndex);
-    for (int k = 0; k < f.n; ++k) {
-      f.nodes[std::size_t(k)] = get<index_t>(in);
-      if (f.nodes[std::size_t(k)] < 0 ||
-          std::uint64_t(f.nodes[std::size_t(k)]) >= np)
-        throw std::runtime_error("columbia mesh: face index out of range");
-    }
-    m.boundary.push_back(f);
-  }
-  return m;
-}
 
 void write_vtk(std::ostream& out, const UnstructuredMesh& m,
                std::span<const PointField> fields) {

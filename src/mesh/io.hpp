@@ -1,12 +1,7 @@
-// Mesh and solution file I/O.
+// Mesh and solution output for inspection.
 //
-// The paper (Sec. VI) singles out I/O as the looming bottleneck: "the grid
-// input file for the flow solver in the 72 million point case measures 35
-// Gbytes". This module provides the two formats the repo uses:
-//   - a compact binary format for UnstructuredMesh round-trips (the
-//     solver's native "grid input file"),
-//   - legacy-ASCII VTK writers for meshes and solutions so results can be
-//     inspected in ParaView/VisIt.
+// Legacy-ASCII VTK writer for meshes and per-point solution fields, so
+// results can be inspected in ParaView/VisIt.
 #pragma once
 
 #include <iosfwd>
@@ -16,17 +11,6 @@
 #include "mesh/unstructured.hpp"
 
 namespace columbia::mesh {
-
-/// Writes the mesh in the repo's binary format. Returns bytes written.
-std::size_t write_binary(std::ostream& out, const UnstructuredMesh& m);
-
-/// Reads a mesh written by write_binary. Throws std::runtime_error on a
-/// malformed stream.
-UnstructuredMesh read_binary(std::istream& in);
-
-/// Size in bytes write_binary would produce (for the paper's 35 GB / 72M
-/// point bookkeeping; see tests).
-std::size_t binary_size_bytes(const UnstructuredMesh& m);
 
 /// Legacy-ASCII VTK unstructured grid, with optional per-point scalar
 /// fields (parallel arrays of values, one per mesh point).

@@ -8,12 +8,26 @@
 #include "graph/coloring.hpp"
 #include "graph/csr.hpp"
 #include "graph/lines.hpp"
-#include "mesh/reorder.hpp"
 #include "support/assert.hpp"
 
 namespace columbia::nsu3d {
 
 using geom::Vec3;
+
+namespace {
+
+/// Applies a permutation (perm[new_id] = old_id) to one parallel edge
+/// array: out[k] = v[perm[k]].
+template <class T>
+std::vector<T> permuted(const std::vector<T>& v,
+                        const std::vector<index_t>& perm) {
+  std::vector<T> out;
+  out.reserve(v.size());
+  for (index_t old_id : perm) out.push_back(v[std::size_t(old_id)]);
+  return out;
+}
+
+}  // namespace
 
 void Level::build_incident() {
   incident.assign(std::size_t(num_nodes),
@@ -29,9 +43,9 @@ void Level::order_edges(bool color) {
   if (color && !edges.empty()) {
     const std::vector<index_t> colors = graph::color_edges(num_nodes, edges);
     graph::ColorOrder order = graph::color_major_order(colors);
-    edges = mesh::permuted(edges, order.perm);
-    edge_normal = mesh::permuted(edge_normal, order.perm);
-    edge_length = mesh::permuted(edge_length, order.perm);
+    edges = permuted(edges, order.perm);
+    edge_normal = permuted(edge_normal, order.perm);
+    edge_length = permuted(edge_length, order.perm);
     color_offsets = std::move(order.offsets);
   } else {
     color_offsets = {0, edges.size()};
@@ -55,9 +69,9 @@ void Level::finalize_edges() {
                   return edges[std::size_t(x)].first <
                          edges[std::size_t(y)].first;
                 });
-    edges = mesh::permuted(edges, perm);
-    edge_normal = mesh::permuted(edge_normal, perm);
-    edge_length = mesh::permuted(edge_length, perm);
+    edges = permuted(edges, perm);
+    edge_normal = permuted(edge_normal, perm);
+    edge_length = permuted(edge_length, perm);
   }
 
   edge_area.resize(edges.size());

@@ -311,19 +311,4 @@ Forces Nsu3dSolver::integrate_forces() const {
   return out;
 }
 
-std::vector<LevelWork> Nsu3dSolver::level_work() const {
-  const std::vector<index_t> visits =
-      core::cycle_visits(int(levels_.size()), opt_.cycle);
-
-  std::vector<LevelWork> w;
-  for (std::size_t l = 0; l < levels_.size(); ++l) {
-    LevelWork lw;
-    lw.nodes = levels_[l].num_nodes;
-    lw.edges = index_t(levels_[l].edges.size());
-    lw.visits_per_cycle = visits[l];
-    w.push_back(lw);
-  }
-  return w;
-}
-
 }  // namespace columbia::nsu3d

@@ -55,12 +55,6 @@ struct Forces {
   real_t cl = 0, cd = 0;
 };
 
-struct LevelWork {
-  index_t nodes = 0;
-  index_t edges = 0;
-  index_t visits_per_cycle = 0;
-};
-
 class Nsu3dSolver {
  public:
   Nsu3dSolver(const mesh::UnstructuredMesh& m,
@@ -115,7 +109,6 @@ class Nsu3dSolver {
   }
 
   Forces integrate_forces() const;
-  std::vector<LevelWork> level_work() const;
 
   /// Residual of `u` on level `l` (public so benchmarks and equivalence
   /// tests can drive the hot kernel directly). Runs on the shared-memory

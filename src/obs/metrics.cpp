@@ -9,12 +9,6 @@
 
 namespace columbia::obs {
 
-void Histogram::reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
-
 namespace {
 
 /// unique_ptr values keep metric addresses stable across rehashes.
@@ -22,7 +16,6 @@ struct MetricsRegistry {
   std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
 MetricsRegistry& registry() {
@@ -39,16 +32,6 @@ T& lookup(std::map<std::string, std::unique_ptr<T>>& m, std::mutex& mu,
   return *slot;
 }
 
-template <class T>
-std::vector<std::string> names_of(
-    const std::map<std::string, std::unique_ptr<T>>& m, std::mutex& mu) {
-  std::lock_guard<std::mutex> lock(mu);
-  std::vector<std::string> out;
-  out.reserve(m.size());
-  for (const auto& [name, _] : m) out.push_back(name);
-  return out;
-}
-
 }  // namespace
 
 Counter& counter(const std::string& name) {
@@ -61,32 +44,20 @@ Gauge& gauge(const std::string& name) {
   return lookup(reg.gauges, reg.mu, name);
 }
 
-Histogram& histogram(const std::string& name) {
-  MetricsRegistry& reg = registry();
-  return lookup(reg.histograms, reg.mu, name);
-}
-
 void reset_metrics() {
   MetricsRegistry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);
   for (auto& [_, c] : reg.counters) c->reset();
   for (auto& [_, g] : reg.gauges) g->reset();
-  for (auto& [_, h] : reg.histograms) h->reset();
 }
 
 std::vector<std::string> counter_names() {
   MetricsRegistry& reg = registry();
-  return names_of(reg.counters, reg.mu);
-}
-
-std::vector<std::string> gauge_names() {
-  MetricsRegistry& reg = registry();
-  return names_of(reg.gauges, reg.mu);
-}
-
-std::vector<std::string> histogram_names() {
-  MetricsRegistry& reg = registry();
-  return names_of(reg.histograms, reg.mu);
+  std::lock_guard<std::mutex> lock(reg.mu);
+  std::vector<std::string> out;
+  out.reserve(reg.counters.size());
+  for (const auto& [name, _] : reg.counters) out.push_back(name);
+  return out;
 }
 
 void write_metrics_json(std::ostream& os) {
@@ -99,26 +70,6 @@ void write_metrics_json(std::ostream& os) {
   w.end_object();
   w.key("gauges").begin_object();
   for (const auto& [name, g] : reg.gauges) w.kv(name, g->value());
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : reg.histograms) {
-    w.key(name).begin_object();
-    w.kv("count", h->count());
-    w.kv("sum", h->sum());
-    w.kv("mean", h->mean());
-    w.key("buckets").begin_array();
-    for (int i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t n = h->bucket(i);
-      if (n == 0) continue;
-      const std::uint64_t lo = i == 0 ? 0 : std::uint64_t(1) << (i - 1);
-      const std::uint64_t hi =
-          i == 0 ? 0
-                 : (i >= 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << i) - 1);
-      w.begin_array().value(lo).value(hi).value(n).end_array();
-    }
-    w.end_array();
-    w.end_object();
-  }
   w.end_object();
   w.end_object();
   os << '\n';

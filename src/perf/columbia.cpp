@@ -140,15 +140,4 @@ real_t MachineModel::speedup(const std::vector<LevelLoad>& loads,
   return real_t(ref_layout.total_cpus) * t_ref / t;
 }
 
-std::vector<LevelLoad> scale_loads(std::vector<LevelLoad> loads, real_t s) {
-  COLUMBIA_REQUIRE(s > 0);
-  const real_t surf = std::pow(s, 2.0 / 3.0);
-  for (LevelLoad& l : loads) {
-    l.max_work_items *= s;
-    l.max_halo_items *= surf;
-    l.intergrid_items *= surf;
-  }
-  return loads;
-}
-
 }  // namespace columbia::perf

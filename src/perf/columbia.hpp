@@ -139,10 +139,4 @@ class MachineModel {
   real_t cpu_rate(real_t working_set_bytes, const HybridLayout& layout) const;
 };
 
-/// Scales measured loads to a larger problem: work scales by `s` (volume),
-/// halos and inter-grid transfers by s^(2/3) (surface). Used to replay a
-/// small in-repo mesh at the paper's 72M-point / 25M-cell sizes while
-/// keeping the measured partition quality.
-std::vector<LevelLoad> scale_loads(std::vector<LevelLoad> loads, real_t s);
-
 }  // namespace columbia::perf

@@ -62,11 +62,6 @@ LevelLoad load_from_stats(const MeasuredStats& st, real_t target_items_per_part,
 
 }  // namespace
 
-std::vector<index_t> cycle_visits(int nl, bool w_cycle) {
-  return core::cycle_visits(nl, w_cycle ? core::CycleType::W
-                                        : core::CycleType::V);
-}
-
 MeasuredStats stats_from_plan(const core::ExchangePlan& plan) {
   MeasuredStats st;
   st.max_halo_items = real_t(plan.max_ghost_items());

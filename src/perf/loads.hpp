@@ -112,7 +112,4 @@ class Cart3dLoadModel {
   MeasuredStats measure(int level, index_t nparts);
 };
 
-/// W- or V-cycle visit multiplicities for `nl` levels (fine level first).
-std::vector<index_t> cycle_visits(int nl, bool w_cycle);
-
 }  // namespace columbia::perf

@@ -77,29 +77,12 @@ void deinterleave(std::uint64_t key, int bits, int n, std::uint32_t* x) {
 
 }  // namespace
 
-std::uint64_t hilbert2(std::uint32_t x, std::uint32_t y, int bits) {
-  COLUMBIA_REQUIRE(bits >= 1 && bits <= 31);
-  std::uint32_t v[2] = {x, y};
-  axes_to_transpose(v, bits, 2);
-  return interleave(v, bits, 2);
-}
-
 std::uint64_t hilbert3(std::uint32_t x, std::uint32_t y, std::uint32_t z,
                        int bits) {
   COLUMBIA_REQUIRE(bits >= 1 && bits <= 21);
   std::uint32_t v[3] = {x, y, z};
   axes_to_transpose(v, bits, 3);
   return interleave(v, bits, 3);
-}
-
-void hilbert2_decode(std::uint64_t key, int bits, std::uint32_t& x,
-                     std::uint32_t& y) {
-  COLUMBIA_REQUIRE(bits >= 1 && bits <= 31);
-  std::uint32_t v[2];
-  deinterleave(key, bits, 2, v);
-  transpose_to_axes(v, bits, 2);
-  x = v[0];
-  y = v[1];
 }
 
 void hilbert3_decode(std::uint64_t key, int bits, std::uint32_t& x,

@@ -1,4 +1,4 @@
-// Peano-Hilbert space-filling curve, 2D and 3D.
+// Peano-Hilbert space-filling curve in 3D.
 //
 // "In 3D the Peano-Hilbert SFC is generally preferred" (paper Sec. V) for
 // its unit-step locality: successive cells on the curve are face neighbors,
@@ -11,16 +11,11 @@
 
 namespace columbia::sfc {
 
-/// Hilbert key of a 2D point with `bits`-bit coordinates (bits <= 31).
-std::uint64_t hilbert2(std::uint32_t x, std::uint32_t y, int bits);
-
 /// Hilbert key of a 3D point with `bits`-bit coordinates (bits <= 21).
 std::uint64_t hilbert3(std::uint32_t x, std::uint32_t y, std::uint32_t z,
                        int bits);
 
-/// Inverse transforms.
-void hilbert2_decode(std::uint64_t key, int bits, std::uint32_t& x,
-                     std::uint32_t& y);
+/// Inverse transform.
 void hilbert3_decode(std::uint64_t key, int bits, std::uint32_t& x,
                      std::uint32_t& y, std::uint32_t& z);
 

@@ -1,10 +1,10 @@
-// Morton (Z-order) space-filling curve encodings, 2D and 3D.
+// Morton (Z-order) space-filling curve encoding in 3D.
 //
 // Cart3D orders adaptively refined Cartesian cells along an SFC computed by
 // "one-time inspection of the cell's coordinates" (paper Sec. V, Fig. 10);
 // the Morton key of a cell is the bit-interleave of its integer coordinates
-// at the finest level. The 2D form is used for illustration; 3D runs prefer
-// Peano-Hilbert (see hilbert.hpp) for its better locality.
+// at the finest level. The mesher defaults to Peano-Hilbert (see
+// hilbert.hpp) for its better locality.
 #pragma once
 
 #include <cstdint>
@@ -12,17 +12,6 @@
 #include "support/assert.hpp"
 
 namespace columbia::sfc {
-
-/// Spreads the low 32 bits of x so there is one zero bit between each.
-constexpr std::uint64_t spread2(std::uint32_t x) {
-  std::uint64_t v = x;
-  v = (v | (v << 16)) & 0x0000ffff0000ffffull;
-  v = (v | (v << 8)) & 0x00ff00ff00ff00ffull;
-  v = (v | (v << 4)) & 0x0f0f0f0f0f0f0f0full;
-  v = (v | (v << 2)) & 0x3333333333333333ull;
-  v = (v | (v << 1)) & 0x5555555555555555ull;
-  return v;
-}
 
 /// Spreads the low 21 bits of x so there are two zero bits between each.
 constexpr std::uint64_t spread3(std::uint32_t x) {
@@ -35,26 +24,10 @@ constexpr std::uint64_t spread3(std::uint32_t x) {
   return v;
 }
 
-/// 2D Morton key: interleaves x (even bits) and y (odd bits).
-constexpr std::uint64_t morton2(std::uint32_t x, std::uint32_t y) {
-  return spread2(x) | (spread2(y) << 1);
-}
-
 /// 3D Morton key for 21-bit coordinates.
 constexpr std::uint64_t morton3(std::uint32_t x, std::uint32_t y,
                                 std::uint32_t z) {
   return spread3(x) | (spread3(y) << 1) | (spread3(z) << 2);
-}
-
-/// Compacts every second bit back into the low 32 (inverse of spread2).
-constexpr std::uint32_t compact2(std::uint64_t v) {
-  v &= 0x5555555555555555ull;
-  v = (v | (v >> 1)) & 0x3333333333333333ull;
-  v = (v | (v >> 2)) & 0x0f0f0f0f0f0f0f0full;
-  v = (v | (v >> 4)) & 0x00ff00ff00ff00ffull;
-  v = (v | (v >> 8)) & 0x0000ffff0000ffffull;
-  v = (v | (v >> 16)) & 0x00000000ffffffffull;
-  return std::uint32_t(v);
 }
 
 /// Compacts every third bit (inverse of spread3).
@@ -68,16 +41,10 @@ constexpr std::uint32_t compact3(std::uint64_t v) {
   return std::uint32_t(v);
 }
 
-struct Coord2 {
-  std::uint32_t x, y;
-};
 struct Coord3 {
   std::uint32_t x, y, z;
 };
 
-constexpr Coord2 morton2_decode(std::uint64_t key) {
-  return {compact2(key), compact2(key >> 1)};
-}
 constexpr Coord3 morton3_decode(std::uint64_t key) {
   return {compact3(key), compact3(key >> 1), compact3(key >> 2)};
 }

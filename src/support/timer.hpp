@@ -26,13 +26,6 @@ class WallTimer {
                              .count());
   }
 
-  /// Nanoseconds elapsed since construction or the last reset().
-  std::uint64_t elapsed_ns() const {
-    return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             clock::now() - start_)
-                             .count());
-  }
-
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

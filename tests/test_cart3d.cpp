@@ -92,13 +92,10 @@ TEST(Cart3D, WCycleVisitCountsMatchPaper) {
   opt.cycle = CycleType::W;
   Cart3DSolver solver(m, fc, opt);
   ASSERT_EQ(solver.num_levels(), 4);
-  const auto work = solver.level_work();
-  EXPECT_EQ(work[0].visits_per_cycle, 1);
-  EXPECT_EQ(work[1].visits_per_cycle, 2);
-  EXPECT_EQ(work[2].visits_per_cycle, 4);
   // Coarsest is entered once per visit of its parent (no double descend
   // into the last level).
-  EXPECT_EQ(work[3].visits_per_cycle, 4);
+  EXPECT_EQ(core::cycle_visits(solver.num_levels(), opt.cycle),
+            (std::vector<index_t>{1, 2, 4, 4}));
 }
 
 TEST(Cart3D, SupersonicSphereRunsStably) {
@@ -139,9 +136,8 @@ TEST(Cart3D, LevelWorkShrinksWithLevel) {
   SolverOptions opt;
   opt.mg_levels = 3;
   Cart3DSolver solver(m, fc, opt);
-  const auto work = solver.level_work();
-  for (std::size_t l = 1; l < work.size(); ++l)
-    EXPECT_LT(work[l].cells, work[l - 1].cells);
+  for (int l = 1; l < solver.num_levels(); ++l)
+    EXPECT_LT(solver.mesh(l).num_cells(), solver.mesh(l - 1).num_cells());
 }
 
 TEST(Cart3D, SslvMeshSolves) {

@@ -4,8 +4,6 @@
 
 #include "graph/coloring.hpp"
 #include "graph/csr.hpp"
-#include "graph/rcm.hpp"
-#include "support/random.hpp"
 
 namespace columbia::graph {
 namespace {
@@ -70,77 +68,10 @@ TEST(Csr, VertexWeightDefaultsToOne) {
   EXPECT_DOUBLE_EQ(g.total_vertex_weight(), 3.0);
 }
 
-TEST(Csr, MaxDegreeOfGrid) {
-  const Csr g = grid_graph(4, 4);
-  EXPECT_EQ(g.max_degree(), 4);
-}
-
 TEST(Csr, EmptyGraph) {
   const Csr g = Csr::from_edges(0, {});
   EXPECT_EQ(g.num_vertices(), 0);
   EXPECT_EQ(g.num_directed_edges(), 0);
-}
-
-TEST(Csr, PermutePreservesStructure) {
-  const Csr g = grid_graph(3, 3);
-  std::vector<index_t> perm(9);
-  for (index_t i = 0; i < 9; ++i) perm[std::size_t(i)] = 8 - i;
-  const Csr p = permute(g, perm);
-  EXPECT_EQ(p.num_vertices(), g.num_vertices());
-  EXPECT_EQ(p.num_directed_edges(), g.num_directed_edges());
-  // Degree multiset preserved.
-  std::vector<index_t> dg, dp;
-  for (index_t v = 0; v < 9; ++v) {
-    dg.push_back(g.degree(v));
-    dp.push_back(p.degree(v));
-  }
-  std::sort(dg.begin(), dg.end());
-  std::sort(dp.begin(), dp.end());
-  EXPECT_EQ(dg, dp);
-}
-
-TEST(Rcm, ReducesEdgeSpanOnShuffledGrid) {
-  const Csr g = grid_graph(20, 20);
-  // Shuffle, then RCM should bring mean edge span near the grid's natural
-  // bandwidth (~nx).
-  std::vector<index_t> shuffle(400);
-  for (index_t i = 0; i < 400; ++i) shuffle[std::size_t(i)] = i;
-  Xoshiro256 rng(99);
-  for (index_t i = 399; i > 0; --i)
-    std::swap(shuffle[std::size_t(i)],
-              shuffle[std::size_t(rng.below(std::uint64_t(i) + 1))]);
-  const Csr shuffled = permute(g, shuffle);
-  const double before = mean_edge_span(shuffled);
-  const auto order = reverse_cuthill_mckee(shuffled);
-  const Csr reordered = permute(shuffled, order);
-  const double after = mean_edge_span(reordered);
-  EXPECT_LT(after, before * 0.3);
-  EXPECT_LT(after, 40);
-}
-
-TEST(Rcm, IsAPermutation) {
-  const Csr g = grid_graph(7, 5);
-  const auto order = reverse_cuthill_mckee(g);
-  std::vector<index_t> sorted = order;
-  std::sort(sorted.begin(), sorted.end());
-  for (index_t i = 0; i < 35; ++i) EXPECT_EQ(sorted[std::size_t(i)], i);
-}
-
-TEST(Rcm, HandlesDisconnectedComponents) {
-  std::vector<Edge> edges{{0, 1}, {2, 3}, {4, 5}};
-  const Csr g = Csr::from_edges(6, edges);
-  const auto order = reverse_cuthill_mckee(g);
-  EXPECT_EQ(order.size(), 6u);
-}
-
-TEST(Coloring, ProperVertexColoring) {
-  const Csr g = grid_graph(10, 10);
-  const auto color = greedy_color(g);
-  for (index_t v = 0; v < g.num_vertices(); ++v)
-    for (index_t u : g.neighbors(v))
-      EXPECT_NE(color[std::size_t(v)], color[std::size_t(u)]);
-  // Grid is bipartite: greedy should use few colors.
-  EXPECT_LE(num_colors(color), 5);
 }
 
 TEST(Coloring, EdgeColoringConflictFree) {
@@ -163,10 +94,6 @@ TEST(Coloring, EdgeColoringConflictFree) {
     }
   // Max degree 4 grid: first-fit stays within 2*Delta-1 = 7.
   EXPECT_LE(num_colors(color), 7);
-}
-
-TEST(MeanEdgeSpan, PathIsOne) {
-  EXPECT_DOUBLE_EQ(mean_edge_span(path_graph(10)), 1.0);
 }
 
 }  // namespace

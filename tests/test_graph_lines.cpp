@@ -105,35 +105,5 @@ TEST(ContractLines, PartitionNeverBreaksALine) {
   }
 }
 
-TEST(GroupLines, BatchesOf64SortedByLength) {
-  LineSet ls;
-  for (int len : {3, 10, 1, 7, 7, 2}) {
-    std::vector<index_t> line(std::size_t(len), 0);
-    ls.lines.push_back(line);
-  }
-  const auto groups = group_lines_for_vectorization(ls, 4);
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0].size(), 4u);
-  EXPECT_EQ(groups[1].size(), 2u);
-  // First group starts with the longest line (length 10 = index 1).
-  EXPECT_EQ(groups[0][0], 1);
-  // Lengths non-increasing across the ordering.
-  std::size_t prev = 1u << 30;
-  for (const auto& grp : groups)
-    for (index_t li : grp) {
-      EXPECT_LE(ls.lines[std::size_t(li)].size(), prev);
-      prev = ls.lines[std::size_t(li)].size();
-    }
-}
-
-TEST(GroupLines, DefaultGroupOf64) {
-  LineSet ls;
-  for (int i = 0; i < 130; ++i) ls.lines.push_back({index_t(i)});
-  const auto groups = group_lines_for_vectorization(ls);
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0].size(), 64u);
-  EXPECT_EQ(groups[2].size(), 2u);
-}
-
 }  // namespace
 }  // namespace columbia::graph

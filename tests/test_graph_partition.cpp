@@ -132,23 +132,6 @@ TEST(Partition, EdgeWeightsSteerCut) {
   EXPECT_LT(q.edge_cut, 4.0);
 }
 
-TEST(CommunicationGraph, GridQuadrants) {
-  const Csr g = grid_graph(16, 16);
-  // Hand-build a quadrant partition.
-  std::vector<index_t> part(256);
-  for (index_t j = 0; j < 16; ++j)
-    for (index_t i = 0; i < 16; ++i)
-      part[std::size_t(j * 16 + i)] = (j / 8) * 2 + (i / 8);
-  const Csr cg = communication_graph(g, part, 4);
-  EXPECT_EQ(cg.num_vertices(), 4);
-  // Quadrants: each part talks to 2 side neighbors (no diagonal adjacency
-  // in a 4-connected grid).
-  for (index_t p = 0; p < 4; ++p) EXPECT_EQ(cg.degree(p), 2);
-  // Each boundary has 8 cut edges.
-  const auto ws = cg.edge_weights(0);
-  for (real_t x : ws) EXPECT_DOUBLE_EQ(x, 8.0);
-}
-
 TEST(EvaluatePartition, CountsCutEdges) {
   const Csr g = grid_graph(4, 1);  // path of 4
   std::vector<index_t> part{0, 0, 1, 1};

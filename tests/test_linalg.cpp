@@ -143,21 +143,6 @@ TEST(BlockTridiag, EmptySystemOk) {
   EXPECT_TRUE(solve_block_tridiag<6>(l, d, u, r));
 }
 
-TEST(ScalarTridiag, SolvesKnownSystem) {
-  // -u'' = f discretized: tridiag(-1, 2, -1); solution of [1..n] recovered.
-  const std::size_t n = 50;
-  std::vector<real_t> lower(n, -1), diag(n, 2), upper(n, -1), x(n), rhs(n);
-  Xoshiro256 rng(8);
-  for (auto& v : x) v = rng.uniform(-1, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    rhs[i] = 2 * x[i];
-    if (i > 0) rhs[i] -= x[i - 1];
-    if (i + 1 < n) rhs[i] -= x[i + 1];
-  }
-  ASSERT_TRUE(solve_tridiag(lower, diag, upper, rhs));
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(rhs[i], x[i], 1e-9);
-}
-
 TEST(FactorStatus, ReportsFailingPivotColumn) {
   // A matrix whose third column becomes unpivotable: rows 2 and 3 of the
   // identity zeroed leaves no nonzero pivot candidate in column 2.

@@ -9,86 +9,6 @@
 namespace columbia::mesh {
 namespace {
 
-TEST(MeshIo, BinaryRoundTripBoxMesh) {
-  const auto m = make_box_mesh(3, 4, 5, {0, 0, 0}, {1, 2, 3});
-  std::stringstream buf;
-  const std::size_t bytes = write_binary(buf, m);
-  EXPECT_EQ(bytes, buf.str().size());
-  EXPECT_EQ(bytes, binary_size_bytes(m));
-
-  const auto back = read_binary(buf);
-  ASSERT_EQ(back.num_points(), m.num_points());
-  ASSERT_EQ(back.num_elements(), m.num_elements());
-  ASSERT_EQ(back.boundary.size(), m.boundary.size());
-  for (index_t i = 0; i < m.num_points(); ++i)
-    EXPECT_DOUBLE_EQ(distance(back.points[std::size_t(i)],
-                              m.points[std::size_t(i)]), 0.0);
-  EXPECT_DOUBLE_EQ(back.total_volume(), m.total_volume());
-}
-
-TEST(MeshIo, BinaryRoundTripHybridWing) {
-  WingMeshSpec spec;
-  spec.n_wrap = 16;
-  spec.n_span = 2;
-  spec.n_normal = 6;
-  const auto m = make_wing_mesh(spec);
-  std::stringstream buf;
-  write_binary(buf, m);
-  const auto back = read_binary(buf);
-  EXPECT_EQ(back.element_counts(), m.element_counts());
-  // Boundary tags preserved.
-  int walls = 0, walls_back = 0;
-  for (const auto& f : m.boundary)
-    if (f.tag == BoundaryTag::Wall) ++walls;
-  for (const auto& f : back.boundary)
-    if (f.tag == BoundaryTag::Wall) ++walls_back;
-  EXPECT_EQ(walls, walls_back);
-}
-
-TEST(MeshIo, RejectsBadMagic) {
-  std::stringstream buf("NOTAMESHxxxxxxxxxxxxxxxxxxxxxxxx");
-  EXPECT_THROW(read_binary(buf), std::runtime_error);
-}
-
-TEST(MeshIo, RejectsTruncatedStream) {
-  const auto m = make_box_mesh(2, 2, 2, {0, 0, 0}, {1, 1, 1});
-  std::stringstream buf;
-  write_binary(buf, m);
-  std::string s = buf.str();
-  s.resize(s.size() / 2);
-  std::stringstream cut(s);
-  EXPECT_THROW(read_binary(cut), std::runtime_error);
-}
-
-TEST(MeshIo, RejectsOutOfRangeIndices) {
-  const auto m = make_box_mesh(2, 2, 2, {0, 0, 0}, {1, 1, 1});
-  std::stringstream buf;
-  write_binary(buf, m);
-  std::string s = buf.str();
-  // Corrupt the first element's first node index to a huge value.
-  const std::size_t header = 8 + 3 * 8;
-  const std::size_t points = std::size_t(m.num_points()) * 3 * sizeof(real_t);
-  const std::size_t pos = header + points + 1;  // after the type byte
-  s[pos] = char(0xFF);
-  s[pos + 1] = char(0xFF);
-  s[pos + 2] = char(0xFF);
-  s[pos + 3] = char(0x7F);
-  std::stringstream bad(s);
-  EXPECT_THROW(read_binary(bad), std::runtime_error);
-}
-
-TEST(MeshIo, SeventyTwoMillionPointBookkeeping) {
-  // Sanity-check against the paper's "35 Gbytes for 72M points" (their
-  // tet-dominated format is heavier than this compact one): extrapolate our
-  // format's bytes/point from a small mesh. Same order of magnitude.
-  const auto m = make_box_mesh(10, 10, 10, {0, 0, 0}, {1, 1, 1});
-  const real_t bytes_per_point =
-      real_t(binary_size_bytes(m)) / real_t(m.num_points());
-  const real_t gb_72m = 72e6 * bytes_per_point / (1u << 30);
-  EXPECT_GT(gb_72m, 2.0);
-  EXPECT_LT(gb_72m, 80.0);
-}
-
 TEST(MeshIo, VtkContainsExpectedSections) {
   const auto m = make_box_mesh(2, 2, 2, {0, 0, 0}, {1, 1, 1});
   std::vector<real_t> field(std::size_t(m.num_points()), 1.5);

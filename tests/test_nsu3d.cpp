@@ -159,13 +159,9 @@ TEST(Nsu3d, WCycleVisitCounts) {
   o.mg_levels = 4;
   o.cycle = CycleType::W;
   Nsu3dSolver s(m, fc, o);
-  const auto w = s.level_work();
-  ASSERT_GE(w.size(), 3u);
-  EXPECT_EQ(w[0].visits_per_cycle, 1);
-  EXPECT_EQ(w[1].visits_per_cycle, 2);
-  if (w.size() >= 4) {
-    EXPECT_EQ(w[2].visits_per_cycle, 4);
-  }
+  ASSERT_EQ(s.num_levels(), 4);
+  EXPECT_EQ(core::cycle_visits(s.num_levels(), o.cycle),
+            (std::vector<index_t>{1, 2, 4, 4}));
 }
 
 TEST(Nsu3d, ForcesFiniteAfterSolve) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/params.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/solver.hpp"
 #include "perf/loads.hpp"
@@ -31,7 +32,7 @@ TEST(MachineConfig, ColumbiaFacts) {
 }
 
 TEST(CycleVisits, WCycleDoubling) {
-  const auto v = cycle_visits(6, true);
+  const auto v = core::cycle_visits(6, core::CycleType::W);
   ASSERT_EQ(v.size(), 6u);
   EXPECT_EQ(v[0], 1);
   EXPECT_EQ(v[1], 2);
@@ -42,7 +43,7 @@ TEST(CycleVisits, WCycleDoubling) {
 }
 
 TEST(CycleVisits, VCycleAllOnes) {
-  const auto v = cycle_visits(4, false);
+  const auto v = core::cycle_visits(4, core::CycleType::V);
   for (index_t x : v) EXPECT_EQ(x, 1);
 }
 
@@ -74,7 +75,7 @@ real_t ModelShapes::scale_ = 1;
 TEST_F(ModelShapes, SuperlinearSpeedupOnNumaLink) {
   Nsu3dLoadModel lm(*levels_, scale_);
   MachineModel model;
-  const auto visits = cycle_visits(lm.num_levels(), true);
+  const auto visits = core::cycle_visits(lm.num_levels(), core::CycleType::W);
   HybridLayout ref;
   ref.total_cpus = 128;
   auto ref_loads = lm.loads(128, visits);
@@ -92,7 +93,7 @@ TEST_F(ModelShapes, CycleTimeNearPaperAnchor) {
   // 128 CPUs. Within 30% counts as an absolute-scale match here.
   Nsu3dLoadModel lm(*levels_, scale_);
   MachineModel model;
-  const auto visits = cycle_visits(lm.num_levels(), true);
+  const auto visits = core::cycle_visits(lm.num_levels(), core::CycleType::W);
   HybridLayout lay;
   lay.total_cpus = 2008;
   const auto ct = model.cycle_time(lm.loads(2008, visits), lay);
@@ -108,7 +109,7 @@ TEST_F(ModelShapes, CycleTimeNearPaperAnchor) {
 TEST_F(ModelShapes, TflopsNearPaper) {
   Nsu3dLoadModel lm(*levels_, scale_);
   MachineModel model;
-  const auto visits = cycle_visits(lm.num_levels(), true);
+  const auto visits = core::cycle_visits(lm.num_levels(), core::CycleType::W);
   HybridLayout lay;
   lay.total_cpus = 2008;
   const auto ct = model.cycle_time(lm.loads(2008, visits), lay);
@@ -135,7 +136,7 @@ TEST_F(ModelShapes, InfiniBandDegradesMultigridNotSingleGrid) {
   // Full multigrid: IB substantially slower (Fig. 16b). The magnitude
   // grows with the fixture mesh size (the bench fixture shows ~1.6x); the
   // small test mesh must still separate clearly from the single grid.
-  const auto visits = cycle_visits(lm.num_levels(), true);
+  const auto visits = core::cycle_visits(lm.num_levels(), core::CycleType::W);
   auto mg = lm.loads(2008, visits);
   const real_t t_nl = model.cycle_time(mg, nl).total_s;
   const real_t t_ib = model.cycle_time(mg, ib).total_s;
@@ -153,7 +154,7 @@ TEST_F(ModelShapes, DegradationGrowsWithLevelCount) {
   ib.fabric = Interconnect::InfiniBand;
   real_t prev_gap = 0;
   for (int nlv = 1; nlv <= lm.num_levels(); ++nlv) {
-    const auto visits = cycle_visits(nlv, true);
+    const auto visits = core::cycle_visits(nlv, core::CycleType::W);
     auto loads = lm.loads(2008, visits, nlv);
     const real_t gap = model.cycle_time(loads, ib).total_s /
                        model.cycle_time(loads, nl).total_s;
@@ -184,7 +185,7 @@ TEST_F(ModelShapes, HybridEfficiencyMatchesFig15Anchors) {
   // give ~98.4% relative efficiency and 4 threads ~87.2%.
   Nsu3dLoadModel lm(*levels_, scale_);
   MachineModel model;
-  const auto visits = cycle_visits(lm.num_levels(), true);
+  const auto visits = core::cycle_visits(lm.num_levels(), core::CycleType::W);
   HybridLayout base;
   base.total_cpus = 128;
   const real_t t1 = model.cycle_time(lm.loads(128, visits), base).total_s;
@@ -198,17 +199,6 @@ TEST_F(ModelShapes, HybridEfficiencyMatchesFig15Anchors) {
   four.omp_threads_per_mpi = 4;
   const real_t t4 = model.cycle_time(lm.loads(32, visits), four).total_s;
   EXPECT_NEAR(t1 / t4, 0.872, 0.04);
-}
-
-TEST(ScaleLoads, VolumeAndSurfaceExponents) {
-  std::vector<LevelLoad> loads(1);
-  loads[0].max_work_items = 1000;
-  loads[0].max_halo_items = 100;
-  loads[0].intergrid_items = 10;
-  const auto s = scale_loads(loads, 8.0);
-  EXPECT_DOUBLE_EQ(s[0].max_work_items, 8000);
-  EXPECT_DOUBLE_EQ(s[0].max_halo_items, 400);  // 8^(2/3) = 4
-  EXPECT_DOUBLE_EQ(s[0].intergrid_items, 40);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "mesh/builders.hpp"
-#include "mesh/dual_metrics.hpp"
-#include "mesh/reorder.hpp"
 #include "nsu3d/solver.hpp"
 #include "support/random.hpp"
 
@@ -33,34 +31,6 @@ void shuffle_nodes(UnstructuredMesh& m, std::uint64_t seed) {
       f.nodes[std::size_t(k)] = inverse[std::size_t(f.nodes[std::size_t(k)])];
 }
 
-TEST(Reorder, ImprovesLocalityOnWingMesh) {
-  WingMeshSpec spec;
-  spec.n_wrap = 24;
-  spec.n_span = 3;
-  spec.n_normal = 10;
-  auto m = make_wing_mesh(spec);
-  shuffle_nodes(m, 7);  // generator-order meshes arrive scrambled
-  const ReorderResult r = reorder_for_cache(m);
-  EXPECT_LT(r.mean_edge_span_after, 0.2 * r.mean_edge_span_before);
-}
-
-TEST(Reorder, PreservesGeometryAndMetrics) {
-  WingMeshSpec spec;
-  spec.n_wrap = 16;
-  spec.n_span = 2;
-  spec.n_normal = 6;
-  auto m = make_wing_mesh(spec);
-  const real_t vol_before = m.total_volume();
-  const auto counts_before = m.element_counts();
-  reorder_for_cache(m);
-  EXPECT_NEAR(m.total_volume(), vol_before, 1e-10 * std::abs(vol_before));
-  EXPECT_EQ(m.element_counts(), counts_before);
-  for (index_t e = 0; e < m.num_elements(); ++e)
-    EXPECT_GT(m.element_volume(e), 0.0);
-  const auto dm = compute_dual_metrics(m);
-  EXPECT_LT(metric_closure_error(m, dm), 1e-10);
-}
-
 TEST(Reorder, SolverConvergesIdenticallyAfterPermutation) {
   // The edge-based solver's convergence must not depend on node numbering
   // (summation order shifts at machine precision only).
@@ -70,7 +40,7 @@ TEST(Reorder, SolverConvergesIdenticallyAfterPermutation) {
   spec.n_normal = 8;
   auto m1 = make_wing_mesh(spec);
   auto m2 = m1;
-  reorder_for_cache(m2);
+  shuffle_nodes(m2, 7);
 
   euler::FlowConditions fc;
   fc.mach = 0.75;
@@ -84,19 +54,6 @@ TEST(Reorder, SolverConvergesIdenticallyAfterPermutation) {
   // Same initial residual (bit-reorderings only) and similar trajectory.
   EXPECT_NEAR(h1.front(), h2.front(), 1e-8 * h1.front());
   EXPECT_NEAR(std::log10(h1.back()), std::log10(h2.back()), 0.5);
-}
-
-TEST(Reorder, PermutationIsValid) {
-  WingMeshSpec spec;
-  spec.n_wrap = 12;
-  spec.n_span = 1;
-  spec.n_normal = 4;
-  auto m = make_wing_mesh(spec);
-  const index_t n = m.num_points();
-  const ReorderResult r = reorder_for_cache(m);
-  std::vector<index_t> sorted = r.perm;
-  std::sort(sorted.begin(), sorted.end());
-  for (index_t i = 0; i < n; ++i) EXPECT_EQ(sorted[std::size_t(i)], i);
 }
 
 }  // namespace

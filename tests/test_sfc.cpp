@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 
 #include "sfc/hilbert.hpp"
@@ -9,25 +10,6 @@
 
 namespace columbia::sfc {
 namespace {
-
-TEST(Morton, Interleave2DKnownValues) {
-  EXPECT_EQ(morton2(0, 0), 0u);
-  EXPECT_EQ(morton2(1, 0), 1u);
-  EXPECT_EQ(morton2(0, 1), 2u);
-  EXPECT_EQ(morton2(1, 1), 3u);
-  EXPECT_EQ(morton2(2, 0), 4u);
-}
-
-TEST(Morton, RoundTrip2D) {
-  Xoshiro256 rng(1);
-  for (int i = 0; i < 1000; ++i) {
-    const auto x = std::uint32_t(rng.next());
-    const auto y = std::uint32_t(rng.next());
-    const auto [dx, dy] = morton2_decode(morton2(x, y));
-    EXPECT_EQ(dx, x);
-    EXPECT_EQ(dy, y);
-  }
-}
 
 TEST(Morton, RoundTrip3D) {
   Xoshiro256 rng(2);
@@ -45,21 +27,6 @@ TEST(Morton, RoundTrip3D) {
 TEST(Morton, PreservesOctantOrder) {
   // The high bits select octants: points in octant 0 sort before octant 7.
   EXPECT_LT(morton3(0, 0, 0), morton3(1 << 20, 1 << 20, 1 << 20));
-}
-
-TEST(Hilbert, RoundTrip2D) {
-  Xoshiro256 rng(3);
-  for (int bits : {4, 8, 16}) {
-    const std::uint32_t mask = (1u << bits) - 1;
-    for (int i = 0; i < 300; ++i) {
-      const auto x = std::uint32_t(rng.next()) & mask;
-      const auto y = std::uint32_t(rng.next()) & mask;
-      std::uint32_t dx, dy;
-      hilbert2_decode(hilbert2(x, y, bits), bits, dx, dy);
-      EXPECT_EQ(dx, x);
-      EXPECT_EQ(dy, y);
-    }
-  }
 }
 
 TEST(Hilbert, RoundTrip3D) {
@@ -80,29 +47,15 @@ TEST(Hilbert, RoundTrip3D) {
 }
 
 TEST(Hilbert, IsABijectionOnSmallGrid) {
-  std::vector<bool> seen(64, false);
+  std::vector<bool> seen(512, false);
   for (std::uint32_t x = 0; x < 8; ++x)
-    for (std::uint32_t y = 0; y < 8; ++y) {
-      const auto k = hilbert2(x, y, 3);
-      ASSERT_LT(k, 64u);
-      EXPECT_FALSE(seen[k]);
-      seen[k] = true;
-    }
-}
-
-TEST(Hilbert, UnitStepsIn2D) {
-  // Defining property: consecutive curve positions are grid neighbors.
-  const int bits = 4;
-  std::uint32_t px = 0, py = 0;
-  hilbert2_decode(0, bits, px, py);
-  for (std::uint64_t k = 1; k < (1u << (2 * bits)); ++k) {
-    std::uint32_t x, y;
-    hilbert2_decode(k, bits, x, y);
-    const int d = std::abs(int(x) - int(px)) + std::abs(int(y) - int(py));
-    EXPECT_EQ(d, 1) << "jump at k=" << k;
-    px = x;
-    py = y;
-  }
+    for (std::uint32_t y = 0; y < 8; ++y)
+      for (std::uint32_t z = 0; z < 8; ++z) {
+        const auto k = hilbert3(x, y, z, 3);
+        ASSERT_LT(k, 512u);
+        EXPECT_FALSE(seen[k]);
+        seen[k] = true;
+      }
 }
 
 TEST(Hilbert, UnitStepsIn3D) {
@@ -167,31 +120,34 @@ TEST(SfcPartition, MorePartsThanItems) {
   }
 }
 
-TEST(SfcPartition, HilbertSegmentsAreCompact2D) {
-  // Partition a 32x32 grid of cells along the Hilbert curve into 4 parts;
-  // each part's bounding box should be much smaller than the full domain
-  // (locality), unlike a scanline split (paper: SFC partitions track an
-  // idealized cubic partitioner).
-  const int n = 32;
+TEST(SfcPartition, HilbertSegmentsAreCompact3D) {
+  // Partition a 16^3 grid of cells along the Hilbert curve into 8 parts;
+  // each part must stay within an octant-sized box on every axis
+  // (locality), which a slab split (16x16x2) does not (paper: SFC
+  // partitions track an idealized cubic partitioner).
+  const int n = 16;
   std::vector<std::uint64_t> keys;
-  std::vector<std::pair<int, int>> coords;
-  for (int y = 0; y < n; ++y)
-    for (int x = 0; x < n; ++x) {
-      keys.push_back(hilbert2(std::uint32_t(x), std::uint32_t(y), 5));
-      coords.emplace_back(x, y);
-    }
-  const auto part = partition_weighted(keys, {}, 4);
-  for (index_t p = 0; p < 4; ++p) {
-    int xmin = n, xmax = -1, ymin = n, ymax = -1;
+  std::vector<std::array<int, 3>> coords;
+  for (int z = 0; z < n; ++z)
+    for (int y = 0; y < n; ++y)
+      for (int x = 0; x < n; ++x) {
+        keys.push_back(hilbert3(std::uint32_t(x), std::uint32_t(y),
+                                std::uint32_t(z), 4));
+        coords.push_back({x, y, z});
+      }
+  const auto part = partition_weighted(keys, {}, 8);
+  for (index_t p = 0; p < 8; ++p) {
+    std::array<int, 3> lo{n, n, n}, hi{-1, -1, -1};
     for (std::size_t i = 0; i < coords.size(); ++i) {
       if (part[i] != p) continue;
-      xmin = std::min(xmin, coords[i].first);
-      xmax = std::max(xmax, coords[i].first);
-      ymin = std::min(ymin, coords[i].second);
-      ymax = std::max(ymax, coords[i].second);
+      for (int a = 0; a < 3; ++a) {
+        lo[a] = std::min(lo[a], coords[i][a]);
+        hi[a] = std::max(hi[a], coords[i][a]);
+      }
     }
-    // Hilbert quarters of a 32x32 grid are 16x16 quadrants.
-    EXPECT_LE((xmax - xmin + 1) * (ymax - ymin + 1), 2 * 16 * 16);
+    // Hilbert eighths of a 16^3 grid are 8^3 octants.
+    for (int a = 0; a < 3; ++a)
+      EXPECT_LE(hi[a] - lo[a] + 1, 8) << "part " << p << " axis " << a;
   }
 }
 

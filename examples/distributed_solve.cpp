@@ -25,19 +25,15 @@
 //   --agglomerate N            min level nodes per active rank; coarse
 //                              levels below it shrink their rank set
 //                              (paper Fig. 19; 0 disables, default 64)
-//   --trace PATH               record solver + halo.xchg spans and write a
-//                              Chrome trace (feed to `columbia_report comm`
-//                              for the per-level overlap/claimed table).
-//                              Works on all three backends: the forked
-//                              backends arm a per-rank flight recorder
-//                              (durable PATH.shards.rank<r>.round<k>.jsonl
-//                              telemetry shards, clock-synced against
-//                              member 0), and the launcher merges the
-//                              gathered shards into one clock-aligned
-//                              multi-rank trace at PATH
-//   --jsonl PATH               convergence JSONL sink; forked ranks write
-//                              per-rank suffixed files (conv.rank0.jsonl),
-//                              the threads backend one combined file
+//   --trace PATH               record solver + halo.xchg spans and cycle
+//                              records into a Chrome trace (feed to
+//                              `columbia_report [comm]`). Works on all
+//                              three backends: the forked backends arm a
+//                              per-rank flight recorder (durable
+//                              PATH.shards.rank<r>.round<k>.jsonl telemetry
+//                              shards, clock-synced against member 0), and
+//                              the launcher merges the gathered shards into
+//                              one clock-aligned multi-rank trace at PATH
 //
 // Every multigrid level runs its own wire exchange per visit, posted on
 // entry to the level and finished after its pre-smoother (the split rides
@@ -72,7 +68,6 @@
 #include "nsu3d/solver.hpp"
 #include "obs/obs.hpp"
 #include "obs/shard.hpp"
-#include "obs/telemetry.hpp"
 #include "resil/faults.hpp"
 #include "resil/guard.hpp"
 #include "smp/pool.hpp"
@@ -97,7 +92,6 @@ struct Cli {
   bool overlap = true;
   index_t agglomerate = 64;
   std::string trace;
-  std::string jsonl;
 };
 
 void usage() {
@@ -107,10 +101,10 @@ void usage() {
       "  --tpp N  --cycles N  --orders X  --checkpoint PATH\n"
       "  --history PATH  --faults SPEC  --relaunch N\n"
       "  --overlap 0|1  --agglomerate N (min nodes/rank, 0 = off)\n"
-      "  --trace PATH   Chrome trace of the spans, any backend (forked\n"
-      "                 ranks record durable per-rank telemetry shards,\n"
-      "                 clock-synced and merged into PATH by the launcher)\n"
-      "  --jsonl PATH   convergence JSONL (per-rank suffixed when forked)\n"
+      "  --trace PATH   Chrome trace of the spans and cycle records, any\n"
+      "                 backend (forked ranks record durable per-rank\n"
+      "                 telemetry shards, clock-synced and merged into\n"
+      "                 PATH by the launcher)\n"
       "  --faults-help              print the COLUMBIA_FAULTS grammar\n");
 }
 
@@ -120,12 +114,6 @@ void usage() {
 constexpr index_t kHaloParts = 8;
 
 int solve_rank(int rank, core::Transport& t, const Cli& cli) {
-  // Forked ranks each own a process-wide sink: suffix it per rank so two
-  // ranks never truncate each other's convergence stream. (The threads
-  // backend shares one process; main() opens its single combined sink.)
-  if (!cli.jsonl.empty() && cli.backend != "threads")
-    obs::open_jsonl(obs::rank_suffixed_path(cli.jsonl, rank));
-
   mesh::WingMeshSpec spec;
   spec.n_wrap = 24;
   spec.n_span = 4;
@@ -277,21 +265,7 @@ int solve_rank(int rank, core::Transport& t, const Cli& cli) {
   resil::GuardCallbacks cb;
   cb.solver = "nsu3d";
   cb.residual_norm = [&] { return solver.residual_norm(); };
-  // guarded_solve drives cycles itself (MultigridDriver::solve's emitting
-  // loop is bypassed), so convergence telemetry is emitted here. Read-only
-  // on the solve: histories stay bit-identical with the sink on or off.
-  int telem_cycle = 0;
-  cb.run_cycle = [&] {
-    const real_t r = solver.run_cycle();
-    if (obs::telemetry_active()) {
-      obs::CycleRecord rec;
-      rec.solver = "nsu3d";
-      rec.cycle = ++telem_cycle;
-      rec.residual = double(r);
-      obs::emit_cycle(rec);
-    }
-    return r;
-  };
+  cb.run_cycle = [&] { return solver.run_cycle(); };
   cb.snapshot = [&](std::uint64_t cycle, std::span<const real_t> history) {
     return solver.make_checkpoint(cycle, history);
   };
@@ -344,13 +318,12 @@ int solve_rank(int rank, core::Transport& t, const Cli& cli) {
 void print_group(const char* status, const core::TransportCounters& c,
                  int relaunches) {
   std::printf("status: %s (relaunches=%d)\n", status, relaunches);
-  std::printf("resil.transport: timeout=%llu retransmit=%llu reconnect=%llu "
-              "peer_lost=%llu heartbeat=%llu\n",
-              (unsigned long long)c.timeouts(),
-              (unsigned long long)c.retransmits(),
-              (unsigned long long)c.reconnects(),
-              (unsigned long long)c.peer_lost(),
-              (unsigned long long)c.heartbeats());
+  std::printf("resil.transport:");
+  for (int k = 0; k < core::kNumTransportCounters; ++k)
+    std::printf(" %s=%llu",
+                core::transport_counter_name(core::TransportCounter(k)),
+                (unsigned long long)c.v[k]);
+  std::printf("\n");
 }
 
 /// In-process backend: one std::thread per rank over LocalGroup mailboxes,
@@ -399,13 +372,13 @@ int run_threads(const Cli& cli) {
   return ok ? 0 : 1;
 }
 
-int run_processes(const Cli& cli, smp::GroupBackend backend) {
+/// Forked backends: under --trace every rank records a durable telemetry
+/// shard next to the requested trace path, gathered into `shards`.
+int run_processes(const Cli& cli, smp::GroupBackend backend,
+                  std::vector<obs::TelemetryShard>& shards) {
   smp::ProcessGroupOptions opts;
   opts.ranks = cli.ranks;
   opts.backend = backend;
-  // --trace on a forked backend: every rank records a durable telemetry
-  // shard next to the requested trace path; the merge below builds the
-  // single clock-aligned Chrome trace the flag promises.
   if (!cli.trace.empty()) opts.telemetry_base = cli.trace + ".shards";
   int relaunches = 0;
   const smp::GroupResult res = smp::ProcessGroup::run_recovering(
@@ -420,27 +393,14 @@ int run_processes(const Cli& cli, smp::GroupBackend backend) {
   print_group(!res.ok ? "failed" : relaunches > 0 ? "recovered" : "ok",
               res.total, relaunches);
 
-  if (!cli.trace.empty()) {
-    std::vector<obs::TelemetryShard> shards;
-    for (const std::string& path : res.shards) {
-      obs::TelemetryShard s;
-      std::string err;
-      if (obs::read_shard_file(path, s, &err))
-        shards.push_back(std::move(s));
-      else
-        std::fprintf(stderr, "trace: skipping shard %s: %s\n", path.c_str(),
-                     err.c_str());
-    }
-    const obs::MergedTelemetry merged = obs::merge_shards(std::move(shards));
-    for (const std::string& w : merged.warnings)
-      std::fprintf(stderr, "trace: warning: %s\n", w.c_str());
-    if (obs::write_merged_chrome_trace_file(cli.trace, merged))
-      std::printf("trace: %zu events from %zu shards (%d ranks, %d rounds) "
-                  "-> %s\n",
-                  merged.events.size(), merged.shards.size(), merged.ranks,
-                  merged.rounds, cli.trace.c_str());
+  for (const std::string& path : res.shards) {
+    obs::TelemetryShard s;
+    std::string err;
+    if (obs::read_shard_file(path, s, &err))
+      shards.push_back(std::move(s));
     else
-      std::fprintf(stderr, "trace: cannot write %s\n", cli.trace.c_str());
+      std::fprintf(stderr, "trace: skipping shard %s: %s\n", path.c_str(),
+                   err.c_str());
   }
   return res.ok ? 0 : 1;
 }
@@ -482,7 +442,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(a, "--agglomerate") == 0)
       cli.agglomerate = index_t(std::atoll(argv[i + 1]));
     if (std::strcmp(a, "--trace") == 0) cli.trace = argv[i + 1];
-    if (std::strcmp(a, "--jsonl") == 0) cli.jsonl = argv[i + 1];
   }
   if (cli.ranks < 1 || cli.tpp < 1 || kHaloParts % cli.tpp != 0) {
     std::fprintf(stderr, "bad --ranks/--tpp (tpp must divide %d)\n",
@@ -506,33 +465,26 @@ int main(int argc, char** argv) {
       cli.backend.c_str(), cli.ranks,
       cli.strategy == core::ExchangeStrategy::MasterThread ? "master" : "t2t",
       cli.overlap ? 1 : 0, (long long)cli.agglomerate);
-  if (!cli.trace.empty() || !cli.jsonl.empty()) obs::set_enabled(true);
-  if (!cli.jsonl.empty() && cli.backend == "threads" &&
-      !obs::open_jsonl(cli.jsonl))
-    std::fprintf(stderr, "jsonl: cannot write %s\n", cli.jsonl.c_str());
+  if (!cli.trace.empty()) obs::set_enabled(true);
   // Fork discipline: the process backends fork BEFORE any solver work has
   // touched the global thread pool; children build their own pools.
   int rc = 1;
+  std::vector<obs::TelemetryShard> shards;
   if (cli.backend == "threads") {
     rc = run_threads(cli);
+    smp::ThreadPool::global().publish_stats();
+    shards.push_back(obs::live_shard());
   } else if (cli.backend == "shm") {
-    rc = run_processes(cli, smp::GroupBackend::Shm);
+    rc = run_processes(cli, smp::GroupBackend::Shm, shards);
   } else if (cli.backend == "tcp") {
-    rc = run_processes(cli, smp::GroupBackend::Tcp);
+    rc = run_processes(cli, smp::GroupBackend::Tcp, shards);
   } else {
     std::fprintf(stderr, "unknown --backend '%s'\n", cli.backend.c_str());
     usage();
     return 1;
   }
-  // The forked backends already wrote the merged multi-rank trace in
-  // run_processes; this in-process export covers the threads backend.
-  if (!cli.trace.empty() && cli.backend == "threads") {
-    smp::ThreadPool::global().publish_stats();
-    if (obs::write_chrome_trace_file(cli.trace))
-      std::printf("trace: %zu events -> %s\n", obs::num_trace_events(),
-                  cli.trace.c_str());
-    else
-      std::fprintf(stderr, "trace: cannot write %s\n", cli.trace.c_str());
-  }
+  // Every backend ends in one merged trace: the forked ranks' shards, or
+  // this process's own recording.
+  if (!cli.trace.empty()) obs::write_trace(cli.trace, std::move(shards));
   return rc;
 }

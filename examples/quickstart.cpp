@@ -15,6 +15,7 @@
 #include "cart3d/solver.hpp"
 #include "geom/components.hpp"
 #include "obs/obs.hpp"
+#include "obs/shard.hpp"
 #include "smp/pool.hpp"
 
 using namespace columbia;
@@ -64,11 +65,7 @@ int main(int argc, char** argv) {
 
   if (!trace_path.empty()) {
     smp::ThreadPool::global().publish_stats();
-    if (obs::write_chrome_trace_file(trace_path))
-      std::printf("trace: %zu events -> %s\n", obs::num_trace_events(),
-                  trace_path.c_str());
-    else
-      std::fprintf(stderr, "trace: cannot write %s\n", trace_path.c_str());
+    obs::write_trace(trace_path, {obs::live_shard()});
   }
   return 0;
 }

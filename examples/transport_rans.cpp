@@ -4,8 +4,9 @@
 // line-implicit agglomeration multigrid with W-cycles.
 //
 // Observability flags:
-//   --trace out.json   record solver spans (view in chrome://tracing)
-//   --jsonl conv.jsonl stream per-cycle residual/forces/level timings
+//   --trace out.json   record solver spans and per-cycle residual/forces/
+//                      level timings (view in chrome://tracing; summarize
+//                      with columbia_report)
 // Resilience flags:
 //   --faults "seed=42,state_nan=0.2@2"  arm deterministic fault injection
 //                      (COLUMBIA_FAULTS grammar) and run the guarded solve
@@ -17,6 +18,7 @@
 #include "mesh/builders.hpp"
 #include "nsu3d/solver.hpp"
 #include "obs/obs.hpp"
+#include "obs/shard.hpp"
 #include "resil/faults.hpp"
 #include "smp/pool.hpp"
 
@@ -28,15 +30,12 @@ int main(int argc, char** argv) {
       std::printf("%s", resil::fault_grammar_help().c_str());
       return 0;
     }
-  std::string trace_path, jsonl_path, faults_spec;
+  std::string trace_path, faults_spec;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0) trace_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--jsonl") == 0) jsonl_path = argv[i + 1];
     if (std::strcmp(argv[i], "--faults") == 0) faults_spec = argv[i + 1];
   }
-  if (!trace_path.empty() || !jsonl_path.empty()) obs::set_enabled(true);
-  if (!jsonl_path.empty() && !obs::open_jsonl(jsonl_path))
-    std::fprintf(stderr, "telemetry: cannot open %s\n", jsonl_path.c_str());
+  if (!trace_path.empty()) obs::set_enabled(true);
   if (!faults_spec.empty()) {
     try {
       resil::FaultInjector::global().configure(
@@ -98,17 +97,9 @@ int main(int argc, char** argv) {
   const nsu3d::Forces f = solver.integrate_forces();
   std::printf("wing pressure forces: CL=%.4f CD=%.4f\n", f.cl, f.cd);
 
-  if (!jsonl_path.empty()) {
-    obs::close_jsonl();
-    std::printf("telemetry: per-cycle JSONL -> %s\n", jsonl_path.c_str());
-  }
   if (!trace_path.empty()) {
     smp::ThreadPool::global().publish_stats();
-    if (obs::write_chrome_trace_file(trace_path))
-      std::printf("trace: %zu events -> %s\n", obs::num_trace_events(),
-                  trace_path.c_str());
-    else
-      std::fprintf(stderr, "trace: cannot write %s\n", trace_path.c_str());
+    obs::write_trace(trace_path, {obs::live_shard()});
   }
   return 0;
 }

@@ -88,10 +88,12 @@ done
 # Traced cell: the distributed flight recorder end-to-end. A traced shm
 # run must (a) leave one durable telemetry shard per rank next to the
 # requested trace, (b) keep the solve history bit-identical to the
-# untraced reference (the recorder is numerically invisible), and (c)
-# yield a non-empty clock-aligned comm report when the shards are fed to
+# untraced reference (the recorder is numerically invisible), (c) yield
+# a non-empty clock-aligned comm report when the shards are fed to
 # `columbia_report comm` — matched halo messages > 0, both ranks in the
-# liveness table, and no provenance mismatch.
+# liveness table, and no provenance mismatch — and (d) merge into a trace
+# whose columbia.shards block has one entry per rank, each carrying one
+# cycle record per cycle of the history artifact.
 echo
 echo "== soak: traced shm run -> merged comm report =="
 REPORT="$BUILD_DIR/tools/columbia_report"
@@ -126,6 +128,18 @@ word = "ok  " if ok else "FAIL"
 print(f"{word} trace-shm comm report: {msgs} matched messages, "
       f"{live} liveness rows, provenance "
       f"{'mismatch' if run['provenance_mismatch'] else 'clean'}")
+sys.exit(0 if ok else 1)
+PY
+    python3 - "$WORK/trace-shm.json" "$WORK/trace-shm.txt" <<'PY' || fail=1
+import json, sys
+shards = json.load(open(sys.argv[1]))["columbia"]["shards"]
+# History artifact: the initial residual, one per cycle, then CL and CD.
+cycles = sum(1 for l in open(sys.argv[2]) if not l.startswith("C")) - 1
+conv = [len(s["conv"]) for s in shards]
+ok = len(shards) == 2 and all(n == cycles for n in conv)
+word = "ok  " if ok else "FAIL"
+print(f"{word} trace-shm merged trace: {len(shards)} shard entries, "
+      f"cycle records {conv}, history has {cycles} cycles")
 sys.exit(0 if ok else 1)
 PY
   fi

@@ -2,7 +2,7 @@
 //
 // NSU3D and Cart3D used to each own a copy of the same execution
 // discipline: the V/W level walk with exclusive per-level timing, the
-// convergence loop with its residual-order target, per-cycle telemetry,
+// convergence loop with its residual-order target, per-cycle records,
 // mid-cycle fault-injection hooks, and the guarded-solve wiring
 // (checkpoint / rollback / CFL backoff). MultigridDriver is that
 // discipline, written once; a solver supplies its physics through a small
@@ -34,6 +34,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -85,17 +87,26 @@ struct AgglomerationSchedule {
   }
 };
 
+/// A process-lifetime copy of `name`: recorded spans keep the pointer,
+/// and traces are often written after the driver is gone.
+inline const char* interned_span_name(const std::string& name) {
+  static std::mutex mu;
+  static auto* names = new std::set<std::string>;  // never freed
+  std::lock_guard<std::mutex> lock(mu);
+  return names->insert(name).first->c_str();
+}
+
 template <class Physics>
 class MultigridDriver {
  public:
   /// `name` keys every observable artifact ("nsu3d", "cart3d"): span and
-  /// counter names, telemetry records, checkpoint tags.
+  /// counter names, cycle records, checkpoint tags.
   explicit MultigridDriver(std::string name)
       : name_(std::move(name)),
-        span_cycle_(name_ + ".cycle"),
-        span_level_(name_ + ".level"),
-        span_solve_(name_ + ".solve"),
-        span_guarded_(name_ + ".solve_guarded"),
+        span_cycle_(interned_span_name(name_ + ".cycle")),
+        span_level_(interned_span_name(name_ + ".level")),
+        span_solve_(interned_span_name(name_ + ".solve")),
+        span_guarded_(interned_span_name(name_ + ".solve_guarded")),
         visits_ctr_(&obs::counter(name_ + ".level_visits")),
         cycles_ctr_(&obs::counter(name_ + ".cycles")) {}
 
@@ -118,9 +129,14 @@ class MultigridDriver {
   /// residual norm. Includes the COLUMBIA_FAULTS state_nan hook: the site
   /// is a per-attempt counter, so a rolled-back retry of the same cycle
   /// draws a fresh injection decision instead of re-faulting.
+  /// While recording is on, every call (rolled-back guarded attempts
+  /// included) emits one obs::CycleRecord numbered by attempts since the
+  /// solve began. Its timings and forces are read-only on the solve.
   real_t run_cycle(Physics& phys) {
-    OBS_SPAN(span_cycle_.c_str());
+    OBS_SPAN(span_cycle_);
     cycles_ctr_->add(1);
+    const bool record = obs::enabled();
+    if (record) level_seconds_.assign(std::size_t(phys.num_levels()), 0.0);
     mg_cycle(phys, 0);
     resil::FaultInjector& inj = resil::FaultInjector::global();
     if (inj.armed()) {
@@ -130,41 +146,37 @@ class MultigridDriver {
             resil::site_hash(inj.spec().seed, site) % phys.state_count()));
       }
     }
-    return phys.residual_norm();
+    const real_t r = phys.residual_norm();
+    ++attempts_;
+    if (record) {
+      obs::CycleRecord rec;
+      rec.solver = name_;
+      rec.cycle = attempts_;
+      rec.residual = double(r);
+      rec.has_forces = true;
+      phys.telemetry_forces(rec.cl, rec.cd);
+      for (std::size_t l = 0; l < level_seconds_.size(); ++l)
+        rec.levels.push_back({int(l), level_seconds_[l]});
+      obs::emit_cycle(rec);
+      level_seconds_.clear();
+    }
+    return r;
   }
 
   /// Cycles until the residual drops by `orders` orders of magnitude or
   /// `max_cycles` elapse; returns the residual-norm history (initial norm
-  /// first). Emits one obs::CycleRecord per cycle while convergence
-  /// telemetry is active.
+  /// first).
   std::vector<real_t> solve(Physics& phys, int max_cycles, real_t orders) {
     // COLUMBIA_REPORT flight recorder: prints/appends the phase profile of
     // this solve's window on scope exit. Purely observational — histories
     // stay bit-identical with reporting on or off (test_obs_determinism).
     obs::SolveReportScope report(name_);
-    OBS_SPAN(span_solve_.c_str());
+    OBS_SPAN(span_solve_);
+    attempts_ = 0;
     std::vector<real_t> history{phys.residual_norm()};
     const real_t target = history[0] * std::pow(10.0, -orders);
     for (int c = 0; c < max_cycles; ++c) {
-      // Telemetry is read-only on the solve: timings and force integrals
-      // never feed back into the state, so histories stay bit-identical
-      // with the JSONL sink open or closed.
-      const bool telem = obs::telemetry_active();
-      if (telem)
-        level_seconds_.assign(std::size_t(phys.num_levels()), 0.0);
       history.push_back(run_cycle(phys));
-      if (telem) {
-        obs::CycleRecord rec;
-        rec.solver = name_;
-        rec.cycle = c + 1;
-        rec.residual = double(history.back());
-        rec.has_forces = true;
-        phys.telemetry_forces(rec.cl, rec.cd);
-        for (std::size_t l = 0; l < level_seconds_.size(); ++l)
-          rec.levels.push_back({int(l), level_seconds_[l]});
-        obs::emit_cycle(rec);
-      }
-      level_seconds_.clear();
       if (history.back() <= target) break;
     }
     return history;
@@ -178,7 +190,8 @@ class MultigridDriver {
       Physics& phys, int max_cycles, real_t orders,
       const resil::GuardedSolveOptions& options) {
     obs::SolveReportScope report(name_);
-    OBS_SPAN(span_guarded_.c_str());
+    OBS_SPAN(span_guarded_);
+    attempts_ = 0;
     resil::GuardCallbacks cb;
     cb.solver = name_;
     cb.residual_norm = [&phys] { return phys.residual_norm(); };
@@ -196,7 +209,7 @@ class MultigridDriver {
 
  private:
   void mg_cycle(Physics& phys, int level) {
-    OBS_SPAN(span_level_.c_str(), "level", level);
+    OBS_SPAN(span_level_, "level", level);
     visits_ctr_->add(1);
     // Exclusive per-level timing: the stretch before the coarse-grid visit
     // and the stretch after it, but never the recursion itself.
@@ -222,17 +235,20 @@ class MultigridDriver {
   }
 
   std::string name_;
-  std::string span_cycle_, span_level_, span_solve_, span_guarded_;
+  const char *span_cycle_, *span_level_, *span_solve_, *span_guarded_;
   obs::Counter* visits_ctr_;
   obs::Counter* cycles_ctr_;
 
   /// Exclusive per-level seconds for the current cycle; sized only while
-  /// convergence telemetry is active (obs JSONL sink open), else empty.
+  /// recording is on, else empty.
   std::vector<double> level_seconds_;
 
   /// Monotone cycle-attempt counter: the site id for mid-cycle fault
   /// injection (resil::FaultKind::StateNaN).
   std::uint64_t cycle_seq_ = 0;
+
+  /// run_cycle calls since the current solve began: the record's cycle.
+  int attempts_ = 0;
 
   /// Level-visit hooks (see set_level_hooks); empty = no-op.
   std::function<void(int)> level_begin_;

@@ -1,6 +1,6 @@
 // Minimal streaming JSON writer shared by every machine-readable output in
-// the repo: Chrome trace export, the metrics registry dump, convergence
-// telemetry JSONL, and the bench harnesses' --json reports.
+// the repo: Chrome trace export, telemetry shards, the metrics registry
+// dump, and the bench harnesses' --json reports.
 //
 // The writer tracks the container stack and inserts commas itself, so call
 // sites read like the document they produce. Doubles are emitted with

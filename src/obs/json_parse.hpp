@@ -1,7 +1,7 @@
 // Minimal recursive-descent JSON parser — the read side of obs/json.hpp.
 //
-// Every machine-readable artifact in this repo (Chrome traces, convergence
-// JSONL, metrics dumps, bench --json reports) is produced by JsonWriter;
+// Every machine-readable artifact in this repo (Chrome traces, telemetry
+// shards, metrics dumps, bench --json reports) is produced by JsonWriter;
 // this parser exists so in-repo tools (tools/columbia_report) and tests
 // can consume those documents without an external dependency. It parses
 // strict RFC 8259 JSON: objects, arrays, strings (with escapes, including

@@ -1,6 +1,6 @@
-// Umbrella header for the observability layer (spans, metrics registry,
-// convergence telemetry) plus the instrumentation macros used in the hot
-// layers.
+// Umbrella header for the observability layer (spans and cycle records,
+// metrics registry, phase profiles) plus the instrumentation macros used
+// in the hot layers.
 //
 // Compile-time switch: configure with -DCOLUMBIA_OBS=OFF to compile every
 // span and counter out entirely (the API surface remains and exporters
@@ -11,7 +11,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 #define COLUMBIA_OBS_CONCAT_IMPL(a, b) a##b

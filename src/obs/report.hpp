@@ -104,8 +104,9 @@ bool is_comm_phase(const std::string& name);
 PhaseProfile build_profile(const std::vector<PhaseEvent>& events);
 
 /// Converts the live trace buffers into PhaseEvents, keeping only events
-/// with ts_ns >= min_ts_ns — the shared front half of current_profile()
-/// and the comm-observatory analyzer (obs/comm_report.hpp).
+/// with ts_ns >= min_ts_ns; timestamps are microseconds since the earliest
+/// kept event. The shared front half of current_profile(), SolveReportScope,
+/// live_shard() (obs/shard.hpp) and the comm-observatory analyzer.
 std::vector<PhaseEvent> phase_events_since(std::uint64_t min_ts_ns = 0);
 
 /// Converts the live trace buffers into PhaseEvents, keeping only events

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <map>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 #include "obs/comm_report.hpp"
@@ -26,8 +25,7 @@ constexpr const char* kUsageText =
     "usage: columbia_report [options] FILE...\n"
     "       columbia_report comm TRACE...\n"
     "\n"
-    "  FILE               Chrome trace JSON (--trace / write_chrome_trace),\n"
-    "                     convergence JSONL (--jsonl / open_jsonl), a\n"
+    "  FILE               Chrome trace JSON (an example's --trace), a\n"
     "                     per-rank telemetry shard (*.rankR.roundK.jsonl,\n"
     "                     written by the distributed flight recorder), or\n"
     "                     a bench --json report (classified by content)\n"
@@ -54,7 +52,8 @@ constexpr const char* kUsageText =
     "\n"
     "Traces: one file prints its phase profile (exclusive per-phase and\n"
     "per-level times, imbalance factors, communication fraction and halo\n"
-    "critical-path estimate); several files form a scaling series with a\n"
+    "critical-path estimate) and the convergence rollup of the cycle\n"
+    "records it carries; several files form a scaling series with a\n"
     "Fig. 15-style speedup / parallel-efficiency table.\n";
 
 struct Options {
@@ -103,181 +102,38 @@ bool read_file(const std::string& path, std::string& out, std::ostream& err) {
   return true;
 }
 
-// --- trace ingest ---------------------------------------------------------
+// --- runs ---------------------------------------------------------------
 
-/// One rank shard's liveness story on the merged timeline: when it
-/// started, when the autoflush thread last proved it alive, whether it
-/// reached its footer, and what the clock sync against member 0 measured.
-struct LivenessRow {
-  int rank = 0;
-  int round = 0;
-  std::int64_t pid = 0;
-  bool truncated = true;
-  int flushes = 0;
-  double start_us = 0;       // merged timeline (member 0's clock)
-  double last_flush_us = 0;  // merged timeline
-  double end_us = 0;         // merged timeline; valid when !truncated
-  ShardClock clock;
-  std::string fault_spec;
-};
-
+/// One analyzed input: a merged telemetry run, from one trace file or from
+/// all the shard files of the invocation merged together.
 struct TraceRun {
-  std::string path;
-  std::int64_t threads = 0;  // from "columbia" metadata, else max tid + 1
-  std::string git_sha;
-  std::string build_type;
-  std::string backend;  // wire backend the run recorded over ("" if unknown)
+  std::string path;  // trace file, or the first shard's path plus a count
+  MergedTelemetry m;
   PhaseProfile profile;
-  std::vector<PhaseEvent> events;  // kept for the comm observatory
-  std::vector<LivenessRow> liveness;   // per-shard, for multi-process runs
-  std::vector<std::string> warnings;   // merge provenance / sync anomalies
-  bool provenance_mismatch = false;    // see check_provenance()
+  bool provenance_mismatch = false;  // see check_provenance()
 };
-
-/// Raw-ns clock fields are JSON strings in shard documents (doubles lose
-/// precision past 2^53); merged-trace metadata round-trips them the same
-/// way, so accept either spelling.
-std::int64_t i64_field(const JsonValue& o, const char* key) {
-  const JsonValue* v = o.find(key);
-  if (v == nullptr) return 0;
-  if (v->is_number()) return std::int64_t(v->number());
-  if (v->is_string()) return std::strtoll(v->str().c_str(), nullptr, 10);
-  return 0;
-}
-
-ShardClock clock_field(const JsonValue& o, const char* key) {
-  ShardClock c;
-  const JsonValue* v = o.find(key);
-  if (v == nullptr || !v->is_object()) return c;
-  const JsonValue* s = v->find("synced");
-  c.synced = s != nullptr && s->is_bool() && s->boolean();
-  c.offset_ns = i64_field(*v, "offset_ns");
-  c.rtt_ns = i64_field(*v, "rtt_ns");
-  c.samples = int(v->number_or("samples", 0));
-  return c;
-}
-
-bool ingest_trace(const std::string& path, const JsonValue& doc,
-                  TraceRun& run, std::ostream& err) {
-  const JsonValue* evs = doc.find("traceEvents");
-  if (evs == nullptr || !evs->is_array()) {
-    err << "columbia_report: " << path << ": no traceEvents array\n";
-    return false;
-  }
-  std::vector<PhaseEvent> events;
-  events.reserve(evs->items().size());
-  std::int64_t max_tid = 0;
-  for (const JsonValue& e : evs->items()) {
-    if (!e.is_object()) continue;
-    const std::string ph = e.string_or("ph", "");
-    if (ph != "B" && ph != "E") continue;  // ignore metadata/counter events
-    PhaseEvent pe;
-    pe.name = e.string_or("name", "");
-    pe.phase = ph[0];
-    pe.ts_us = e.number_or("ts", 0);
-    pe.tid = int(e.number_or("tid", 0));
-    max_tid = std::max(max_tid, std::int64_t(pe.tid));
-    if (const JsonValue* args = e.find("args");
-        args != nullptr && args->is_object()) {
-      pe.level = std::int64_t(args->number_or("level", -1));
-      pe.rank = std::int64_t(args->number_or("rank", -1));
-      pe.nbr = std::int64_t(args->number_or("nbr", -1));
-      pe.strat = std::int64_t(args->number_or("strat", -1));
-      pe.bytes = std::int64_t(args->number_or("bytes", -1));
-      pe.round = std::int64_t(args->number_or("round", 0));
-    }
-    events.push_back(std::move(pe));
-  }
-  run.path = path;
-  run.profile = build_profile(events);
-  run.events = std::move(events);
-  if (const JsonValue* meta = doc.find("columbia");
-      meta != nullptr && meta->is_object()) {
-    run.threads = std::int64_t(meta->number_or("threads", 0));
-    run.git_sha = meta->string_or("git_sha", "");
-    run.build_type = meta->string_or("build_type", "");
-    run.backend = meta->string_or("backend", "");
-    if (const JsonValue* ws = meta->find("warnings");
-        ws != nullptr && ws->is_array())
-      for (const JsonValue& wv : ws->items())
-        if (wv.is_string()) run.warnings.push_back(wv.str());
-    if (const JsonValue* sh = meta->find("shards");
-        sh != nullptr && sh->is_array()) {
-      for (const JsonValue& sv : sh->items()) {
-        if (!sv.is_object()) continue;
-        LivenessRow lr;
-        lr.rank = int(sv.number_or("rank", 0));
-        lr.round = int(sv.number_or("round", 0));
-        lr.pid = std::int64_t(sv.number_or("pid", 0));
-        const JsonValue* tr = sv.find("truncated");
-        lr.truncated = tr != nullptr && tr->is_bool() && tr->boolean();
-        lr.flushes = int(sv.number_or("flushes", 0));
-        lr.start_us = sv.number_or("start_us", 0);
-        lr.last_flush_us = sv.number_or("last_flush_us", 0);
-        lr.end_us = sv.number_or("end_us", 0);
-        lr.clock = clock_field(sv, "clock");
-        lr.fault_spec = sv.string_or("fault_spec", "");
-        run.liveness.push_back(std::move(lr));
-      }
-    }
-  }
-  if (run.threads <= 0) run.threads = max_tid + 1;
-  return true;
-}
-
-/// A TraceRun straight from merged telemetry shards, bypassing the Chrome
-/// trace round-trip: the same events `write_merged_chrome_trace` would
-/// emit, so both the phase profile and the comm observatory accept it.
-TraceRun from_merged_shards(MergedTelemetry m, std::string label) {
-  TraceRun run;
-  run.path = std::move(label);
-  run.git_sha = m.git_sha;
-  run.build_type = m.build_type;
-  run.backend = m.backend;
-  run.warnings = std::move(m.warnings);
-  std::set<int> tids;
-  for (const PhaseEvent& e : m.events) tids.insert(e.tid);
-  run.threads = std::int64_t(tids.size());
-  if (run.threads <= 0) run.threads = 1;
-  run.profile = build_profile(m.events);
-  run.events = std::move(m.events);
-  for (const TelemetryShard& s : m.shards) {
-    LivenessRow lr;
-    lr.rank = s.rank;
-    lr.round = s.round;
-    lr.pid = s.pid;
-    lr.truncated = s.truncated;
-    lr.flushes = s.flushes;
-    lr.start_us = s.merged_base_us;
-    lr.last_flush_us = s.merged_base_us + s.last_flush_us;
-    lr.end_us = s.truncated ? 0 : s.merged_base_us + s.end_us;
-    lr.clock = s.clock;
-    lr.fault_spec = s.fault_spec;
-    run.liveness.push_back(std::move(lr));
-  }
-  return run;
-}
 
 /// Provenance guard: the merge already cross-checks shard-vs-shard stamps
-/// (those arrive in run.warnings); here the trace is additionally checked
+/// (those arrive in run.m.warnings); here the trace is additionally checked
 /// against the analyzing binary, and the JSON `provenance_mismatch` flag
 /// is derived. Clock-sync anomalies warn without raising the flag.
 void check_provenance(TraceRun& run) {
   const BuildInfo& bi = build_info();
-  if (!run.git_sha.empty() && run.git_sha != bi.git_sha)
-    run.warnings.push_back("provenance mismatch: trace recorded at git " +
-                           run.git_sha + " but this binary is " + bi.git_sha);
-  if (!run.build_type.empty() && run.build_type != bi.build_type)
-    run.warnings.push_back("provenance mismatch: trace recorded by a " +
-                           run.build_type + " build but this binary is " +
-                           bi.build_type);
-  for (const std::string& w : run.warnings)
+  MergedTelemetry& m = run.m;
+  if (!m.git_sha.empty() && m.git_sha != bi.git_sha)
+    m.warnings.push_back("provenance mismatch: trace recorded at git " +
+                         m.git_sha + " but this binary is " + bi.git_sha);
+  if (!m.build_type.empty() && m.build_type != bi.build_type)
+    m.warnings.push_back("provenance mismatch: trace recorded by a " +
+                         m.build_type + " build but this binary is " +
+                         bi.build_type);
+  for (const std::string& w : m.warnings)
     if (w.find("mismatch") != std::string::npos) run.provenance_mismatch = true;
 }
 
 void print_single_run(const TraceRun& run, std::ostream& out) {
-  out << "== trace: " << run.path << " (threads=" << run.threads;
-  if (!run.git_sha.empty()) out << ", git " << run.git_sha;
+  out << "== trace: " << run.path << " (threads=" << run.m.threads;
+  if (!run.m.git_sha.empty()) out << ", git " << run.m.git_sha;
   out << ") ==\n";
   out << summary_table(run.profile).to_string();
   const Table lt = level_table(run.profile);
@@ -292,18 +148,18 @@ void print_single_run(const TraceRun& run, std::ostream& out) {
 void print_scaling_table(std::vector<TraceRun>& runs, std::ostream& out) {
   std::sort(runs.begin(), runs.end(),
             [](const TraceRun& a, const TraceRun& b) {
-              return a.threads < b.threads;
+              return a.m.threads < b.m.threads;
             });
   const TraceRun& base = runs.front();
   out << "== scaling series (reference: " << base.path << ", threads="
-      << base.threads << ") ==\n";
+      << base.m.threads << ") ==\n";
   Table t({"threads", "wall s", "speedup", "ideal", "efficiency",
            "comm frac", "trace"});
   for (const TraceRun& r : runs) {
     const double speedup =
         r.profile.wall_s > 0 ? base.profile.wall_s / r.profile.wall_s : 0;
-    const double ideal = double(r.threads) / double(base.threads);
-    t.add_row({std::to_string(r.threads), Table::num(r.profile.wall_s, 4),
+    const double ideal = double(r.m.threads) / double(base.m.threads);
+    t.add_row({std::to_string(r.m.threads), Table::num(r.profile.wall_s, 4),
                Table::num(speedup, 3), Table::num(ideal, 3),
                Table::num(ideal > 0 ? speedup / ideal : 0, 3),
                Table::num(r.profile.comm_fraction, 3), r.path});
@@ -315,8 +171,8 @@ void print_scaling_table(std::vector<TraceRun>& runs, std::ostream& out) {
 
 void print_comm_run(const TraceRun& run, const CommReport& r,
                     std::ostream& out) {
-  out << "== comm observatory: " << run.path << " (threads=" << run.threads;
-  if (!run.git_sha.empty()) out << ", git " << run.git_sha;
+  out << "== comm observatory: " << run.path << " (threads=" << run.m.threads;
+  if (!run.m.git_sha.empty()) out << ", git " << run.m.git_sha;
   out << ") ==\n";
   if (r.empty()) {
     out << "no halo.xchg spans in trace (record with the comm observatory "
@@ -337,20 +193,25 @@ void print_comm_run(const TraceRun& run, const CommReport& r,
     out << "-- overlap headroom --\n" << comm_overlap_table(r).to_string();
 }
 
+/// One shard's liveness story on the merged timeline (member 0's clock):
+/// when it started, when the autoflush thread last proved it alive,
+/// whether it reached its footer, and what the clock sync measured.
 void print_liveness(const TraceRun& run, std::ostream& out) {
-  if (run.liveness.empty()) return;
+  if (run.m.shards.empty()) return;
   out << "-- rank liveness (merged timeline, member 0's clock) --\n";
   Table t({"rank", "round", "pid", "status", "flushes", "start ms",
            "last flush ms", "end ms", "offset us", "rtt us", "sync"});
-  for (const LivenessRow& r : run.liveness) {
-    t.add_row({std::to_string(r.rank), std::to_string(r.round),
-               std::to_string(r.pid), r.truncated ? "TRUNCATED" : "complete",
-               std::to_string(r.flushes), Table::num(r.start_us / 1e3, 3),
-               Table::num(r.last_flush_us / 1e3, 3),
-               r.truncated ? "-" : Table::num(r.end_us / 1e3, 3),
-               Table::num(double(r.clock.offset_ns) / 1e3, 3),
-               Table::num(double(r.clock.rtt_ns) / 1e3, 3),
-               r.clock.synced ? std::to_string(r.clock.samples) + " pings"
+  for (const TelemetryShard& s : run.m.shards) {
+    t.add_row({std::to_string(s.rank), std::to_string(s.round),
+               std::to_string(s.pid), s.truncated ? "TRUNCATED" : "complete",
+               std::to_string(s.flushes),
+               Table::num(s.merged_base_us / 1e3, 3),
+               Table::num((s.merged_base_us + s.last_flush_us) / 1e3, 3),
+               s.truncated ? "-"
+                           : Table::num((s.merged_base_us + s.end_us) / 1e3, 3),
+               Table::num(double(s.clock.offset_ns) / 1e3, 3),
+               Table::num(double(s.clock.rtt_ns) / 1e3, 3),
+               s.clock.synced ? std::to_string(s.clock.samples) + " pings"
                               : "-"});
   }
   out << t.to_string();
@@ -360,7 +221,7 @@ void print_liveness(const TraceRun& run, std::ostream& out) {
 /// backend recorded in the trace/shard metadata. Empty means the trace
 /// predates backend stamping — no model table then.
 std::string model_backend(const Options& opt, const TraceRun& run) {
-  return opt.fabric.empty() ? run.backend : opt.fabric;
+  return opt.fabric.empty() ? run.m.backend : opt.fabric;
 }
 
 void print_wire_model(const Options& opt, const TraceRun& run,
@@ -392,13 +253,13 @@ void write_comm_json(const Options& opt, const std::vector<TraceRun>& runs,
     const TraceRun& run = runs[i];
     w.begin_object();
     w.kv("trace", run.path);
-    w.kv("threads", run.threads);
-    w.kv("backend", run.backend);
-    w.kv("git_sha", run.git_sha);
-    w.kv("build_type", run.build_type);
+    w.kv("threads", run.m.threads);
+    w.kv("backend", run.m.backend);
+    w.kv("git_sha", run.m.git_sha);
+    w.kv("build_type", run.m.build_type);
     w.kv("provenance_mismatch", run.provenance_mismatch);
     w.key("warnings").begin_array();
-    for (const std::string& s : run.warnings) w.value(s);
+    for (const std::string& s : run.m.warnings) w.value(s);
     w.end_array();
     w.key("comm");
     write_comm_json_into(w, reports[i]);
@@ -410,23 +271,23 @@ void write_comm_json(const Options& opt, const std::vector<TraceRun>& runs,
                                  fabric);
     }
     w.key("liveness").begin_array();
-    for (const LivenessRow& lr : run.liveness) {
+    for (const TelemetryShard& s : run.m.shards) {
       w.begin_object();
-      w.kv("rank", lr.rank);
-      w.kv("round", lr.round);
-      w.kv("pid", lr.pid);
-      w.kv("truncated", lr.truncated);
-      w.kv("flushes", lr.flushes);
-      w.kv("start_us", lr.start_us);
-      w.kv("last_flush_us", lr.last_flush_us);
-      if (!lr.truncated) w.kv("end_us", lr.end_us);
+      w.kv("rank", s.rank);
+      w.kv("round", s.round);
+      w.kv("pid", s.pid);
+      w.kv("truncated", s.truncated);
+      w.kv("flushes", s.flushes);
+      w.kv("start_us", s.merged_base_us);
+      w.kv("last_flush_us", s.merged_base_us + s.last_flush_us);
+      if (!s.truncated) w.kv("end_us", s.merged_base_us + s.end_us);
       w.key("clock").begin_object();
-      w.kv("synced", lr.clock.synced);
-      w.kv("offset_ns", std::to_string(lr.clock.offset_ns));
-      w.kv("rtt_ns", std::to_string(lr.clock.rtt_ns));
-      w.kv("samples", lr.clock.samples);
+      w.kv("synced", s.clock.synced);
+      w.kv("offset_ns", std::to_string(s.clock.offset_ns));
+      w.kv("rtt_ns", std::to_string(s.clock.rtt_ns));
+      w.kv("samples", s.clock.samples);
       w.end_object();
-      w.kv("fault_spec", lr.fault_spec);
+      w.kv("fault_spec", s.fault_spec);
       w.end_object();
     }
     w.end_array();
@@ -462,18 +323,24 @@ void print_comm_comparison(const std::vector<TraceRun>& runs,
   out << t.to_string();
 }
 
-// --- convergence JSONL ingest --------------------------------------------
+// --- convergence rollup ---------------------------------------------------
 
-void print_convergence(const std::string& path,
-                       const std::vector<JsonValue>& records,
+/// Residual trajectory and per-level time of one shard's (non-empty)
+/// cycle records. Orders dropped span the first and last finite
+/// residuals: a rolled-back guarded attempt records a non-finite one.
+void print_convergence(const std::string& label,
+                       const std::vector<CycleRecord>& records,
                        std::ostream& out) {
-  out << "== convergence: " << path << " (" << records.size()
+  out << "== convergence: " << label << " (" << records.size()
       << " cycles) ==\n";
-  if (records.empty()) return;
-  const double r0 = records.front().number_or("residual", 0);
-  const double rn = records.back().number_or("residual", 0);
+  double r0 = 0, rn = 0;
+  for (const CycleRecord& rec : records)
+    if (std::isfinite(rec.residual)) {
+      if (r0 == 0) r0 = rec.residual;
+      rn = rec.residual;
+    }
   Table s({"metric", "value"});
-  s.add_row({"solver", records.front().string_or("solver", "?")});
+  s.add_row({"solver", records.front().solver});
   s.add_row({"cycles", std::to_string(records.size())});
   s.add_row({"first residual", Table::num(r0, 4)});
   s.add_row({"last residual", Table::num(rn, 4)});
@@ -483,13 +350,8 @@ void print_convergence(const std::string& path,
 
   // Mean exclusive seconds per level per cycle, over all cycles.
   std::map<std::int64_t, double> level_s;
-  for (const JsonValue& rec : records) {
-    const JsonValue* levels = rec.find("levels");
-    if (levels == nullptr || !levels->is_array()) continue;
-    for (const JsonValue& l : levels->items())
-      level_s[std::int64_t(l.number_or("level", -1))] +=
-          l.number_or("seconds", 0);
-  }
+  for (const CycleRecord& rec : records)
+    for (const LevelSeconds& l : rec.levels) level_s[l.level] += l.seconds;
   if (level_s.empty()) return;
   double sum = 0;
   for (const auto& [lvl, sec] : level_s) sum += sec;
@@ -501,6 +363,18 @@ void print_convergence(const std::string& path,
                Table::num(sum > 0 ? sec / sum : 0, 3)});
   }
   out << t.to_string();
+}
+
+/// One rollup per shard that carries cycle records.
+void print_run_convergence(const TraceRun& run, std::ostream& out) {
+  for (const TelemetryShard& s : run.m.shards) {
+    if (s.conv.empty()) continue;
+    std::string label = run.path;
+    if (run.m.shards.size() > 1)
+      label += " rank " + std::to_string(s.rank) + " round " +
+               std::to_string(s.round);
+    print_convergence(label, s.conv, out);
+  }
 }
 
 // --- perf-regression gate -------------------------------------------------
@@ -775,73 +649,63 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     if (!read_file(path, text, err)) return kUsage;
     // Telemetry shards first: they are JSONL, not one JSON value, and all
     // shard files of an invocation merge into ONE clock-aligned run.
-    if (is_shard_text(text)) {
-      TelemetryShard shard;
-      std::string serr;
-      if (!parse_shard(text, shard, &serr)) {
-        err << "columbia_report: " << path << ": " << serr << "\n";
-        return kUsage;
-      }
+    if (TelemetryShard shard; parse_shard(text, shard)) {
       shard.path = path;
       shard_inputs.push_back(std::move(shard));
       continue;
     }
     JsonValue doc;
-    if (parse_json(text, doc)) {
-      if (doc.find("traceEvents") != nullptr) {
-        TraceRun run;
-        if (!ingest_trace(path, doc, run, err)) return kUsage;
-        traces.push_back(std::move(run));
-        continue;
-      }
-      if (opt.comm) {
-        err << "columbia_report: " << path
-            << ": the comm subcommand wants Chrome trace files\n";
+    std::string jerr;
+    if (!parse_json(text, doc, &jerr)) {
+      err << "columbia_report: " << path << ": cannot parse (" << jerr
+          << ")\n";
+      return kUsage;
+    }
+    if (doc.find("traceEvents") != nullptr) {
+      TraceRun run;
+      run.path = path;
+      if (!parse_merged_trace(doc, run.m, &jerr)) {
+        err << "columbia_report: " << path << ": " << jerr << "\n";
         return kUsage;
       }
-      if (doc.find("bench") != nullptr) {
-        if (opt.baseline.empty()) {
-          err << "columbia_report: " << path
-              << " is a bench report; pass --baseline PATH to gate it\n";
-          return kUsage;
-        }
-        return run_gate(opt, doc, out, err);
-      }
-      err << "columbia_report: " << path
-          << ": unrecognized JSON document (no traceEvents/bench)\n";
-      return kUsage;
+      traces.push_back(std::move(run));
+      continue;
     }
     if (opt.comm) {
       err << "columbia_report: " << path
           << ": the comm subcommand wants Chrome trace files\n";
       return kUsage;
     }
-    // Not a single JSON value: try JSONL convergence records.
-    std::string jerr;
-    const std::vector<JsonValue> records = parse_jsonl(text, &jerr);
-    if (!records.empty() && records.front().find("cycle") != nullptr) {
-      print_convergence(path, records, out);
-      continue;
+    if (doc.find("bench") != nullptr) {
+      if (opt.baseline.empty()) {
+        err << "columbia_report: " << path
+            << " is a bench report; pass --baseline PATH to gate it\n";
+        return kUsage;
+      }
+      return run_gate(opt, doc, out, err);
     }
-    err << "columbia_report: " << path << ": cannot parse ("
-        << (jerr.empty() ? "empty document" : jerr) << ")\n";
+    err << "columbia_report: " << path
+        << ": unrecognized JSON document (no traceEvents/bench)\n";
     return kUsage;
   }
 
   if (!shard_inputs.empty()) {
-    std::string label = shard_inputs.front().path;
+    TraceRun run;
+    run.path = shard_inputs.front().path;
     if (shard_inputs.size() > 1)
-      label += " (+" + std::to_string(shard_inputs.size() - 1) + " shards)";
-    traces.push_back(
-        from_merged_shards(merge_shards(std::move(shard_inputs)), label));
+      run.path +=
+          " (+" + std::to_string(shard_inputs.size() - 1) + " shards)";
+    run.m = merge_shards(std::move(shard_inputs));
+    traces.push_back(std::move(run));
   }
+  for (TraceRun& run : traces) run.profile = build_profile(run.m.events);
 
   // Provenance guard: mismatches across shards (from the merge) and
   // between the trace and this binary warn on stderr; --json additionally
   // carries them as a machine-readable flag.
   for (TraceRun& run : traces) {
     check_provenance(run);
-    for (const std::string& w : run.warnings)
+    for (const std::string& w : run.m.warnings)
       err << "columbia_report: warning: " << run.path << ": " << w << "\n";
   }
 
@@ -849,7 +713,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     std::vector<CommReport> reports;
     reports.reserve(traces.size());
     for (const TraceRun& run : traces)
-      reports.push_back(build_comm_report(run.events));
+      reports.push_back(build_comm_report(run.m.events));
     if (opt.json) {
       write_comm_json(opt, traces, reports, out);
       return kOk;
@@ -863,7 +727,10 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     return kOk;
   }
 
-  for (const TraceRun& run : traces) print_single_run(run, out);
+  for (const TraceRun& run : traces) {
+    print_single_run(run, out);
+    print_run_convergence(run, out);
+  }
   if (traces.size() > 1) print_scaling_table(traces, out);
   return kOk;
 }

@@ -4,14 +4,15 @@
 // shares obs::build_profile with the in-process flight recorder.
 //
 // Inputs are classified by content, not extension:
-//   * Chrome trace JSON ({"traceEvents": [...]}) — from
-//     obs::write_chrome_trace_file or an example's --trace flag. One file
-//     prints its phase profile; several files become a scaling series
-//     (Fig. 14b/15-style speedup and parallel-efficiency table, keyed by
-//     each trace's recorded thread count).
-//   * Convergence JSONL (lines with "cycle"/"residual") — from
-//     obs::open_jsonl. Prints the residual trajectory summary and the
-//     per-level exclusive-time rollup.
+//   * Chrome trace JSON ({"traceEvents": [...]}) — from an example's
+//     --trace flag (obs::write_trace), read by obs::parse_merged_trace.
+//     One file prints its phase profile and the convergence rollup of its
+//     cycle records (residual trajectory and per-level exclusive time);
+//     several files become a scaling series (Fig. 14b/15-style speedup
+//     and parallel-efficiency table, keyed by each trace's recorded
+//     thread count).
+//   * Telemetry shards (obs/shard.hpp) — every shard of one invocation is
+//     merged (obs::merge_shards) into one run, reported like a trace.
 //   * bench --json reports ({"bench": ...}) — with --baseline PATH, runs
 //     the perf-regression gate against the committed BENCH_*.json.
 //

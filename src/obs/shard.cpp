@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -16,7 +18,6 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "support/build_info.hpp"
 #include "support/durable.hpp"
 #include "support/timer.hpp"
@@ -58,6 +59,95 @@ ShardClock parse_clock(const JsonValue& parent, const std::string& key) {
   c.rtt_ns = parse_i64(*v, "rtt_ns");
   c.samples = int(v->number_or("samples", 0));
   return c;
+}
+
+/// The one JSON spelling of a cycle record, shared by the shard's "conv"
+/// lines and the merged trace's per-shard "conv" arrays. Non-finite
+/// values (a rolled-back attempt's residual) are written as null.
+void write_cycle_record(JsonWriter& w, const CycleRecord& rec) {
+  w.begin_object();
+  w.kv("solver", rec.solver);
+  w.kv("cycle", rec.cycle);
+  w.kv("residual", rec.residual);
+  if (rec.has_forces) {
+    w.kv("cl", rec.cl);
+    w.kv("cd", rec.cd);
+  }
+  if (!rec.levels.empty()) {
+    w.key("levels").begin_array();
+    for (const LevelSeconds& l : rec.levels) {
+      w.begin_object();
+      w.kv("level", l.level);
+      w.kv("seconds", l.seconds);
+      w.end_object();
+    }
+    w.end_array();
+  }
+  w.end_object();
+}
+
+/// A JSON number, or NaN for null (how the writer spells non-finite).
+double number_or_nan(const JsonValue& obj, const std::string& key) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr && v->is_number()
+             ? v->number()
+             : std::numeric_limits<double>::quiet_NaN();
+}
+
+CycleRecord read_cycle_record(const JsonValue& v) {
+  CycleRecord rec;
+  rec.solver = v.string_or("solver", "");
+  rec.cycle = int(v.number_or("cycle", 0));
+  rec.residual = number_or_nan(v, "residual");
+  rec.has_forces = v.find("cl") != nullptr;
+  if (rec.has_forces) {
+    rec.cl = number_or_nan(v, "cl");
+    rec.cd = number_or_nan(v, "cd");
+  }
+  if (const JsonValue* ls = v.find("levels"); ls != nullptr && ls->is_array())
+    for (const JsonValue& l : ls->items())
+      rec.levels.push_back(
+          {int(l.number_or("level", 0)), l.number_or("seconds", 0)});
+  return rec;
+}
+
+/// A 'B'/'E' event of a shard or a merged trace; false for anything else
+/// (metadata rows, counters).
+bool read_span_event(const JsonValue& e, PhaseEvent& pe) {
+  const JsonValue* ph = e.find("ph");
+  const std::string p = ph != nullptr && ph->is_string() ? ph->str() : "";
+  if (p != "B" && p != "E") return false;
+  pe.name = e.string_or("name", "");
+  pe.phase = p[0];
+  pe.ts_us = e.number_or("ts", 0);
+  pe.tid = int(e.number_or("tid", 0));
+  if (const JsonValue* args = e.find("args");
+      args != nullptr && args->is_object()) {
+    pe.level = std::int64_t(args->number_or("level", -1));
+    pe.rank = std::int64_t(args->number_or("rank", -1));
+    pe.nbr = std::int64_t(args->number_or("nbr", -1));
+    pe.strat = std::int64_t(args->number_or("strat", -1));
+    pe.bytes = std::int64_t(args->number_or("bytes", -1));
+    pe.round = std::int64_t(args->number_or("round", 0));
+  }
+  return true;
+}
+
+/// The shard identity and provenance fields a shard header and a merged
+/// trace's per-shard entry share.
+void read_shard_meta(const JsonValue& h, TelemetryShard& out) {
+  out.rank = int(h.number_or("rank", 0));
+  out.ranks = int(h.number_or("ranks", 1));
+  out.round = int(h.number_or("round", 0));
+  out.pid = parse_i64(h, "pid");
+  out.backend = h.string_or("backend", "");
+  out.git_sha = h.string_or("git_sha", "");
+  out.build_type = h.string_or("build_type", "");
+  const JsonValue* obs = h.find("obs");
+  out.obs = obs == nullptr || !obs->is_bool() || obs->boolean();
+  out.fault_spec = h.string_or("fault_spec", "");
+  out.clock_base_ns = std::uint64_t(parse_i64(h, "clock_base_ns"));
+  out.clock = parse_clock(h, "clock");
 }
 
 void write_header_line(std::ostream& os, const ShardOptions& opt,
@@ -187,17 +277,13 @@ bool FlightRecorder::write_image(bool with_footer,
     os << '\n';
   }
 
-  // Convergence JSONL lines, wrapped so the shard stays one-object-per-
-  // line. The sink lines are themselves JsonWriter output, so splicing
-  // them in verbatim keeps the document well-formed.
-  const std::string conv = jsonl_buffer();
-  std::size_t start = 0;
-  while (start < conv.size()) {
-    std::size_t end = conv.find('\n', start);
-    if (end == std::string::npos) end = conv.size();
-    if (end > start)
-      os << "{\"conv\":" << conv.substr(start, end - start) << "}\n";
-    start = end + 1;
+  for (const CycleRecord& rec : cycle_records()) {
+    JsonWriter w(os);
+    w.begin_object();
+    w.key("conv");
+    write_cycle_record(w, rec);
+    w.end_object();
+    os << '\n';
   }
 
   {
@@ -249,14 +335,6 @@ FlightRecorder::FlightRecorder(const ShardOptions& opt) : path_(opt.path) {
 
 // --- Offline ingest / merge -------------------------------------------------
 
-bool is_shard_text(const std::string& text) {
-  std::size_t nl = text.find('\n');
-  if (nl == std::string::npos) nl = text.size();
-  JsonValue head;
-  if (!parse_json(text.substr(0, nl), head)) return false;
-  return head.find("telemetry_shard") != nullptr;
-}
-
 bool parse_shard(const std::string& text, TelemetryShard& out,
                  std::string* error) {
   const std::vector<JsonValue> lines = parse_jsonl(text);
@@ -264,45 +342,27 @@ bool parse_shard(const std::string& text, TelemetryShard& out,
     if (error != nullptr) *error = "not a telemetry shard (no header line)";
     return false;
   }
-  const JsonValue& h = lines.front();
-  out.rank = int(h.number_or("rank", 0));
-  out.ranks = int(h.number_or("ranks", 1));
-  out.round = int(h.number_or("round", 0));
-  out.pid = std::int64_t(h.number_or("pid", 0));
-  out.backend = h.string_or("backend", "");
-  out.git_sha = h.string_or("git_sha", "");
-  out.build_type = h.string_or("build_type", "");
-  const JsonValue* obs = h.find("obs");
-  out.obs = obs == nullptr || !obs->is_bool() || obs->boolean();
-  out.fault_spec = h.string_or("fault_spec", "");
-  out.clock_base_ns = std::uint64_t(parse_i64(h, "clock_base_ns"));
-  out.clock = parse_clock(h, "clock");
+  read_shard_meta(lines.front(), out);
 
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const JsonValue& l = lines[i];
     if (!l.is_object()) continue;
-    if (const JsonValue* ph = l.find("ph"); ph != nullptr) {
-      const std::string p = ph->is_string() ? ph->str() : "";
-      if (p != "B" && p != "E") continue;
+    if (l.find("ph") != nullptr) {
       PhaseEvent pe;
-      pe.name = l.string_or("name", "");
-      pe.phase = p[0];
-      pe.ts_us = l.number_or("ts", 0);
-      pe.tid = int(l.number_or("tid", 0));
-      if (const JsonValue* args = l.find("args");
-          args != nullptr && args->is_object()) {
-        pe.level = std::int64_t(args->number_or("level", -1));
-        pe.rank = std::int64_t(args->number_or("rank", -1));
-        pe.nbr = std::int64_t(args->number_or("nbr", -1));
-        pe.strat = std::int64_t(args->number_or("strat", -1));
-        pe.bytes = std::int64_t(args->number_or("bytes", -1));
+      if (read_span_event(l, pe)) {
+        pe.round = out.round;
+        out.events.push_back(std::move(pe));
       }
-      pe.round = out.round;
-      out.events.push_back(std::move(pe));
       continue;
     }
     if (const JsonValue* conv = l.find("conv"); conv != nullptr) {
-      out.conv.push_back(*conv);
+      out.conv.push_back(read_cycle_record(*conv));
+      continue;
+    }
+    if (const JsonValue* metrics = l.find("metrics"); metrics != nullptr) {
+      // Every image carries the whole registry; the last one wins.
+      if (const JsonValue* g = metrics->find("gauges"); g != nullptr)
+        out.pool_threads = std::int64_t(g->number_or("pool.threads", 0));
       continue;
     }
     if (l.find("flush") != nullptr) {
@@ -318,7 +378,7 @@ bool parse_shard(const std::string& text, TelemetryShard& out,
       out.end_clock = parse_clock(l, "end_clock");
       continue;
     }
-    // "metrics" and anything newer: carried for humans, not merged.
+    // Anything newer: carried for humans, not merged.
   }
   return true;
 }
@@ -334,6 +394,21 @@ bool read_shard_file(const std::string& path, TelemetryShard& out,
   ss << is.rdbuf();
   out.path = path;
   return parse_shard(ss.str(), out, error);
+}
+
+TelemetryShard live_shard() {
+  const BuildInfo& bi = build_info();
+  TelemetryShard s;
+  s.pid = std::int64_t(::getpid());
+  s.git_sha = bi.git_sha;
+  s.build_type = bi.build_type;
+  s.obs = bi.obs_compiled;
+  s.truncated = false;
+  s.pool_threads = gauge("pool.threads").value();
+  s.events = phase_events_since();
+  for (const PhaseEvent& e : s.events) s.end_us = std::max(s.end_us, e.ts_us);
+  s.conv = cycle_records();
+  return s;
 }
 
 MergedTelemetry merge_shards(std::vector<TelemetryShard> shards) {
@@ -426,13 +501,17 @@ MergedTelemetry merge_shards(std::vector<TelemetryShard> shards) {
     next_round_base_us = (round_max + shift) + 1e3;  // 1 ms inter-round gap
     i = j;
   }
+  std::set<int> tids;
+  for (const PhaseEvent& e : m.events) tids.insert(e.tid);
+  m.threads = std::max<std::int64_t>(1, std::int64_t(tids.size()));
+  for (const TelemetryShard& s : shards)
+    m.threads = std::max(m.threads, s.pool_threads);
   m.shards = std::move(shards);
   return m;
 }
 
 void write_merged_chrome_trace(std::ostream& os, const MergedTelemetry& m) {
-  std::set<int> tids, members;
-  for (const PhaseEvent& e : m.events) tids.insert(e.tid);
+  std::set<int> members;
   for (const int r : m.event_member) members.insert(r);
   for (const TelemetryShard& s : m.shards) members.insert(s.rank);
 
@@ -443,7 +522,7 @@ void write_merged_chrome_trace(std::ostream& os, const MergedTelemetry& m) {
   w.kv("git_sha", m.git_sha);
   w.kv("build_type", m.build_type);
   w.kv("obs", m.shards.empty() ? true : m.shards.front().obs);
-  w.kv("threads", std::int64_t(tids.size()));
+  w.kv("threads", m.threads);
   w.kv("hardware_threads", std::int64_t(hardware_threads()));
   w.kv("backend", m.backend);
   w.kv("ranks", std::int64_t(m.ranks));
@@ -462,7 +541,9 @@ void write_merged_chrome_trace(std::ostream& os, const MergedTelemetry& m) {
     w.kv("backend", s.backend);
     w.kv("git_sha", s.git_sha);
     w.kv("build_type", s.build_type);
+    w.kv("obs", s.obs);
     w.kv("fault_spec", s.fault_spec);
+    w.kv("clock_base_ns", std::to_string(s.clock_base_ns));
     w.kv("truncated", s.truncated);
     w.kv("flushes", s.flushes);
     w.kv("start_us", s.merged_base_us);
@@ -470,6 +551,9 @@ void write_merged_chrome_trace(std::ostream& os, const MergedTelemetry& m) {
     if (!s.truncated) w.kv("end_us", s.merged_base_us + s.end_us);
     write_clock_into(w, "clock", s.clock);
     if (!s.truncated) write_clock_into(w, "end_clock", s.end_clock);
+    w.key("conv").begin_array();
+    for (const CycleRecord& rec : s.conv) write_cycle_record(w, rec);
+    w.end_array();
     w.end_object();
   }
   w.end_array();
@@ -514,21 +598,90 @@ void write_merged_chrome_trace(std::ostream& os, const MergedTelemetry& m) {
   os << '\n';
 }
 
-bool write_merged_chrome_trace_file(const std::string& path,
-                                    const MergedTelemetry& m) {
-  std::ostringstream os;
-  write_merged_chrome_trace(os, m);
-  return support::durable_write_file(path, os.str());
+bool parse_merged_trace(const JsonValue& doc, MergedTelemetry& out,
+                        std::string* error) {
+  const JsonValue* evs = doc.find("traceEvents");
+  if (evs == nullptr || !evs->is_array()) {
+    if (error != nullptr) *error = "no traceEvents array";
+    return false;
+  }
+  out = MergedTelemetry{};
+  // The writer stamps a round only on 'B' events; each merged tid belongs
+  // to one shard, hence one round, so 'E' events take their tid's.
+  std::map<int, std::int64_t> tid_round;
+  int max_tid = 0;
+  for (const JsonValue& e : evs->items()) {
+    PhaseEvent pe;
+    if (!e.is_object() || !read_span_event(e, pe)) continue;
+    if (pe.phase == 'B') tid_round.emplace(pe.tid, pe.round);
+    max_tid = std::max(max_tid, pe.tid);
+    out.event_member.push_back(int(e.number_or("pid", 0)));
+    out.events.push_back(std::move(pe));
+  }
+  for (PhaseEvent& pe : out.events)
+    if (pe.phase == 'E') {
+      const auto it = tid_round.find(pe.tid);
+      if (it != tid_round.end()) pe.round = it->second;
+    }
+
+  const JsonValue* meta = doc.find("columbia");
+  if (meta != nullptr && meta->is_object()) {
+    out.git_sha = meta->string_or("git_sha", "");
+    out.build_type = meta->string_or("build_type", "");
+    out.backend = meta->string_or("backend", "");
+    out.threads = std::int64_t(meta->number_or("threads", 0));
+    out.ranks = int(meta->number_or("ranks", 0));
+    out.rounds = int(meta->number_or("rounds", 0));
+    if (const JsonValue* ws = meta->find("warnings");
+        ws != nullptr && ws->is_array())
+      for (const JsonValue& wv : ws->items())
+        if (wv.is_string()) out.warnings.push_back(wv.str());
+    if (const JsonValue* sh = meta->find("shards");
+        sh != nullptr && sh->is_array()) {
+      for (const JsonValue& sv : sh->items()) {
+        if (!sv.is_object()) continue;
+        TelemetryShard s;
+        read_shard_meta(sv, s);
+        s.path = sv.string_or("path", "");
+        const JsonValue* tr = sv.find("truncated");
+        s.truncated = tr != nullptr && tr->is_bool() && tr->boolean();
+        s.flushes = int(sv.number_or("flushes", 0));
+        s.merged_base_us = sv.number_or("start_us", 0);
+        s.last_flush_us = sv.number_or("last_flush_us", 0) - s.merged_base_us;
+        if (!s.truncated)
+          s.end_us = sv.number_or("end_us", 0) - s.merged_base_us;
+        s.end_clock = parse_clock(sv, "end_clock");
+        if (const JsonValue* conv = sv.find("conv");
+            conv != nullptr && conv->is_array())
+          for (const JsonValue& rv : conv->items())
+            s.conv.push_back(read_cycle_record(rv));
+        out.shards.push_back(std::move(s));
+      }
+    }
+  }
+  // Traces without a thread count: one per recorded tid.
+  if (out.threads <= 0) out.threads = max_tid + 1;
+  return true;
 }
 
-std::string rank_suffixed_path(const std::string& path, int rank) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::size_t dot = path.find_last_of('.');
-  const std::string suffix = ".rank" + std::to_string(rank);
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash) || dot == 0)
-    return path + suffix;
-  return path.substr(0, dot) + suffix + path.substr(dot);
+bool write_trace(const std::string& path, std::vector<TelemetryShard> shards) {
+  const MergedTelemetry m = merge_shards(std::move(shards));
+  for (const std::string& w : m.warnings)
+    std::fprintf(stderr, "trace: warning: %s\n", w.c_str());
+  std::ostringstream os;
+  write_merged_chrome_trace(os, m);
+  if (!support::durable_write_file(path, os.str())) {
+    std::fprintf(stderr, "trace: cannot write %s\n", path.c_str());
+    return false;
+  }
+  if (m.shards.size() == 1)
+    std::printf("trace: %zu events -> %s\n", m.events.size(), path.c_str());
+  else
+    std::printf("trace: %zu events from %zu shards (%d ranks, %d rounds) "
+                "-> %s\n",
+                m.events.size(), m.shards.size(), m.ranks, m.rounds,
+                path.c_str());
+  return true;
 }
 
 std::string shard_file_path(const std::string& base, int rank, int round) {

@@ -1,15 +1,15 @@
-// Distributed flight recorder: durable per-rank telemetry shards and the
-// clock-aligned offline merge.
+// The two on-disk views of the in-process recording (obs/trace.hpp), one
+// writer and one reader each: the per-rank telemetry shard (FlightRecorder
+// / parse_shard) and the merged Chrome trace (write_merged_chrome_trace /
+// parse_merged_trace). A single process's trace is the merge of one
+// in-memory shard (live_shard).
 //
-// A forked rank process records spans/counters/convergence telemetry in
-// its own address space and then _exit()s — before this layer, all of it
-// died with the process, which is why `--trace` was documented "threads
-// backend only". The FlightRecorder gives every rank a durable shard
-// file: a JSONL document holding the rank's Chrome-trace span stream, its
-// metrics-registry snapshot, its convergence JSONL lines, and a header
-// stamping rank / pid / launch round / backend / build provenance / fault
-// spec / steady-clock epoch + the clock-sync offset estimated against
-// member 0 (core/clock_sync.hpp).
+// A forked rank process records in its own address space and then
+// _exit()s. The FlightRecorder gives every rank a durable shard file: a
+// JSONL document holding the rank's span stream, its metrics-registry
+// snapshot, its cycle records, and a header stamping rank / pid / launch
+// round / backend / build provenance / fault spec / steady-clock epoch +
+// the clock-sync offset estimated against member 0 (core/clock_sync.hpp).
 //
 // Durability discipline: every flush rewrites the whole shard through
 // support::durable_write_file (tmp + fsync + rename), and an autoflush
@@ -23,9 +23,9 @@
 // to express every timestamp on member 0's clock, serializes relaunch
 // rounds (so k-th-post-to-k-th-wait matching never pairs across a
 // relaunch seam), namespaces thread ids, and emits one merged Chrome
-// trace consumable by `columbia_report comm` — the same wait-matrix /
-// critical-path / overlap math as the in-process observatory, now valid
-// for the shm and tcp process backends.
+// trace consumable by `columbia_report` — the same wait-matrix /
+// critical-path / overlap math as the in-process observatory, valid for
+// the shm and tcp process backends too.
 #pragma once
 
 #include <cstdint>
@@ -134,8 +134,9 @@ struct TelemetryShard {
   int flushes = 0;          // autoflush markers seen (liveness pulses)
   double last_flush_us = 0; // rel time of the last flush marker
   double end_us = 0;        // rel time of the footer (when !truncated)
+  std::int64_t pool_threads = 0;   // metrics gauge pool.threads; 0 = unset
   std::vector<PhaseEvent> events;  // per-thread recording order
-  std::vector<JsonValue> conv;     // embedded convergence cycle records
+  std::vector<CycleRecord> conv;   // cycle records, in emission order
   /// Filled by merge_shards: this shard's rel-0 instant on the merged
   /// timeline (member 0's clock, rounds serialized), microseconds.
   double merged_base_us = 0;
@@ -149,6 +150,11 @@ bool parse_shard(const std::string& text, TelemetryShard& out,
 bool read_shard_file(const std::string& path, TelemetryShard& out,
                      std::string* error = nullptr);
 
+/// This process's recording as one shard (rank 0 of 1, round 0, complete):
+/// the spans converted as phase_events_since() does, the cycle records,
+/// and the pool.threads gauge. Publish pool stats first.
+TelemetryShard live_shard();
+
 /// The merged multi-rank timeline plus everything the report layer needs
 /// to attribute it: per-shard metadata (events moved out), the member rank
 /// behind every merged event, and provenance-mismatch warnings.
@@ -159,6 +165,9 @@ struct MergedTelemetry {
   std::vector<std::string> warnings;   // provenance / sync anomalies
   int ranks = 0;
   int rounds = 0;
+  /// Threads of the run: the largest pool.threads gauge of any shard, or
+  /// the number of threads that recorded spans if that is larger.
+  std::int64_t threads = 0;
   std::string backend;    // from the first shard
   std::string git_sha;    // from the first shard
   std::string build_type; // from the first shard
@@ -173,19 +182,20 @@ MergedTelemetry merge_shards(std::vector<TelemetryShard> shards);
 
 /// Merged Chrome trace: pid = group rank, one process-name metadata row
 /// per rank, and a "columbia" block carrying per-shard provenance, clock
-/// estimates and liveness — the input `columbia_report comm` consumes.
+/// estimates, liveness and cycle records — the input `columbia_report`
+/// consumes.
 void write_merged_chrome_trace(std::ostream& os, const MergedTelemetry& m);
-bool write_merged_chrome_trace_file(const std::string& path,
-                                    const MergedTelemetry& m);
 
-/// True when `text` (a whole file) looks like a telemetry shard document.
-bool is_shard_text(const std::string& text);
+/// The inverse of write_merged_chrome_trace. Also reads Chrome traces
+/// written before per-shard metadata existed (no "shards" block, no round
+/// arguments). False (with `error`) when `doc` has no traceEvents array.
+bool parse_merged_trace(const JsonValue& doc, MergedTelemetry& out,
+                        std::string* error = nullptr);
 
-/// "conv.jsonl" -> "conv.rank3.jsonl": the per-rank spelling of any
-/// single-process artifact path, inserted before the final extension (or
-/// appended when there is none). Forked ranks must never append to one
-/// shared JSONL file — each gets its own suffixed sink.
-std::string rank_suffixed_path(const std::string& path, int rank);
+/// Merges `shards`, writes the merged trace durably to `path`, and prints
+/// the merge warnings (stderr) and a one-line "trace: ..." summary
+/// (stdout). False when the file cannot be written.
+bool write_trace(const std::string& path, std::vector<TelemetryShard> shards);
 
 /// Canonical shard path for (base, rank, round):
 /// "<base>.rank<r>.round<k>.jsonl".

@@ -3,35 +3,13 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string_view>
 
-#include "obs/json.hpp"
-#include "obs/metrics.hpp"
-#include "support/build_info.hpp"
 #include "support/timer.hpp"
 
 namespace columbia::obs {
-namespace {
-
-/// Shared by both build variants: a "columbia" metadata object alongside
-/// traceEvents so offline tools (columbia_report) know the provenance and
-/// thread count of the run that produced the trace.
-void write_provenance(JsonWriter& w, std::int64_t threads) {
-  const BuildInfo& bi = build_info();
-  w.key("columbia").begin_object();
-  w.kv("git_sha", bi.git_sha);
-  w.kv("build_type", bi.build_type);
-  w.kv("obs", bi.obs_compiled);
-  w.kv("threads", threads);
-  w.kv("hardware_threads", std::int64_t(hardware_threads()));
-  w.end_object();
-}
-
-}  // namespace
 
 std::int64_t TraceEvent::arg_or(const char* key, std::int64_t fallback) const {
   for (int i = 0; i < nargs; ++i) {
@@ -40,10 +18,6 @@ std::int64_t TraceEvent::arg_or(const char* key, std::int64_t fallback) const {
   }
   return fallback;
 }
-
-}  // namespace columbia::obs
-
-namespace columbia::obs {
 
 #if COLUMBIA_OBS_ENABLED
 
@@ -110,6 +84,7 @@ struct Registry {
   // thread_local pointers into this list must stay valid after the thread
   // exits (pool resizes join and respawn workers).
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
+  std::vector<CycleRecord> records;
 };
 
 Registry& registry() {
@@ -172,47 +147,23 @@ std::vector<TraceEvent> trace_snapshot() {
   return out;
 }
 
-void write_chrome_trace(std::ostream& os) {
-  const std::vector<TraceEvent> events = trace_snapshot();
-  const std::uint64_t epoch = epoch_ns();
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("displayTimeUnit", "ms");
-  write_provenance(w, gauge("pool.threads").value());
-  w.key("traceEvents").begin_array();
-  for (const TraceEvent& e : events) {
-    w.begin_object();
-    w.kv("name", e.name);
-    w.kv("ph", std::string(1, e.phase));
-    // Chrome expects microseconds; fractional part preserves ns ticks.
-    const std::uint64_t rel = e.ts_ns >= epoch ? e.ts_ns - epoch : 0;
-    w.kv("ts", double(rel) / 1e3);
-    w.kv("pid", std::int64_t(0));
-    w.kv("tid", std::int64_t(e.tid));
-    if (e.phase == 'B' && e.nargs > 0) {
-      w.key("args").begin_object();
-      for (int i = 0; i < e.nargs; ++i)
-        if (e.args[i].name != nullptr) w.kv(e.args[i].name, e.args[i].value);
-      w.end_object();
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  os << '\n';
+void emit_cycle(const CycleRecord& rec) {
+  Registry& reg = registry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  reg.records.push_back(rec);
 }
 
-bool write_chrome_trace_file(const std::string& path) {
-  std::ofstream os(path);
-  if (!os) return false;
-  write_chrome_trace(os);
-  return bool(os);
+std::vector<CycleRecord> cycle_records() {
+  Registry& reg = registry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  return reg.records;
 }
 
 void reset_trace() {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);
   for (auto& b : reg.buffers) b->reset();
+  reg.records.clear();
 }
 
 #else  // !COLUMBIA_OBS_ENABLED — keep the link surface, record nothing.
@@ -223,22 +174,9 @@ std::size_t num_trace_events() { return 0; }
 
 std::vector<TraceEvent> trace_snapshot() { return {}; }
 
-void write_chrome_trace(std::ostream& os) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("displayTimeUnit", "ms");
-  write_provenance(w, 0);
-  w.key("traceEvents").begin_array().end_array();
-  w.end_object();
-  os << '\n';
-}
+void emit_cycle(const CycleRecord&) {}
 
-bool write_chrome_trace_file(const std::string& path) {
-  std::ofstream os(path);
-  if (!os) return false;
-  write_chrome_trace(os);
-  return bool(os);
-}
+std::vector<CycleRecord> cycle_records() { return {}; }
 
 void reset_trace() {}
 

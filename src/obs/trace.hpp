@@ -1,22 +1,24 @@
-// Hierarchical scoped spans recorded into per-thread buffers and exported
-// as Chrome trace_event JSON (load in chrome://tracing or Perfetto).
+// The in-process recording, the only telemetry stream: scoped spans in
+// per-thread buffers plus one cycle record per multigrid cycle. The shard
+// and the merged Chrome trace (obs/shard.hpp) are views of it.
 //
 // Recording path: an `OBS_SPAN("name")` guard pushes a begin event on
 // construction and an end event on destruction into the calling thread's
 // buffer. Buffers are append-only chunked arrays published with a single
 // release store per event — no locks on the hot path, and readers
 // (exporters) synchronize through one acquire load of the event count.
+// Cycle records are rare and append under the buffer registry's lock.
 //
 // Cost model: with the runtime flag off (the default) a span is one
 // relaxed atomic load and a branch; compiled out (-DCOLUMBIA_OBS=OFF) it
-// is nothing at all. Tracing never touches solver arithmetic, so residual
-// histories are bit-identical with tracing on or off at any thread count.
+// is nothing at all. Recording never touches solver arithmetic, so
+// residual histories are bit-identical with it on or off at any thread
+// count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -132,17 +134,33 @@ std::uint64_t trace_epoch_ns();
 /// begin/end events are properly nested), with `tid` filled in.
 std::vector<TraceEvent> trace_snapshot();
 
-/// Writes the Chrome trace_event JSON document ("traceEvents" array of
-/// duration events). Timestamps are microseconds relative to the recorder
-/// epoch, at nanosecond resolution.
-void write_chrome_trace(std::ostream& os);
+/// Wall time attributed to one multigrid level within a cycle.
+struct LevelSeconds {
+  int level = 0;
+  double seconds = 0;
+};
 
-/// Convenience: write_chrome_trace to `path`; false if the file cannot be
-/// opened.
-bool write_chrome_trace_file(const std::string& path);
+/// One multigrid cycle attempt: core::MultigridDriver::run_cycle emits one
+/// per call while recording is on, rolled-back guarded attempts included.
+struct CycleRecord {
+  std::string solver;  // "nsu3d" or "cart3d"
+  int cycle = 0;       // 1-based cycle attempt within the solve
+  double residual = 0;
+  bool has_forces = false;
+  double cl = 0, cd = 0;
+  std::vector<LevelSeconds> levels;
+};
 
-/// Clears every buffer's event count (buffers themselves persist, so
-/// thread-local recorders stay valid). Call only while no spans are open.
+/// Appends one cycle record to the recording. Thread-safe: records from
+/// simultaneous solves interleave whole.
+void emit_cycle(const CycleRecord& rec);
+
+/// Every cycle record emitted since the last reset_trace(), in order.
+std::vector<CycleRecord> cycle_records();
+
+/// Clears every buffer's event count and the cycle records (buffers
+/// themselves persist, so thread-local recorders stay valid). Call only
+/// while no spans are open.
 void reset_trace();
 
 }  // namespace columbia::obs

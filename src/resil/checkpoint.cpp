@@ -1,5 +1,6 @@
 #include "resil/checkpoint.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -158,7 +159,10 @@ std::optional<Checkpoint> try_read_checkpoint_file(const std::string& path) {
   if (!in) return std::nullopt;
   try {
     return read_checkpoint(in);
-  } catch (const std::runtime_error&) {
+  } catch (const CheckpointError& e) {
+    // The caller restarts from cycle 0: say why.
+    std::fprintf(stderr, "checkpoint: ignoring %s: %s\n", path.c_str(),
+                 checkpoint_error_kind_name(e.kind()));
     return std::nullopt;
   }
 }

@@ -72,7 +72,9 @@ bool write_checkpoint_file(const std::string& path, const Checkpoint& c);
 
 /// Loads `path` if it exists and validates; std::nullopt when the file is
 /// absent or unreadable/corrupt (a corrupt checkpoint is a recoverable
-/// condition: the caller starts fresh instead of crashing).
+/// condition: the caller starts fresh instead of crashing). A rejected
+/// existing file prints one stderr line naming the path and the error
+/// kind; a missing file is silent.
 std::optional<Checkpoint> try_read_checkpoint_file(const std::string& path);
 
 }  // namespace columbia::resil

@@ -232,12 +232,6 @@ void FaultInjector::maybe_throw(FaultKind k, std::uint64_t site) {
   if (should_inject(k, site)) throw InjectedFault(k, site);
 }
 
-std::uint64_t FaultInjector::injected_total() const {
-  std::uint64_t t = 0;
-  for (const auto& f : fired_) t += f.load(std::memory_order_relaxed);
-  return t;
-}
-
 std::uint64_t halo_site(std::uint64_t exchange_seq, std::uint64_t sender,
                         std::uint64_t receiver, std::uint64_t attempt) {
   SplitMix64 gen(exchange_seq * 0x100000001b3ull + sender * 0x10001ull +

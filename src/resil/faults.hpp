@@ -138,7 +138,6 @@ class FaultInjector {
   std::uint64_t injected(FaultKind k) const {
     return fired_[std::size_t(k)].load(std::memory_order_relaxed);
   }
-  std::uint64_t injected_total() const;
 
   /// Monotone sequence number for halo exchanges; combined with
   /// sender/receiver/attempt into per-message sites (halo_site).

@@ -22,6 +22,7 @@
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
 #include "nsu3d/solver.hpp"
+#include "obs/obs.hpp"
 #include "perf/loads.hpp"
 #include "resil/faults.hpp"
 #include "smp/pool.hpp"
@@ -386,6 +387,43 @@ TEST(SteadyState, SolverCyclesPerformZeroAllocations) {
         << "cart3d run_cycle allocated at " << threads << " threads";
   }
   smp::set_global_threads(1);
+}
+
+// A trace is often written after the solver that recorded it is gone (a
+// forked rank's final shard, the threads backend's trace): the driver's
+// span names must outlive it. Under ASan a dangling name is a
+// heap-use-after-free here.
+TEST(CycleRecords, SpanNamesOutliveTheSolver) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  mesh::WingMeshSpec spec;
+  spec.n_wrap = 24;
+  spec.n_span = 3;
+  spec.n_normal = 10;
+  spec.wall_spacing = 1e-4;
+  const mesh::UnstructuredMesh wing = mesh::make_wing_mesh(spec);
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  nsu3d::Nsu3dOptions o;
+  o.mg_levels = 2;
+  obs::reset_trace();
+  obs::set_enabled(true);
+  {
+    nsu3d::Nsu3dSolver s(wing, fc, o);
+    s.run_cycle();
+  }
+  obs::set_enabled(false);
+  std::size_t cycles = 0, levels = 0;
+  for (const obs::TraceEvent& e : obs::trace_snapshot()) {
+    if (e.phase != 'B') continue;
+    if (std::string(e.name) == "nsu3d.cycle") ++cycles;
+    if (std::string(e.name) == "nsu3d.level") ++levels;
+  }
+  EXPECT_EQ(cycles, 1u);
+  EXPECT_EQ(levels, 2u);
+  ASSERT_EQ(obs::cycle_records().size(), 1u);
+  EXPECT_EQ(obs::cycle_records()[0].solver, "nsu3d");
+  obs::reset_trace();
+  obs::reset_metrics();
 }
 
 TEST(ExchangePlan, ScheduleStatisticsMatchRequestLists) {

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -38,7 +39,6 @@ namespace {
 /// Restores observability-off state when a test exits.
 struct ObsGuard {
   ~ObsGuard() {
-    obs::close_jsonl();
     obs::set_enabled(false);
     obs::reset_trace();
     obs::reset_metrics();
@@ -116,12 +116,6 @@ TEST(ClockEstimator, DiscardsSteppedClockSamplesAndEmptyBursts) {
 // --- per-rank path spelling -------------------------------------------------
 
 TEST(ShardPaths, RankSuffixInsertsBeforeFinalExtension) {
-  EXPECT_EQ(obs::rank_suffixed_path("conv.jsonl", 3), "conv.rank3.jsonl");
-  EXPECT_EQ(obs::rank_suffixed_path("out/run.trace.json", 0),
-            "out/run.trace.rank0.json");
-  // A dot in a directory is not an extension.
-  EXPECT_EQ(obs::rank_suffixed_path("/tmp/a.b/conv", 2),
-            "/tmp/a.b/conv.rank2");
   EXPECT_EQ(obs::shard_file_path("trace.json.shards", 2, 1),
             "trace.json.shards.rank2.round1.jsonl");
 }
@@ -133,7 +127,6 @@ TEST(ShardPaths, RankSuffixInsertsBeforeFinalExtension) {
 TEST(FlightRecorder, ShardRoundTripsThroughParse) {
   ObsGuard guard;
   const std::string shard_path = testing::TempDir() + "fr_roundtrip.jsonl";
-  const std::string conv_path = testing::TempDir() + "fr_roundtrip_conv.jsonl";
   obs::ShardOptions so;
   so.path = shard_path;
   so.rank = 1;
@@ -143,7 +136,6 @@ TEST(FlightRecorder, ShardRoundTripsThroughParse) {
   so.fault_spec = "seed=9,msg_drop=0.1";
   so.flush_ms = 0;  // explicit flushes only
   obs::FlightRecorder rec(so);
-  ASSERT_TRUE(obs::open_jsonl(conv_path));
   {
     obs::SpanGuard post("halo.xchg.post", {{"rank", 0},
                                            {"nbr", 1},
@@ -186,7 +178,8 @@ TEST(FlightRecorder, ShardRoundTripsThroughParse) {
   EXPECT_EQ(s.events[0].bytes, 4096);
   EXPECT_EQ(s.events[0].round, 3);  // events inherit the header round
   ASSERT_EQ(s.conv.size(), 1u);
-  EXPECT_EQ(s.conv[0].string_or("solver", ""), "nsu3d");
+  EXPECT_EQ(s.conv[0].solver, "nsu3d");
+  EXPECT_EQ(s.conv[0].residual, 0.25);
 }
 
 TEST(FlightRecorder, TruncatedTailStillParsesAsMergeableShard) {
@@ -206,7 +199,9 @@ TEST(FlightRecorder, TruncatedTailStillParsesAsMergeableShard) {
   std::stringstream ss;
   ss << is.rdbuf();
   const std::string text = ss.str();
-  ASSERT_TRUE(obs::is_shard_text(text));
+  obs::TelemetryShard whole;
+  ASSERT_TRUE(obs::parse_shard(text, whole));
+  EXPECT_FALSE(whole.truncated);
   // Chop the footer (and then some) off mid-line: exactly what a rank
   // killed mid-rewrite leaves behind.
   const std::string cut = text.substr(0, text.size() * 2 / 3);
@@ -327,6 +322,130 @@ TEST(ShardMerge, ProvenanceMismatchRaisesWarning) {
   EXPECT_TRUE(saw_faults);
 }
 
+TEST(ShardMerge, MergedTraceRoundTrips) {
+  // 2 ranks x 2 rounds; rank 1 of round 1 was killed (no footer). Rank
+  // 1's clock epoch and offset lie past 2^53 (they travel as strings) but
+  // cancel to 1024 us, so every merged time is exact at the writer's 10
+  // significant digits.
+  constexpr std::int64_t kFar = std::int64_t(1) << 60;
+  std::vector<obs::TelemetryShard> in;
+  for (int round = 0; round < 2; ++round)
+    for (int rank = 0; rank < 2; ++rank) {
+      obs::TelemetryShard s =
+          rank == 0 ? synthetic_shard(0, round, 1'000'000'000, 0)
+                    : synthetic_shard(1, round, std::uint64_t(kFar),
+                                      -kFar + 1'024'000);
+      s.path = "t.rank" + std::to_string(rank) + ".round" +
+               std::to_string(round) + ".jsonl";
+      s.pid = 4000 + 10 * round + rank;
+      s.fault_spec = "seed=9,msg_drop=0.1";
+      s.flushes = 3;
+      s.last_flush_us = 512;
+      s.end_us = 768;
+      s.end_clock = s.clock;
+      s.end_clock.rtt_ns = 1500;
+      if (round == 1 && rank == 1) {
+        s.truncated = true;
+        s.end_us = 0;
+        s.end_clock = obs::ShardClock{};
+      }
+      add_span(s, "halo.xchg.post", 100, 110.5, rank, 1 - rank, 4096);
+      add_span(s, "halo.xchg.wait", 120.25, 160, rank, 1 - rank, -1);
+      obs::CycleRecord ok;
+      ok.solver = "nsu3d";
+      ok.cycle = 1;
+      ok.residual = 0.5;
+      ok.has_forces = true;
+      ok.cl = 0.25;
+      ok.cd = 0.0625;
+      ok.levels = {{0, 0.125}, {1, 0.03125}};
+      obs::CycleRecord rolled_back = ok;
+      rolled_back.cycle = 2;
+      rolled_back.residual = std::nan("");
+      rolled_back.cl = std::nan("");
+      s.conv = {ok, rolled_back};
+      in.push_back(std::move(s));
+    }
+  const obs::MergedTelemetry m = obs::merge_shards(in);
+
+  std::ostringstream os;
+  obs::write_merged_chrome_trace(os, m);
+  obs::JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(obs::parse_json(os.str(), doc, &err)) << err;
+  obs::MergedTelemetry back;
+  ASSERT_TRUE(obs::parse_merged_trace(doc, back, &err)) << err;
+
+  EXPECT_EQ(back.ranks, m.ranks);
+  EXPECT_EQ(back.rounds, m.rounds);
+  EXPECT_EQ(back.threads, m.threads);
+  EXPECT_EQ(back.backend, m.backend);
+  EXPECT_EQ(back.git_sha, m.git_sha);
+  EXPECT_EQ(back.build_type, m.build_type);
+  EXPECT_EQ(back.warnings, m.warnings);
+  EXPECT_EQ(back.event_member, m.event_member);
+  ASSERT_EQ(back.events.size(), m.events.size());
+  for (std::size_t i = 0; i < m.events.size(); ++i) {
+    const obs::PhaseEvent &a = m.events[i], &b = back.events[i];
+    EXPECT_EQ(b.name, a.name) << i;
+    EXPECT_EQ(b.phase, a.phase) << i;
+    EXPECT_EQ(b.ts_us, a.ts_us) << i;
+    EXPECT_EQ(b.tid, a.tid) << i;
+    EXPECT_EQ(b.round, a.round) << i;
+    if (a.phase == 'B') {
+      EXPECT_EQ(b.level, a.level) << i;
+      EXPECT_EQ(b.rank, a.rank) << i;
+      EXPECT_EQ(b.nbr, a.nbr) << i;
+      EXPECT_EQ(b.strat, a.strat) << i;
+      EXPECT_EQ(b.bytes, a.bytes) << i;
+    }
+  }
+  ASSERT_EQ(back.shards.size(), m.shards.size());
+  for (std::size_t i = 0; i < m.shards.size(); ++i) {
+    const obs::TelemetryShard &a = m.shards[i], &b = back.shards[i];
+    EXPECT_EQ(b.path, a.path);
+    EXPECT_EQ(b.rank, a.rank);
+    EXPECT_EQ(b.ranks, a.ranks);
+    EXPECT_EQ(b.round, a.round);
+    EXPECT_EQ(b.pid, a.pid);
+    EXPECT_EQ(b.backend, a.backend);
+    EXPECT_EQ(b.git_sha, a.git_sha);
+    EXPECT_EQ(b.build_type, a.build_type);
+    EXPECT_EQ(b.fault_spec, a.fault_spec);
+    EXPECT_EQ(b.obs, a.obs);
+    EXPECT_EQ(b.clock_base_ns, a.clock_base_ns);
+    EXPECT_EQ(b.truncated, a.truncated);
+    EXPECT_EQ(b.flushes, a.flushes);
+    EXPECT_EQ(b.merged_base_us, a.merged_base_us);
+    EXPECT_EQ(b.last_flush_us, a.last_flush_us);
+    EXPECT_EQ(b.end_us, a.end_us);
+    for (const auto& [x, y] : {std::pair{a.clock, b.clock},
+                               std::pair{a.end_clock, b.end_clock}}) {
+      EXPECT_EQ(y.synced, x.synced);
+      EXPECT_EQ(y.offset_ns, x.offset_ns);
+      EXPECT_EQ(y.rtt_ns, x.rtt_ns);
+      EXPECT_EQ(y.samples, x.samples);
+    }
+    ASSERT_EQ(b.conv.size(), a.conv.size());
+    for (std::size_t k = 0; k < a.conv.size(); ++k) {
+      const obs::CycleRecord &x = a.conv[k], &y = b.conv[k];
+      EXPECT_EQ(y.solver, x.solver);
+      EXPECT_EQ(y.cycle, x.cycle);
+      EXPECT_EQ(std::isnan(y.residual), std::isnan(x.residual));
+      if (!std::isnan(x.residual)) EXPECT_EQ(y.residual, x.residual);
+      EXPECT_EQ(y.has_forces, x.has_forces);
+      EXPECT_EQ(std::isnan(y.cl), std::isnan(x.cl));
+      if (!std::isnan(x.cl)) EXPECT_EQ(y.cl, x.cl);
+      EXPECT_EQ(y.cd, x.cd);
+      ASSERT_EQ(y.levels.size(), x.levels.size());
+      for (std::size_t l = 0; l < x.levels.size(); ++l) {
+        EXPECT_EQ(y.levels[l].level, x.levels[l].level);
+        EXPECT_EQ(y.levels[l].seconds, x.levels[l].seconds);
+      }
+    }
+  }
+}
+
 // --- end-to-end: forked groups, gathered shards, merged comm report ---------
 
 using halo_oracle::make_scenario;
@@ -348,7 +467,7 @@ smp::ProcessGroup::Body exchange_body(int rounds,
     for (int round = 0; round < rounds; ++round) got = plan.exchange(s.data);
     plan.drain();  // exit grace, as in test_transport
     if (!result_base.empty()) {
-      std::ofstream os(obs::rank_suffixed_path(result_base + ".txt", rank));
+      std::ofstream os(result_base + ".rank" + std::to_string(rank) + ".txt");
       os << std::hexfloat;
       for (const auto& part : got)
         for (const real_t v : part) os << double(v) << "\n";
@@ -473,8 +592,9 @@ void expect_recorder_invisible(smp::GroupBackend backend,
   ASSERT_TRUE(smp::ProcessGroup::run(on, exchange_body(2, on_base)).ok);
 
   for (int rank = 0; rank < 2; ++rank) {
-    const std::string a = obs::rank_suffixed_path(off_base + ".txt", rank);
-    const std::string b = obs::rank_suffixed_path(on_base + ".txt", rank);
+    const std::string suffix = ".rank" + std::to_string(rank) + ".txt";
+    const std::string a = off_base + suffix;
+    const std::string b = on_base + suffix;
     std::ifstream ia(a), ib(b);
     ASSERT_TRUE(ia) << a;
     ASSERT_TRUE(ib) << b;

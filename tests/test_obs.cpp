@@ -16,6 +16,7 @@
 
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
+#include "obs/shard.hpp"
 #include "smp/pool.hpp"
 
 namespace columbia {
@@ -176,7 +177,7 @@ TEST(ObsTest, CompiledOutExportsEmptyDocuments) {
   { OBS_SPAN("obs_test.off"); }
   EXPECT_EQ(obs::num_trace_events(), 0u);
   std::ostringstream os;
-  obs::write_chrome_trace(os);
+  obs::write_merged_chrome_trace(os, obs::merge_shards({obs::live_shard()}));
   EXPECT_TRUE(JsonValidator::valid(os.str())) << os.str();
 }
 
@@ -253,7 +254,7 @@ TEST(ObsTest, ChromeTraceExportParsesAndBalances) {
   EXPECT_EQ(obs::num_trace_events(), std::size_t(kThreads) * kSpans * 4);
 
   std::ostringstream os;
-  obs::write_chrome_trace(os);
+  obs::write_merged_chrome_trace(os, obs::merge_shards({obs::live_shard()}));
   EXPECT_TRUE(JsonValidator::valid(os.str()));
   EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
 

@@ -1,6 +1,6 @@
 // Tracing must be numerically invisible: residual histories are
 // bit-identical with observability on or off, at any thread count, and
-// with the convergence-telemetry JSONL sink open. This is the contract
+// while every cycle records its convergence record. This is the contract
 // that lets the instrumentation live permanently in the solver hot paths.
 #include <gtest/gtest.h>
 
@@ -28,7 +28,6 @@ namespace {
 /// Restores single-threaded, observability-off state when a test exits.
 struct Guard {
   ~Guard() {
-    obs::close_jsonl();
     obs::set_report(false);
     obs::set_enabled(false);
     obs::reset_trace();
@@ -46,24 +45,32 @@ mesh::UnstructuredMesh small_wing() {
   return mesh::make_wing_mesh(spec);
 }
 
+euler::FlowConditions nsu3d_conditions() {
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.reynolds = 3e6;
+  return fc;
+}
+
+nsu3d::Nsu3dOptions nsu3d_options() {
+  nsu3d::Nsu3dOptions o;
+  o.mg_levels = 3;
+  return o;
+}
+
+/// `records`, when set, receives the cycle records the solve emitted.
 std::vector<real_t> run_nsu3d(const mesh::UnstructuredMesh& m, int threads,
-                              bool tracing, const std::string& jsonl = {},
-                              bool report = false,
-                              const std::string& report_jsonl = {}) {
+                              bool tracing, bool report = false,
+                              const std::string& report_jsonl = {},
+                              std::vector<obs::CycleRecord>* records = nullptr) {
   Guard guard;
   smp::set_global_threads(threads);
   obs::set_enabled(tracing);
   obs::set_report(report, report_jsonl);
-  // open_jsonl is a stub returning false when compiled out; the history
-  // comparison is still meaningful there (everything is a no-op).
-  if (!jsonl.empty() && obs::kCompiledIn) EXPECT_TRUE(obs::open_jsonl(jsonl));
-  euler::FlowConditions fc;
-  fc.mach = 0.75;
-  fc.reynolds = 3e6;
-  nsu3d::Nsu3dOptions o;
-  o.mg_levels = 3;
-  nsu3d::Nsu3dSolver s(m, fc, o);
-  return s.solve(5, 10);
+  nsu3d::Nsu3dSolver s(m, nsu3d_conditions(), nsu3d_options());
+  const std::vector<real_t> hist = s.solve(5, 10);
+  if (records != nullptr) *records = obs::cycle_records();
+  return hist;
 }
 
 std::vector<real_t> run_cart3d(const cartesian::CartMesh& m, int threads,
@@ -110,8 +117,18 @@ TEST(ObsDeterminism, Nsu3dTracedHistoryThreadInvariant) {
 
 TEST(ObsDeterminism, Nsu3dTelemetrySinkInvisible) {
   const auto m = small_wing();
-  const std::string path = testing::TempDir() + "obs_det_nsu3d.jsonl";
-  expect_equal(run_nsu3d(m, 2, true), run_nsu3d(m, 2, true, path));
+  std::vector<obs::CycleRecord> records;
+  const std::vector<real_t> traced =
+      run_nsu3d(m, 2, true, false, {}, &records);
+  expect_equal(run_nsu3d(m, 2, false), traced);
+  if (!obs::kCompiledIn) return;  // nothing records when compiled out
+  ASSERT_EQ(records.size(), traced.size() - 1);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].solver, "nsu3d");
+    EXPECT_EQ(records[i].cycle, int(i + 1));
+    EXPECT_EQ(records[i].residual, double(traced[i + 1]));
+    EXPECT_EQ(records[i].levels.size(), 3u);
+  }
 }
 
 TEST(ObsDeterminism, Cart3dTracingOnVsOff) {
@@ -131,20 +148,20 @@ TEST(ObsDeterminism, Cart3dTracedHistoryThreadInvariant) {
 TEST(ObsDeterminism, Nsu3dReportOnVsOff) {
   const auto m = small_wing();
   expect_equal(run_nsu3d(m, 1, false),
-               run_nsu3d(m, 1, false, {}, /*report=*/true));
+               run_nsu3d(m, 1, false, /*report=*/true));
 }
 
 TEST(ObsDeterminism, Nsu3dReportedHistoryThreadInvariant) {
   const auto m = small_wing();
-  expect_equal(run_nsu3d(m, 1, false, {}, true),
-               run_nsu3d(m, 3, false, {}, true));
+  expect_equal(run_nsu3d(m, 1, false, true),
+               run_nsu3d(m, 3, false, true));
 }
 
 TEST(ObsDeterminism, Nsu3dReportJsonlSinkInvisible) {
   const auto m = small_wing();
   const std::string path = testing::TempDir() + "obs_det_report.jsonl";
-  expect_equal(run_nsu3d(m, 2, false, {}, true),
-               run_nsu3d(m, 2, false, {}, true, path));
+  expect_equal(run_nsu3d(m, 2, false, true),
+               run_nsu3d(m, 2, false, true, path));
 }
 
 TEST(ObsDeterminism, Cart3dReportOnVsOff) {
@@ -173,12 +190,7 @@ std::vector<real_t> run_nsu3d_recorded(const mesh::UnstructuredMesh& m,
   so.backend = "threads";
   so.flush_ms = 20;  // keep the autoflush thread busy during the solve
   obs::FlightRecorder rec(so);
-  euler::FlowConditions fc;
-  fc.mach = 0.75;
-  fc.reynolds = 3e6;
-  nsu3d::Nsu3dOptions o;
-  o.mg_levels = 3;
-  nsu3d::Nsu3dSolver s(m, fc, o);
+  nsu3d::Nsu3dSolver s(m, nsu3d_conditions(), nsu3d_options());
   const std::vector<real_t> hist = s.solve(5, 10);
   obs::ShardClock clock;
   clock.synced = true;
@@ -203,6 +215,49 @@ struct FaultGuard {
   }
   ~FaultGuard() { resil::FaultInjector::global().reset(); }
 };
+
+// A guarded solve records through the same run_cycle path as solve():
+// one record per cycle attempt, rolled-back attempts included.
+
+TEST(ObsDeterminism, GuardedSolveRecordsEveryCycleAttempt) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const auto m = small_wing();
+  const std::vector<real_t> plain = run_nsu3d(m, 1, false);
+  {
+    Guard guard;
+    obs::set_enabled(true);
+    nsu3d::Nsu3dSolver s(m, nsu3d_conditions(), nsu3d_options());
+    const resil::GuardedSolveResult gr = s.solve_guarded(5, 10);
+    expect_equal(plain, gr.history);
+    const std::vector<obs::CycleRecord> recs = obs::cycle_records();
+    ASSERT_EQ(recs.size(), gr.history.size() - 1);
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      EXPECT_EQ(recs[i].cycle, int(i + 1));
+      EXPECT_EQ(recs[i].residual, double(gr.history[i + 1]));
+    }
+  }
+  {
+    Guard guard;
+    FaultGuard faults("seed=42,state_nan=0.5@2");
+    obs::set_enabled(true);
+    obs::Counter& calls = obs::counter("nsu3d.cycles");
+    const std::uint64_t calls0 = calls.value();
+    nsu3d::Nsu3dSolver s(m, nsu3d_conditions(), nsu3d_options());
+    const resil::GuardedSolveResult gr = s.solve_guarded(8, 10);
+    ASSERT_GE(gr.rollbacks, 1);
+    const std::vector<obs::CycleRecord> recs = obs::cycle_records();
+    ASSERT_EQ(recs.size(), calls.value() - calls0);
+    EXPECT_EQ(std::uint64_t(gr.rollbacks),
+              resil::FaultInjector::global().injected(
+                  resil::FaultKind::StateNaN));
+    int nonfinite = 0;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      EXPECT_EQ(recs[i].cycle, int(i + 1));
+      if (!std::isfinite(recs[i].residual)) ++nonfinite;
+    }
+    EXPECT_EQ(nonfinite, gr.rollbacks);
+  }
+}
 
 std::vector<nsu3d::State> run_nsu3d_partitioned(
     const nsu3d::Level& lvl, const std::vector<nsu3d::State>& u,

@@ -15,6 +15,7 @@
 #include "obs/json_parse.hpp"
 #include "obs/obs.hpp"
 #include "obs/report_cli.hpp"
+#include "obs/shard.hpp"
 
 namespace columbia {
 namespace {
@@ -302,6 +303,27 @@ TEST(ReportCliTest, ConvergenceJsonlRollup) {
       << r.out;
 }
 
+TEST(ReportCliTest, ConvergenceSkipsNonFiniteResiduals) {
+  // A rolled-back guarded attempt records a non-finite residual (written
+  // as null); the rollup spans the first and last finite ones.
+  const std::string path = testing::TempDir() + "/conv_nonfinite.jsonl";
+  {
+    std::ofstream os(path);
+    os << R"({"telemetry_shard":1,"rank":0,"ranks":1,"round":0})" << "\n"
+       << R"({"conv":{"solver":"nsu3d","cycle":1,"residual":null}})" << "\n"
+       << R"({"conv":{"solver":"nsu3d","cycle":2,"residual":0.5}})" << "\n"
+       << R"({"conv":{"solver":"nsu3d","cycle":3,"residual":null}})" << "\n"
+       << R"({"conv":{"solver":"nsu3d","cycle":4,"residual":0.005}})" << "\n";
+  }
+  const CliResult r = run_cli({path});
+  EXPECT_EQ(r.exit_code, obs::report::kOk) << r.err;
+  EXPECT_NE(r.out.find("4 cycles"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("first residual  0.5000"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("last residual   0.0050"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("orders dropped  2.000"), std::string::npos) << r.out;
+  std::remove(path.c_str());
+}
+
 TEST(ReportCliTest, UsageErrors) {
   EXPECT_EQ(run_cli({}).exit_code, obs::report::kUsage);
   EXPECT_EQ(run_cli({"--tolerance", "bogus", fixture("conv.jsonl")}).exit_code,
@@ -424,7 +446,7 @@ TEST(ReportRoundTripTest, LiveProfileMatchesOfflineTraceIngest) {
   ASSERT_EQ(live.phases.size(), 2u);
 
   const std::string path = testing::TempDir() + "/rt_trace.json";
-  ASSERT_TRUE(obs::write_chrome_trace_file(path));
+  ASSERT_TRUE(obs::write_trace(path, {obs::live_shard()}));
   const CliResult r = run_cli({path});
   EXPECT_EQ(r.exit_code, obs::report::kOk) << r.err;
   // The offline ingest sees the same two phases with one call each, and

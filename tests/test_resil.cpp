@@ -194,14 +194,24 @@ TEST(CheckpointIo, DurableFileWriteAndTolerantRead) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->state, c.state);
 
-  // A corrupt file is a recoverable condition, not a crash.
+  // A corrupt file is a recoverable condition, not a crash — but not a
+  // silent one: the rejection names the file and the error kind.
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(20);
     f.put('\x7f');
   }
+  testing::internal::CaptureStderr();
   EXPECT_FALSE(resil::try_read_checkpoint_file(path).has_value());
+  const std::string diag = testing::internal::GetCapturedStderr();
+  EXPECT_NE(diag.find(path), std::string::npos) << diag;
+  EXPECT_NE(diag.find("crc_mismatch"), std::string::npos) << diag;
   std::remove(path.c_str());
+
+  // A missing file stays silent.
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(resil::try_read_checkpoint_file(path).has_value());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 /// Every corruption mode must surface as the matching typed

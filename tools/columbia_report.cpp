@@ -1,11 +1,12 @@
 // columbia_report — the performance observatory's offline half.
 //
 // Ingests the observability layer's machine-readable outputs (Chrome
-// traces, convergence JSONL, bench --json reports) and produces the
+// traces, telemetry shards, bench --json reports) and produces the
 // paper-style analyses: phase profiles with imbalance factors, Fig.
 // 14b/15-style speedup and parallel-efficiency tables across runs, per-
-// level time rollups, a halo critical-path estimate, and — with
-// --baseline — the perf-regression gate scripts/perf_gate.sh drives.
+// level time and convergence rollups, a halo critical-path estimate,
+// and — with --baseline — the perf-regression gate scripts/perf_gate.sh
+// drives.
 // All logic lives in obs::report::run (src/obs/report_cli.*) so the
 // report test suite covers it hermetically.
 #include <iostream>

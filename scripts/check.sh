@@ -2,11 +2,12 @@
 # Tier-1 verification: the full suite in the release preset, the
 # thread-sensitive suites (labels tsan + resil) under ThreadSanitizer, the
 # memory-sensitive suites (label asan) under AddressSanitizer, the obs
-# suites with observability compiled out, the reachability gate, the soak
+# suites with observability compiled out, the reachability gate, the
+# time-to-solution benchmark against its seed-1 references, the soak
 # matrix and the perf gate.
 #
 #   scripts/check.sh            # release, tsan, asan, obs-off, reach,
-#                               # soak, perf gate
+#                               # bench, soak, perf gate
 #   JOBS=8 scripts/check.sh     # override parallelism
 set -euo pipefail
 
@@ -46,6 +47,21 @@ echo "== reach: every library function has a production user (scripts/reach.sh) 
 # Fails on a function no bench, example, tool or columbia_bench links in,
 # unless scripts/reach_allow.txt lists it with its reason.
 JOBS="$JOBS" scripts/reach.sh
+
+echo
+echo "== bench: columbia_bench from its own sources, seed-1 references =="
+# The benchmark's standalone build (columbia_bench/CMakeLists.txt) and its
+# bench_smoke test, which runs every workload at toy sizes and so skips
+# the references. Then each workload once at seed 1 on its real inputs:
+# the binary exits nonzero unless the run matches
+# columbia_bench/references.json and no unit failed.
+cmake -S columbia_bench -B build-bench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-bench -j "$JOBS"
+ctest --test-dir build-bench --output-on-failure
+for workload in nsu3d-wing cart3d-sslv sslv-database nsu3d-shm4; do
+  ./build-bench/columbia_bench --workload "$workload" --seed 1 --trace 0 \
+    --seconds 5 --out build-bench/results
+done
 
 echo
 echo "== soak: distributed fault matrix (scripts/soak.sh) =="

@@ -14,34 +14,12 @@ using geom::Vec3;
 
 namespace {
 
-// Cell-loop chunk grain: fixed so chunk boundaries never depend on the
-// thread count (determinism); matches the solver's historical constant.
-constexpr std::size_t kCellGrain = 512;
-
 template <class Fn>
 void for_cells(std::size_t n, Fn&& body) {
   smp::ThreadPool::global().parallel_for(
       0, n, kCellGrain, [&](std::size_t b, std::size_t e, int) {
         for (std::size_t i = b; i < e; ++i) body(i);
       });
-}
-
-Vec3 boundary_normal(const CartFace& f) {
-  const int a = f.axis >= 0 ? f.axis : -(f.axis + 1);
-  const real_t sign = f.axis >= 0 ? 1.0 : -1.0;
-  Vec3 n{};
-  if (a == 0) n.x = sign;
-  if (a == 1) n.y = sign;
-  if (a == 2) n.z = sign;
-  return n;
-}
-
-Vec3 axis_normal(int axis) {
-  Vec3 n{};
-  if (axis == 0) n.x = 1;
-  if (axis == 1) n.y = 1;
-  if (axis == 2) n.z = 1;
-  return n;
 }
 
 std::array<real_t, 5> prim_array(const Prim& w) {

@@ -33,6 +33,34 @@ namespace columbia::cart3d::kernels {
 using euler::Cons;
 using euler::Prim;
 
+/// Chunk grain of every pooled cell loop, the multigrid layer's included
+/// (Cart3DSolver::kGrain). Cells are stored in SFC order, so contiguous
+/// chunks are spatially compact; the constant is fixed so chunk
+/// boundaries (and the residual norm's partial sums) never depend on the
+/// thread count.
+inline constexpr std::size_t kCellGrain = 512;
+
+/// Unit outward normal of a domain-boundary face (axis is encoded as
+/// axis or -(axis+1) for the negative direction).
+inline geom::Vec3 boundary_normal(const cartesian::CartFace& f) {
+  const int a = f.axis >= 0 ? f.axis : -(f.axis + 1);
+  const real_t sign = f.axis >= 0 ? 1.0 : -1.0;
+  geom::Vec3 n{};
+  if (a == 0) n.x = sign;
+  if (a == 1) n.y = sign;
+  if (a == 2) n.z = sign;
+  return n;
+}
+
+/// Unit normal of an interior face (+axis direction).
+inline geom::Vec3 axis_normal(int axis) {
+  geom::Vec3 n{};
+  if (axis == 0) n.x = 1;
+  if (axis == 1) n.y = 1;
+  if (axis == 2) n.z = 1;
+  return n;
+}
+
 // Strides (in real_t) of the per-cell component blocks; padded so a block
 // never straddles an extra cache line.
 inline constexpr std::size_t kPrimStride = 8;   // [rho,u,v,w,p] + pad

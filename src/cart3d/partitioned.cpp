@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "cart3d/kernels.hpp"
 #include "obs/obs.hpp"
 #include "smp/pool.hpp"
 #include "support/assert.hpp"
@@ -16,29 +17,8 @@ using euler::Cons;
 using euler::Prim;
 using geom::Vec3;
 
-namespace {
-
-/// Unit outward normal of a domain-boundary face (axis is encoded as
-/// axis or -(axis+1) for the negative direction).
-Vec3 boundary_normal(const CartFace& f) {
-  const int a = f.axis >= 0 ? f.axis : -(f.axis + 1);
-  const real_t sign = f.axis >= 0 ? 1.0 : -1.0;
-  Vec3 n{};
-  if (a == 0) n.x = sign;
-  if (a == 1) n.y = sign;
-  if (a == 2) n.z = sign;
-  return n;
-}
-
-Vec3 axis_normal(int axis) {
-  Vec3 n{};
-  if (axis == 0) n.x = 1;
-  if (axis == 1) n.y = 1;
-  if (axis == 2) n.z = 1;
-  return n;
-}
-
-}  // namespace
+using kernels::axis_normal;
+using kernels::boundary_normal;
 
 core::RequestLists halo_requests(const CartMesh& m,
                                  std::span<const index_t> part,

@@ -14,7 +14,7 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
     fc.beta_deg = wp.beta_deg;
     fc.reynolds = spec.reynolds;
     nsu3d::Nsu3dSolver solver(wing, fc, spec.nsu3d_options);
-    const auto hist = solver.solve(spec.nsu3d_max_cycles);
+    const auto hist = solver.solve(spec.nsu3d_max_cycles, 5);
     const nsu3d::Forces f = solver.integrate_forces();
     AnchorResult r;
     r.wind = wp;

@@ -18,13 +18,13 @@ using linalg::BlockVec;
 
 namespace {
 
-// Chunk grains for the pooled loops; fixed constants so chunk boundaries —
-// and with them floating-point combine order — never depend on the thread
-// count (see smp::ThreadPool's determinism contract). The edge grain is
-// sized for the coarse levels: a lock-free chunk claim costs one CAS, so
-// 64-edge chunks let every thread share a coarse level's small colors
-// (level 1 of the Fig. 14a wing: 20 colors of 4-1,170 edges).
-constexpr std::size_t kNodeGrain = 256;
+// Chunk grains for the pooled loops (kNodeGrain: kernels.hpp); fixed
+// constants so chunk boundaries — and with them floating-point combine
+// order — never depend on the thread count (see smp::ThreadPool's
+// determinism contract). The edge grain is sized for the coarse levels: a
+// lock-free chunk claim costs one CAS, so 64-edge chunks let every thread
+// share a coarse level's small colors (level 1 of the Fig. 14a wing: 20
+// colors of 4-1,170 edges).
 constexpr std::size_t kEdgeGrain = 64;
 constexpr std::size_t kLineGrain = 2;
 
@@ -476,11 +476,10 @@ void flux_residual(const Level& lvl, const Physics& phys, const Scratch& s,
 namespace {
 
 // Per-node bodies of the three residual closures. The closures are
-// independent across nodes, so the composed residual() fuses them into a
-// single node pass; the public phase kernels below loop over the same
-// bodies one at a time. Per-node operation order (boundary flux, then the
-// strong-BC projection, then the SA source) matches the phase order, so
-// the fusion is bit-identical.
+// independent across nodes, so residual() fuses them into a single node
+// pass, in the order boundary flux, strong-BC projection, SA source
+// (residual_reference runs the same order as three loops; sa_source, the
+// benchmarks' standalone phase, loops over the last body alone).
 
 inline void boundary_node(const Level& lvl, const Physics& phys,
                           const Prim* w, const real_t* nut, std::size_t i,
@@ -506,6 +505,10 @@ inline void boundary_node(const Level& lvl, const Physics& phys,
   }
 }
 
+/// Strongly-constrained components carry no residual: their equations are
+/// replaced by the Dirichlet projection (Nsu3dSolver::project). Leaving
+/// them in would poison the FAS coarse-grid forcing with residuals the
+/// fine grid never drives to zero. Fine level only.
 inline void strong_bc_node(const Level& lvl, bool viscous, std::size_t i,
                            State& ri) {
   if (viscous && lvl.is_wall_node(index_t(i))) {
@@ -581,28 +584,6 @@ inline void sa_node(const Level& lvl, real_t mu_lam, const Prim* w,
 }
 
 }  // namespace
-
-void boundary_residual(const Level& lvl, const Physics& phys,
-                       const Scratch& s, std::vector<State>& res) {
-  const std::size_t n = std::size_t(lvl.num_nodes);
-  const Prim* const w = s.w.data();
-  const real_t* const nut = s.nut.data();
-  for_nodes(n,
-            [&](std::size_t i) { boundary_node(lvl, phys, w, nut, i, res[i]); });
-}
-
-void strong_bc_filter(const Level& lvl, const Physics& phys, int level,
-                      std::vector<State>& res) {
-  // Strongly-constrained components carry no residual: their equations are
-  // replaced by the Dirichlet projection (apply_strong_bcs). Leaving them
-  // in would poison the FAS coarse-grid forcing with residuals the fine
-  // grid never drives to zero.
-  if (level != 0) return;
-  const std::size_t n = std::size_t(lvl.num_nodes);
-  for_nodes(n, [&](std::size_t i) {
-    strong_bc_node(lvl, phys.viscous, i, res[i]);
-  });
-}
 
 void sa_source(const Level& lvl, const Physics& phys, const Scratch& s,
                std::vector<State>& res) {

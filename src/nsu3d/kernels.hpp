@@ -48,6 +48,12 @@ using State = std::array<real_t, 6>;
 
 namespace kernels {
 
+/// Chunk grain of every pooled per-node loop, the multigrid layer's
+/// included (Nsu3dSolver::kGrain): a fixed constant, so chunk boundaries
+/// (and the residual norm's partial sums) never depend on the thread
+/// count.
+inline constexpr std::size_t kNodeGrain = 256;
+
 /// Per-node component blocks are padded to multiples of this many real_t
 /// entries (64 bytes — one cache line) so a node's block never straddles
 /// an extra line.
@@ -149,9 +155,11 @@ struct Scratch {
 };
 
 // --- Residual phase kernels (all pool-parallel, bit-identical across
-// thread counts). Call order: prim_cache -> gradients (optional) ->
-// limiter (optional) -> flux_residual -> boundary_residual ->
-// strong_bc_filter -> sa_source. ---
+// thread counts). residual() runs prim_cache -> gradients (optional) ->
+// limiter (optional) -> flux_residual, then one fused node pass applying
+// the boundary closures, the fine level's strong-BC filter and (viscous)
+// the SA source. The phases are public so benchmarks can time them one by
+// one. ---
 
 /// Primitive / reconstruction-scalar cache from the conservative state.
 void prim_cache(const Level& lvl, const Physics& phys,
@@ -171,15 +179,6 @@ void limiter(const Level& lvl, Scratch& s);
 /// reuses the limiter's cached directional differences).
 void flux_residual(const Level& lvl, const Physics& phys, const Scratch& s,
                    bool second_order, std::vector<State>& res);
-
-/// Farfield / wall / symmetry boundary closures.
-void boundary_residual(const Level& lvl, const Physics& phys,
-                       const Scratch& s, std::vector<State>& res);
-
-/// Zeroes residual components replaced by strong Dirichlet conditions
-/// (fine level only; pass the level index).
-void strong_bc_filter(const Level& lvl, const Physics& phys, int level,
-                      std::vector<State>& res);
 
 /// Spalart-Allmaras source terms (production - destruction).
 void sa_source(const Level& lvl, const Physics& phys, const Scratch& s,

@@ -55,58 +55,16 @@ struct Forces {
   real_t cl = 0, cd = 0;
 };
 
-class Nsu3dSolver {
+/// The FAS multigrid layer (level storage, transfers, residual norm,
+/// checkpoints, cycle walk, guarded solves) is core::MultigridDriver; this
+/// class supplies the RANS physics through the driver's adapter surface.
+class Nsu3dSolver : public core::MultigridDriver<Nsu3dSolver, 6> {
  public:
   Nsu3dSolver(const mesh::UnstructuredMesh& m,
               const euler::FlowConditions& conditions,
               const Nsu3dOptions& options = {});
 
-  /// One multigrid cycle; returns the fine-grid density-residual norm.
-  real_t run_cycle();
-
-  std::vector<real_t> solve(int max_cycles, real_t orders = 5);
-
-  /// Guarded solve: per-cycle NaN/blow-up detection, rollback to the last
-  /// good checkpoint with CFL/relaxation backoff, optional durable
-  /// checkpoint + resume (see resil::guarded_solve). With faults off and
-  /// no recovery triggered, the history matches solve() bit for bit.
-  resil::GuardedSolveResult solve_guarded(
-      int max_cycles, real_t orders = 5,
-      const resil::GuardedSolveOptions& options = {});
-
-  /// Snapshot of the complete solver state: the fine-grid solution
-  /// (including the SA working variable) plus cycle/history. Coarse-level
-  /// state is rebuilt by the next cycle's FAS restriction, so restoring
-  /// this checkpoint reproduces the uninterrupted residual history
-  /// bit-identically.
-  resil::Checkpoint make_checkpoint(std::uint64_t cycle,
-                                    std::span<const real_t> history) const;
-
-  /// Restores a checkpoint from make_checkpoint; throws std::runtime_error
-  /// when the solver tag or state size does not match this configuration.
-  void restore_checkpoint(const resil::Checkpoint& c);
-
-  real_t residual_norm();
-
-  int num_levels() const { return int(levels_.size()); }
   const Level& level(int l) const { return levels_[std::size_t(l)]; }
-  std::span<const State> solution() const { return state_[0]; }
-  /// Current state of any level (coarse levels hold the latest FAS
-  /// restriction) — read-only, for per-level halo exchanges driven off
-  /// the level hooks.
-  std::span<const State> solution(int l) const {
-    return state_[std::size_t(l)];
-  }
-
-  /// Read-only level-visit hooks (core::MultigridDriver::set_level_hooks):
-  /// `begin` fires on entry to a level visit, `end` right after its
-  /// pre-smoother — the post()/finish() anchor points for split halo
-  /// exchanges. Hooks must not mutate solver state; histories stay
-  /// bit-identical with hooks installed or absent.
-  void set_level_hooks(std::function<void(int)> begin,
-                       std::function<void(int)> end) {
-    driver_.set_level_hooks(std::move(begin), std::move(end));
-  }
 
   Forces integrate_forces() const;
 
@@ -116,9 +74,29 @@ class Nsu3dSolver {
   void compute_residual(int l, const std::vector<State>& u,
                         std::vector<State>& res, bool second_order);
 
- private:
-  friend class core::MultigridDriver<Nsu3dSolver>;
+  // --- Adapter surface consumed by core::MultigridDriver ---
+  static constexpr std::size_t kGrain = kernels::kNodeGrain;
+  static bool state_valid(const State& u) { return kernels::state_valid(u); }
+  const core::SolveParams& solve_params() const { return opt_; }
+  std::size_t level_size(int l) const {
+    return std::size_t(levels_[std::size_t(l)].num_nodes);
+  }
+  std::span<const index_t> to_coarse(int l) const {
+    return levels_[std::size_t(l)].to_coarse;
+  }
+  std::span<const real_t> control_volume(int l) const {
+    return levels_[std::size_t(l)].node_volume;
+  }
+  /// Point- or line-implicit smoothing steps on level l.
+  void smooth(int l, int steps);
+  /// Strong boundary conditions on the fine level (no-slip walls with
+  /// nu~ = 0, symmetry planes without normal momentum); none below it.
+  void project(int l, std::vector<State>& u) const;
+  /// The line-implicit smoother has both a CFL and a relaxation knob;
+  /// guard backoff retreats on both.
+  void apply_backoff(const resil::GuardOptions& g);
 
+ private:
   Nsu3dOptions opt_;
   euler::FlowConditions cond_;
   euler::Prim freestream_;
@@ -126,52 +104,14 @@ class Nsu3dSolver {
   real_t mu_lam_ = 0;
   std::vector<Level> levels_;
 
-  std::vector<std::vector<State>> state_;
-  std::vector<std::vector<State>> forcing_;
-  std::vector<std::vector<State>> residual_;
-  std::vector<std::vector<State>> restricted_snapshot_;
-
-  /// Persistent per-level scratch: steady-state cycles perform no heap
-  /// allocation (vectors keep their capacity across sweeps). The hot
-  /// per-node fields live in the SoA kernel scratch (nsu3d/kernels.hpp).
-  struct Workspace {
-    kernels::Scratch k;
-    // Restriction scratch (coarse-level sized).
-    std::vector<real_t> vol;
-    std::vector<State> transferred;
-  };
-  std::vector<Workspace> work_;
-
-  /// Per level: residual_[l] and work_[l].k hold R(state_[l]) under the
-  /// operator smooth(l) uses. The residual that ends a cycle (or a
-  /// restriction) is then the one the next smoothing step starts from,
-  /// so it is computed once. Cleared by every write to state_[l] and by
-  /// the public compute_residual, which overwrites the scratch.
-  std::vector<bool> fresh_;
+  /// Persistent per-level kernel scratch: steady-state cycles perform no
+  /// heap allocation (vectors keep their capacity across sweeps). The hot
+  /// per-node fields live in the SoA layout (nsu3d/kernels.hpp).
+  std::vector<kernels::Scratch> scratch_;
 
   /// Physical constants handed to the kernel layer (built once in the
   /// constructor from the options and flow conditions).
   kernels::Physics phys_;
-
-  /// Cycle orchestration (level walk, convergence loop, guard wiring,
-  /// telemetry, fault hooks) lives in the shared driver; this class keeps
-  /// only the physics it feeds the driver.
-  core::MultigridDriver<Nsu3dSolver> driver_{"nsu3d"};
-
-  void smooth(int l, int steps);
-  /// R(state_[l]) into residual_[l] with smooth(l)'s operator, unless
-  /// still fresh.
-  void level_residual(int l);
-  void apply_strong_bcs(int l, std::vector<State>& u) const;
-  void restrict_to(int l);
-  void prolong_correction(int l);
-
-  // --- Adapter surface consumed by core::MultigridDriver ---
-  const core::SolveParams& solve_params() const { return opt_; }
-  std::size_t state_count() const { return state_[0].size(); }
-  void poison_state(std::size_t i);
-  void apply_backoff(const resil::GuardOptions& g);
-  void telemetry_forces(double& cl, double& cd) const;
 };
 
 }  // namespace columbia::nsu3d

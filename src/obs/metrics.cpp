@@ -60,18 +60,29 @@ std::vector<std::string> counter_names() {
   return out;
 }
 
-void write_metrics_json(std::ostream& os) {
+MetricsSnapshot metrics_snapshot() {
   MetricsRegistry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);
-  JsonWriter w(os);
+  MetricsSnapshot s;
+  for (const auto& [name, c] : reg.counters) s.counters[name] = c->value();
+  for (const auto& [name, g] : reg.gauges) s.gauges[name] = g->value();
+  return s;
+}
+
+void write_metrics_into(JsonWriter& w, const MetricsSnapshot& s) {
   w.begin_object();
   w.key("counters").begin_object();
-  for (const auto& [name, c] : reg.counters) w.kv(name, c->value());
+  for (const auto& [name, v] : s.counters) w.kv(name, v);
   w.end_object();
   w.key("gauges").begin_object();
-  for (const auto& [name, g] : reg.gauges) w.kv(name, g->value());
+  for (const auto& [name, v] : s.gauges) w.kv(name, v);
   w.end_object();
   w.end_object();
+}
+
+void write_metrics_json(std::ostream& os) {
+  JsonWriter w(os);
+  write_metrics_into(w, metrics_snapshot());
   os << '\n';
 }
 

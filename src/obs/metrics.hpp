@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -55,8 +56,21 @@ void reset_metrics();
 /// Snapshot of registered counter names, sorted, for reports.
 std::vector<std::string> counter_names();
 
-/// Dumps the whole registry as one JSON object:
-/// {"counters": {name: value, ...}, "gauges": {name: value, ...}}.
+/// Every registered metric's value at one instant, by name.
+struct MetricsSnapshot {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::int64_t> gauges;
+};
+MetricsSnapshot metrics_snapshot();
+
+class JsonWriter;
+
+/// The one JSON spelling of a snapshot, written as the value at the
+/// writer's position: {"counters": {name: value, ...}, "gauges": {...}}.
+void write_metrics_into(JsonWriter& w, const MetricsSnapshot& s);
+
+/// Dumps the whole registry as one JSON document (write_metrics_into of
+/// a fresh snapshot, newline-terminated).
 void write_metrics_json(std::ostream& os);
 
 }  // namespace columbia::obs

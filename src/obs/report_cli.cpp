@@ -365,15 +365,44 @@ void print_convergence(const std::string& label,
   out << t.to_string();
 }
 
-/// One rollup per shard that carries cycle records.
+/// The trace path, plus the shard's rank and round when there are several.
+std::string shard_label(const TraceRun& run, const TelemetryShard& s) {
+  if (run.m.shards.size() <= 1) return run.path;
+  return run.path + " rank " + std::to_string(s.rank) + " round " +
+         std::to_string(s.round);
+}
+
+/// One rollup per solve of each shard that carries cycle records, in
+/// order of first record. Records without a solve id (written before ids
+/// existed) share one series, as one shard's records always did.
 void print_run_convergence(const TraceRun& run, std::ostream& out) {
   for (const TelemetryShard& s : run.m.shards) {
-    if (s.conv.empty()) continue;
-    std::string label = run.path;
-    if (run.m.shards.size() > 1)
-      label += " rank " + std::to_string(s.rank) + " round " +
-               std::to_string(s.round);
-    print_convergence(label, s.conv, out);
+    std::vector<std::uint64_t> ids;
+    std::map<std::uint64_t, std::vector<CycleRecord>> solves;
+    for (const CycleRecord& rec : s.conv) {
+      auto& series = solves[rec.solve_id];
+      if (series.empty()) ids.push_back(rec.solve_id);
+      series.push_back(rec);
+    }
+    for (const std::uint64_t id : ids) {
+      std::string label = shard_label(run, s);
+      if (ids.size() > 1) label += " solve " + std::to_string(id);
+      print_convergence(label, solves[id], out);
+    }
+  }
+}
+
+/// Each shard's non-zero resil.* counters: the recovery events (guarded
+/// rollbacks and backoffs, halo retransmits, ...) of the run.
+void print_recovery(const TraceRun& run, std::ostream& out) {
+  for (const TelemetryShard& s : run.m.shards) {
+    Table t({"counter", "value"});
+    for (const auto& [name, value] : s.metrics.counters)
+      if (value != 0 && name.rfind("resil.", 0) == 0)
+        t.add_row({name, std::to_string(value)});
+    if (t.rows().empty()) continue;
+    out << "== recovery counters: " << shard_label(run, s) << " ==\n"
+        << t.to_string();
   }
 }
 
@@ -730,6 +759,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
   for (const TraceRun& run : traces) {
     print_single_run(run, out);
     print_run_convergence(run, out);
+    print_recovery(run, out);
   }
   if (traces.size() > 1) print_scaling_table(traces, out);
   return kOk;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -61,12 +62,26 @@ ShardClock parse_clock(const JsonValue& parent, const std::string& key) {
   return c;
 }
 
+/// A JSON number as an int64: NaN reads 0, and out-of-range values clamp
+/// (converting them directly would be undefined).
+std::int64_t clamped_i64(double v) {
+  if (std::isnan(v)) return 0;
+  constexpr double kMax = 9.2e18;  // just below 2^63
+  return std::int64_t(std::clamp(v, -kMax, kMax));
+}
+
+/// A JSON number as a count: negatives read 0.
+std::uint64_t clamped_count(double v) {
+  return std::uint64_t(std::max<std::int64_t>(0, clamped_i64(v)));
+}
+
 /// The one JSON spelling of a cycle record, shared by the shard's "conv"
 /// lines and the merged trace's per-shard "conv" arrays. Non-finite
 /// values (a rolled-back attempt's residual) are written as null.
 void write_cycle_record(JsonWriter& w, const CycleRecord& rec) {
   w.begin_object();
   w.kv("solver", rec.solver);
+  if (rec.solve_id != 0) w.kv("solve", rec.solve_id);
   w.kv("cycle", rec.cycle);
   w.kv("residual", rec.residual);
   if (rec.has_forces) {
@@ -97,6 +112,7 @@ double number_or_nan(const JsonValue& obj, const std::string& key) {
 CycleRecord read_cycle_record(const JsonValue& v) {
   CycleRecord rec;
   rec.solver = v.string_or("solver", "");
+  rec.solve_id = clamped_count(v.number_or("solve", 0));
   rec.cycle = int(v.number_or("cycle", 0));
   rec.residual = number_or_nan(v, "residual");
   rec.has_forces = v.find("cl") != nullptr;
@@ -109,6 +125,19 @@ CycleRecord read_cycle_record(const JsonValue& v) {
       rec.levels.push_back(
           {int(l.number_or("level", 0)), l.number_or("seconds", 0)});
   return rec;
+}
+
+/// The inverse of write_metrics_into (a shard's "metrics" line, a merged
+/// trace's per-shard "metrics" entry).
+MetricsSnapshot read_metrics(const JsonValue& v) {
+  MetricsSnapshot m;
+  if (const JsonValue* c = v.find("counters"); c != nullptr && c->is_object())
+    for (const auto& [name, value] : c->members())
+      if (value.is_number()) m.counters[name] = clamped_count(value.number());
+  if (const JsonValue* g = v.find("gauges"); g != nullptr && g->is_object())
+    for (const auto& [name, value] : g->members())
+      if (value.is_number()) m.gauges[name] = clamped_i64(value.number());
+  return m;
 }
 
 /// A 'B'/'E' event of a shard or a merged trace; false for anything else
@@ -361,8 +390,7 @@ bool parse_shard(const std::string& text, TelemetryShard& out,
     }
     if (const JsonValue* metrics = l.find("metrics"); metrics != nullptr) {
       // Every image carries the whole registry; the last one wins.
-      if (const JsonValue* g = metrics->find("gauges"); g != nullptr)
-        out.pool_threads = std::int64_t(g->number_or("pool.threads", 0));
+      out.metrics = read_metrics(*metrics);
       continue;
     }
     if (l.find("flush") != nullptr) {
@@ -404,7 +432,7 @@ TelemetryShard live_shard() {
   s.build_type = bi.build_type;
   s.obs = bi.obs_compiled;
   s.truncated = false;
-  s.pool_threads = gauge("pool.threads").value();
+  s.metrics = metrics_snapshot();
   s.events = phase_events_since();
   for (const PhaseEvent& e : s.events) s.end_us = std::max(s.end_us, e.ts_us);
   s.conv = cycle_records();
@@ -505,7 +533,7 @@ MergedTelemetry merge_shards(std::vector<TelemetryShard> shards) {
   for (const PhaseEvent& e : m.events) tids.insert(e.tid);
   m.threads = std::max<std::int64_t>(1, std::int64_t(tids.size()));
   for (const TelemetryShard& s : shards)
-    m.threads = std::max(m.threads, s.pool_threads);
+    m.threads = std::max(m.threads, s.pool_threads());
   m.shards = std::move(shards);
   return m;
 }
@@ -551,6 +579,8 @@ void write_merged_chrome_trace(std::ostream& os, const MergedTelemetry& m) {
     if (!s.truncated) w.kv("end_us", s.merged_base_us + s.end_us);
     write_clock_into(w, "clock", s.clock);
     if (!s.truncated) write_clock_into(w, "end_clock", s.end_clock);
+    w.key("metrics");
+    write_metrics_into(w, s.metrics);
     w.key("conv").begin_array();
     for (const CycleRecord& rec : s.conv) write_cycle_record(w, rec);
     w.end_array();
@@ -651,6 +681,8 @@ bool parse_merged_trace(const JsonValue& doc, MergedTelemetry& out,
         if (!s.truncated)
           s.end_us = sv.number_or("end_us", 0) - s.merged_base_us;
         s.end_clock = parse_clock(sv, "end_clock");
+        if (const JsonValue* mv = sv.find("metrics"); mv != nullptr)
+          s.metrics = read_metrics(*mv);
         if (const JsonValue* conv = sv.find("conv");
             conv != nullptr && conv->is_array())
           for (const JsonValue& rv : conv->items())

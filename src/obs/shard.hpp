@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "obs/json_parse.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
 namespace columbia::obs {
@@ -134,12 +135,20 @@ struct TelemetryShard {
   int flushes = 0;          // autoflush markers seen (liveness pulses)
   double last_flush_us = 0; // rel time of the last flush marker
   double end_us = 0;        // rel time of the footer (when !truncated)
-  std::int64_t pool_threads = 0;   // metrics gauge pool.threads; 0 = unset
+  /// The rank's counters and gauges as of its last flush (live_shard:
+  /// as of the call).
+  MetricsSnapshot metrics;
   std::vector<PhaseEvent> events;  // per-thread recording order
   std::vector<CycleRecord> conv;   // cycle records, in emission order
   /// Filled by merge_shards: this shard's rel-0 instant on the merged
   /// timeline (member 0's clock, rounds serialized), microseconds.
   double merged_base_us = 0;
+
+  /// The pool.threads gauge of `metrics`; 0 = unset.
+  std::int64_t pool_threads() const {
+    const auto it = metrics.gauges.find("pool.threads");
+    return it == metrics.gauges.end() ? 0 : it->second;
+  }
 };
 
 /// Parses one shard document. False (with `error`) when the text does not
@@ -152,7 +161,7 @@ bool read_shard_file(const std::string& path, TelemetryShard& out,
 
 /// This process's recording as one shard (rank 0 of 1, round 0, complete):
 /// the spans converted as phase_events_since() does, the cycle records,
-/// and the pool.threads gauge. Publish pool stats first.
+/// and a snapshot of the metrics registry. Publish pool stats first.
 TelemetryShard live_shard();
 
 /// The merged multi-rank timeline plus everything the report layer needs
@@ -182,8 +191,8 @@ MergedTelemetry merge_shards(std::vector<TelemetryShard> shards);
 
 /// Merged Chrome trace: pid = group rank, one process-name metadata row
 /// per rank, and a "columbia" block carrying per-shard provenance, clock
-/// estimates, liveness and cycle records — the input `columbia_report`
-/// consumes.
+/// estimates, liveness, metrics and cycle records — the input
+/// `columbia_report` consumes.
 void write_merged_chrome_trace(std::ostream& os, const MergedTelemetry& m);
 
 /// The inverse of write_merged_chrome_trace. Also reads Chrome traces

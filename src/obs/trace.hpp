@@ -144,6 +144,9 @@ struct LevelSeconds {
 /// per call while recording is on, rolled-back guarded attempts included.
 struct CycleRecord {
   std::string solver;  // "nsu3d" or "cart3d"
+  /// Process-unique id of the solve that ran the cycle
+  /// (core::next_solve_id); 0 = unknown, in records written before ids.
+  std::uint64_t solve_id = 0;
   int cycle = 0;       // 1-based cycle attempt within the solve
   double residual = 0;
   bool has_forces = false;
@@ -152,7 +155,7 @@ struct CycleRecord {
 };
 
 /// Appends one cycle record to the recording. Thread-safe: records from
-/// simultaneous solves interleave whole.
+/// simultaneous solves interleave whole, told apart by their solve_id.
 void emit_cycle(const CycleRecord& rec);
 
 /// Every cycle record emitted since the last reset_trace(), in order.

@@ -279,8 +279,10 @@ real_t ThreadPool::reduce_sum(std::size_t begin, std::size_t end,
         partial[(b - begin) / grain] = fn(b, e);
       },
       begin, end, grain, chunks);
-  g_busy.clear(std::memory_order_release);
+  // Combine before releasing the pool: the next caller's job reuses (and
+  // may reallocate) partials_.
   for (std::size_t c = 0; c < chunks; ++c) sum += partial[c];
+  g_busy.clear(std::memory_order_release);
   return sum;
 }
 

@@ -3,26 +3,39 @@
 // owner's value bit for bit, fault-free traffic equals the closed form)
 // for both strategies, with halo fault injection on or off, and stay
 // allocation-free in steady state; the unified cycle bookkeeping must
-// reproduce the solvers' historical visit counts.
+// reproduce the solvers' historical visit counts; the FAS layer must do on
+// a toy physics exactly what its contract says; and each solve's cycle
+// records and recovery counters must survive the written trace.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <map>
 #include <new>
+#include <sstream>
+#include <string>
+#include <thread>
 
 #include "cart3d/partitioned.hpp"
 #include "cart3d/solver.hpp"
 #include "core/exchange_plan.hpp"
+#include "core/multigrid.hpp"
 #include "core/params.hpp"
 #include "geom/components.hpp"
 #include "halo_oracle.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
 #include "nsu3d/solver.hpp"
+#include "obs/json_parse.hpp"
 #include "obs/obs.hpp"
+#include "obs/report_cli.hpp"
+#include "obs/shard.hpp"
 #include "perf/loads.hpp"
 #include "resil/faults.hpp"
 #include "smp/pool.hpp"
@@ -387,6 +400,285 @@ TEST(SteadyState, SolverCyclesPerformZeroAllocations) {
         << "cart3d run_cycle allocated at " << threads << " threads";
   }
   smp::set_global_threads(1);
+}
+
+// --- The shared FAS layer, on a toy two-level physics ----------------------
+//
+// Four fine entries with volumes {1, 3, 2, 0} map onto three coarse ones:
+// fine 0,1 -> coarse 0, fine 2,3 -> coarse 1, nothing -> coarse 2. The
+// residual is the state itself, fine smoothing does nothing, and coarse
+// smoothing adds a fixed step per entry, so one cycle's restriction,
+// forcing, prolongation and norm can be written down by hand.
+
+using Toy2 = std::array<real_t, 2>;
+
+class ToyPhysics : public MultigridDriver<ToyPhysics, 2> {
+ public:
+  ToyPhysics() : MultigridDriver("toy") {
+    params_.mg_levels = 2;
+    init_levels(2, kFarField);
+  }
+  static constexpr Toy2 kFarField{1, 2};
+  /// Added to each coarse entry by every coarse smoothing step; coarse 1's
+  /// step drives its children's first component negative (invalid).
+  static constexpr std::array<Toy2, 3> kCoarseStep{
+      {{0.5, 1}, {-10, 0}, {7, 7}}};
+
+  const std::vector<Toy2>& forcing(int l) const {
+    return forcing_[std::size_t(l)];
+  }
+
+  static constexpr std::size_t kGrain = 2;
+  static bool state_valid(const Toy2& u) { return u[0] > 0; }
+  const SolveParams& solve_params() const { return params_; }
+  std::size_t level_size(int l) const { return l == 0 ? 4 : 3; }
+  std::span<const index_t> to_coarse(int) const { return map_; }
+  /// Only the fine level's volumes are read: restriction out of level 0
+  /// and the norm.
+  std::span<const real_t> control_volume(int) { return fine_vol_; }
+  void compute_residual(int l, const std::vector<Toy2>& u,
+                        std::vector<Toy2>& res, bool) {
+    res = u;
+    fresh_[std::size_t(l)] = false;
+  }
+  void smooth(int l, int steps) {
+    if (l == 0) return;
+    for (int s = 0; s < steps; ++s)
+      for (std::size_t j = 0; j < 3; ++j)
+        for (std::size_t k = 0; k < 2; ++k) state_[1][j][k] += kCoarseStep[j][k];
+    fresh_[1] = false;
+  }
+  void project(int, std::vector<Toy2>&) const {}
+  void apply_backoff(const resil::GuardOptions&) {}
+  struct Forces {
+    real_t cl = 0, cd = 0;
+  };
+  Forces integrate_forces() const { return {}; }
+
+ private:
+  SolveParams params_;
+  std::vector<index_t> map_{0, 0, 1, 1};
+  std::vector<real_t> fine_vol_{1, 3, 2, 0};
+};
+
+/// A checkpoint of `toy` holding `fine` as its fine-grid state.
+resil::Checkpoint toy_state(const ToyPhysics& toy,
+                            const std::vector<Toy2>& fine) {
+  resil::Checkpoint c = toy.make_checkpoint(0, {});
+  c.state.clear();
+  for (const Toy2& u : fine) c.state.insert(c.state.end(), u.begin(), u.end());
+  return c;
+}
+
+const std::vector<Toy2> kToyFine{{1, 10}, {3, 20}, {2, 30}, {5, 40}};
+
+TEST(FasLayer, StartsEveryLevelAtTheFarFieldState) {
+  ToyPhysics toy;
+  ASSERT_EQ(toy.num_levels(), 2);
+  for (int l = 0; l < 2; ++l)
+    for (const Toy2& u : toy.solution(l)) EXPECT_EQ(u, ToyPhysics::kFarField);
+  EXPECT_EQ(toy.solution(0).size(), 4u);
+  EXPECT_EQ(toy.solution(1).size(), 3u);
+}
+
+TEST(FasLayer, RestrictionIsTheVolumeWeightedMeanWithFarFieldForEmpty) {
+  ToyPhysics toy;
+  toy.restore_checkpoint(toy_state(toy, kToyFine));
+  toy.run_cycle();
+  // The coarse state after the visit is the restriction plus one step.
+  const std::vector<Toy2>& uc = toy.solution(1);
+  const auto& step = ToyPhysics::kCoarseStep;
+  EXPECT_EQ(uc[0][0], (1.0 * 1 + 3.0 * 3) / 4 + step[0][0]);
+  EXPECT_EQ(uc[0][1], (1.0 * 10 + 3.0 * 20) / 4 + step[0][1]);
+  // Fine 3 has no volume, so coarse 1 is fine 2's state alone.
+  EXPECT_EQ(uc[1][0], 2.0 + step[1][0]);
+  EXPECT_EQ(uc[1][1], 30.0 + step[1][1]);
+  // Coarse 2 gathers no volume: it takes the far-field state.
+  EXPECT_EQ(uc[2][0], ToyPhysics::kFarField[0] + step[2][0]);
+  EXPECT_EQ(uc[2][1], ToyPhysics::kFarField[1] + step[2][1]);
+}
+
+TEST(FasLayer, CoarseForcingIsRestrictedResidualMinusTransferredResidual) {
+  ToyPhysics toy;
+  toy.restore_checkpoint(toy_state(toy, kToyFine));
+  toy.run_cycle();
+  // f_c = R_c(I u) - I(R_f(u) - f_f) with R(u) = u and f_f = 0.
+  const std::vector<Toy2>& fc = toy.forcing(1);
+  EXPECT_EQ(fc[0], (Toy2{2.5 - (1 + 3), 17.5 - (10 + 20)}));
+  EXPECT_EQ(fc[1], (Toy2{2 - (2 + 5), 30 - (30 + 40)}));
+  EXPECT_EQ(fc[2], ToyPhysics::kFarField);
+  for (const Toy2& f : toy.forcing(0)) EXPECT_EQ(f, (Toy2{0, 0}));
+}
+
+TEST(FasLayer, ProlongationAddsDampedCorrectionAndKeepsInvalidEntries) {
+  ToyPhysics toy;
+  toy.restore_checkpoint(toy_state(toy, kToyFine));
+  toy.run_cycle();
+  const real_t damping = SolveParams{}.correction_damping;
+  const auto& step = ToyPhysics::kCoarseStep;
+  const std::vector<Toy2>& uf = toy.solution(0);
+  // Fine 0 and 1 take damping x (coarse - snapshot) of coarse 0.
+  for (std::size_t i = 0; i < 2; ++i)
+    for (std::size_t k = 0; k < 2; ++k) {
+      const real_t snap = k == 0 ? 2.5 : 17.5;
+      EXPECT_EQ(uf[i][k],
+                kToyFine[i][k] + damping * ((snap + step[0][k]) - snap))
+          << "fine " << i << " component " << k;
+    }
+  // Coarse 1's correction would make fine 2 and 3 invalid: both keep
+  // their state.
+  EXPECT_EQ(uf[2], kToyFine[2]);
+  EXPECT_EQ(uf[3], kToyFine[3]);
+}
+
+TEST(FasLayer, NormAveragesOverPositiveVolumeEntries) {
+  ToyPhysics toy;
+  toy.restore_checkpoint(toy_state(toy, kToyFine));
+  // R = u; the volume-0 entry (fine 3) counts neither in the sum nor in
+  // the denominator.
+  const real_t a = 1.0 / 1, b = 3.0 / 3, c = 2.0 / 2;
+  EXPECT_DOUBLE_EQ(toy.residual_norm(), std::sqrt((a * a + b * b + c * c) / 3));
+}
+
+TEST(FasLayer, MismatchedCheckpointIsRejectedAndChangesNothing) {
+  ToyPhysics toy;
+  toy.restore_checkpoint(toy_state(toy, kToyFine));
+  const std::vector<Toy2> before = toy.solution();
+  auto rejection = [&](const resil::Checkpoint& c) -> std::string {
+    try {
+      toy.restore_checkpoint(c);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  resil::Checkpoint wrong_tag = toy_state(toy, {{9, 9}, {9, 9}, {9, 9}, {9, 9}});
+  wrong_tag.solver = "cart3d";
+  EXPECT_EQ(rejection(wrong_tag),
+            "checkpoint solver mismatch: got 'cart3d', expected 'toy'");
+  resil::Checkpoint short_state = toy_state(toy, {{9, 9}, {9, 9}, {9, 9}});
+  EXPECT_EQ(rejection(short_state), "checkpoint state size mismatch for toy grid");
+  resil::Checkpoint wrong_stride = toy_state(toy, kToyFine);
+  wrong_stride.state_stride = 4;
+  EXPECT_EQ(rejection(wrong_stride),
+            "checkpoint state size mismatch for toy grid");
+  EXPECT_EQ(toy.solution(), before);
+}
+
+// --- Cycle records in the trace ---------------------------------------------
+
+mesh::UnstructuredMesh record_wing() {
+  mesh::WingMeshSpec spec;
+  spec.n_wrap = 24;
+  spec.n_span = 3;
+  spec.n_normal = 10;
+  spec.wall_spacing = 1e-4;
+  return mesh::make_wing_mesh(spec);
+}
+
+/// The merged trace of this process's recording, written and read back.
+obs::MergedTelemetry traced_round_trip(const std::string& path) {
+  EXPECT_TRUE(obs::write_trace(path, {obs::live_shard()}));
+  std::ifstream is(path);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  obs::JsonValue doc;
+  EXPECT_TRUE(obs::parse_json(ss.str(), doc));
+  obs::MergedTelemetry m;
+  EXPECT_TRUE(obs::parse_merged_trace(doc, m));
+  return m;
+}
+
+// Solves that record at the same time (ranks of an in-process group,
+// database cases side by side) must stay separate series: each record
+// carries its solve's id, and the report rolls up one series per id.
+TEST(CycleRecords, SimultaneousSolvesRollUpSeparately) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const mesh::UnstructuredMesh wing = record_wing();
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  nsu3d::Nsu3dOptions o;
+  o.mg_levels = 2;
+  constexpr int kCycles = 4;
+  obs::reset_trace();
+  obs::set_enabled(true);
+  {
+    std::vector<std::thread> solves;
+    for (int t = 0; t < 2; ++t)
+      solves.emplace_back([&] {
+        nsu3d::Nsu3dSolver s(wing, fc, o);
+        s.solve(kCycles, 12);
+      });
+    for (std::thread& t : solves) t.join();
+  }
+  obs::set_enabled(false);
+  const std::string path = testing::TempDir() + "core_two_solves.json";
+  const obs::MergedTelemetry m = traced_round_trip(path);
+  ASSERT_EQ(m.shards.size(), 1u);
+  std::map<std::uint64_t, std::vector<int>> cycles;
+  for (const obs::CycleRecord& rec : m.shards[0].conv)
+    cycles[rec.solve_id].push_back(rec.cycle);
+  ASSERT_EQ(cycles.size(), 2u);
+  for (const auto& [id, series] : cycles) {
+    EXPECT_NE(id, 0u);
+    EXPECT_EQ(series, (std::vector<int>{1, 2, 3, 4})) << "solve " << id;
+  }
+
+  std::ostringstream out, err;
+  ASSERT_EQ(obs::report::run({path}, out, err), obs::report::kOk) << err.str();
+  std::size_t rollups = 0;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("== convergence:", 0) == 0) {
+      ++rollups;
+      EXPECT_NE(line.find("(4 cycles) =="), std::string::npos) << line;
+    }
+  EXPECT_EQ(rollups, 2u);
+  std::remove(path.c_str());
+  obs::reset_trace();
+  obs::reset_metrics();
+}
+
+// The recovery counters of a traced guarded solve survive the merged
+// trace, so the report can print them.
+TEST(TraceMetrics, GuardedRollbacksSurviveTheMergedTrace) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const mesh::UnstructuredMesh wing = record_wing();
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.alpha_deg = 2.0;
+  fc.reynolds = 3e6;
+  nsu3d::Nsu3dOptions o;
+  o.mg_levels = 3;
+  obs::reset_trace();
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  resil::FaultInjector::global().configure(
+      resil::parse_fault_spec("seed=42,state_nan=0.2@2"));
+  resil::GuardedSolveResult gr;
+  {
+    nsu3d::Nsu3dSolver s(wing, fc, o);
+    gr = s.solve_guarded(20, 12);
+  }
+  resil::FaultInjector::global().reset();
+  obs::set_enabled(false);
+  ASSERT_GE(gr.rollbacks, 1);
+  const std::string path = testing::TempDir() + "core_guarded_metrics.json";
+  const obs::MergedTelemetry m = traced_round_trip(path);
+  ASSERT_EQ(m.shards.size(), 1u);
+  const auto& counters = m.shards[0].metrics.counters;
+  const auto it = counters.find("resil.recover.rollback");
+  ASSERT_NE(it, counters.end());
+  EXPECT_EQ(it->second, std::uint64_t(gr.rollbacks));
+
+  std::ostringstream out, err;
+  ASSERT_EQ(obs::report::run({path}, out, err), obs::report::kOk) << err.str();
+  EXPECT_NE(out.str().find("== recovery counters: " + path + " =="),
+            std::string::npos)
+      << out.str();
+  std::remove(path.c_str());
+  obs::reset_trace();
+  obs::reset_metrics();
 }
 
 // A trace is often written after the solver that recorded it is gone (a

@@ -145,9 +145,12 @@ TEST(FlightRecorder, ShardRoundTripsThroughParse) {
   }
   obs::CycleRecord cr;
   cr.solver = "nsu3d";
+  cr.solve_id = 5;
   cr.cycle = 1;
   cr.residual = 0.25;
   obs::emit_cycle(cr);
+  obs::counter("resil.recover.rollback").add(3);
+  obs::gauge("pool.threads").set(6);
   // Raw-ns clock fields must round-trip exactly even past 2^53 (they are
   // serialized as JSON strings, never doubles).
   obs::ShardClock clock;
@@ -179,7 +182,11 @@ TEST(FlightRecorder, ShardRoundTripsThroughParse) {
   EXPECT_EQ(s.events[0].round, 3);  // events inherit the header round
   ASSERT_EQ(s.conv.size(), 1u);
   EXPECT_EQ(s.conv[0].solver, "nsu3d");
+  EXPECT_EQ(s.conv[0].solve_id, 5u);
   EXPECT_EQ(s.conv[0].residual, 0.25);
+  // The whole registry snapshot of the last flush, not only pool.threads.
+  EXPECT_EQ(s.metrics.counters.at("resil.recover.rollback"), 3u);
+  EXPECT_EQ(s.pool_threads(), 6);
 }
 
 TEST(FlightRecorder, TruncatedTailStillParsesAsMergeableShard) {
@@ -351,8 +358,12 @@ TEST(ShardMerge, MergedTraceRoundTrips) {
       }
       add_span(s, "halo.xchg.post", 100, 110.5, rank, 1 - rank, 4096);
       add_span(s, "halo.xchg.wait", 120.25, 160, rank, 1 - rank, -1);
+      s.metrics.counters["resil.recover.rollback"] = std::uint64_t(rank + 1);
+      s.metrics.counters["pool.jobs"] = 0;
+      s.metrics.gauges["pool.threads"] = 2;
       obs::CycleRecord ok;
       ok.solver = "nsu3d";
+      ok.solve_id = std::uint64_t(10 * round + rank + 1);
       ok.cycle = 1;
       ok.residual = 0.5;
       ok.has_forces = true;
@@ -426,10 +437,13 @@ TEST(ShardMerge, MergedTraceRoundTrips) {
       EXPECT_EQ(y.rtt_ns, x.rtt_ns);
       EXPECT_EQ(y.samples, x.samples);
     }
+    EXPECT_EQ(b.metrics.counters, a.metrics.counters);
+    EXPECT_EQ(b.metrics.gauges, a.metrics.gauges);
     ASSERT_EQ(b.conv.size(), a.conv.size());
     for (std::size_t k = 0; k < a.conv.size(); ++k) {
       const obs::CycleRecord &x = a.conv[k], &y = b.conv[k];
       EXPECT_EQ(y.solver, x.solver);
+      EXPECT_EQ(y.solve_id, x.solve_id);
       EXPECT_EQ(y.cycle, x.cycle);
       EXPECT_EQ(std::isnan(y.residual), std::isnan(x.residual));
       if (!std::isnan(x.residual)) EXPECT_EQ(y.residual, x.residual);

@@ -165,6 +165,47 @@ TEST(Pool, ConcurrentCallersFallBackInline) {
   EXPECT_EQ(completed.load(), kCallers * kRounds);
 }
 
+TEST(Pool, ConcurrentReduceSumsKeepTheirPartials) {
+  // Callers with different data and chunk counts reduce at once (two
+  // solves' residual norms). Whichever caller wins the pool must combine
+  // its partials before the next one's job reuses (or regrows) the
+  // buffer: every sum stays bit-identical to the serial one.
+  ThreadPool pool(4);
+  constexpr int kCallers = 4, kRounds = 50;
+  std::vector<std::vector<real_t>> data(kCallers);
+  std::vector<real_t> want(kCallers);
+  for (int t = 0; t < kCallers; ++t) {
+    Xoshiro256 rng(std::uint64_t(7 + t));
+    data[std::size_t(t)].resize(std::size_t(4000 + 1500 * t));
+    for (real_t& x : data[std::size_t(t)]) x = rng.uniform(-1, 1);
+    ThreadPool serial(1);
+    want[std::size_t(t)] = serial.reduce_sum(
+        0, data[std::size_t(t)].size(), 97,
+        [&](std::size_t b, std::size_t e) {
+          real_t s = 0;
+          for (std::size_t i = b; i < e; ++i) s += data[std::size_t(t)][i];
+          return s;
+        });
+  }
+  std::atomic<int> bad{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t)
+    callers.emplace_back([&, t] {
+      const std::vector<real_t>& v = data[std::size_t(t)];
+      for (int round = 0; round < kRounds; ++round) {
+        const real_t got = pool.reduce_sum(
+            0, v.size(), 97, [&](std::size_t b, std::size_t e) {
+              real_t s = 0;
+              for (std::size_t i = b; i < e; ++i) s += v[i];
+              return s;
+            });
+        if (got != want[std::size_t(t)]) bad.fetch_add(1);
+      }
+    });
+  for (std::thread& c : callers) c.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
 /// Lets the pool's idle workers outlast their spin window and park.
 void let_workers_park() {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -1,16 +1,17 @@
 // Google-benchmark microbenchmarks for the hot kernels of both solvers:
-// Riemann fluxes, 6x6 block solves, block-tridiagonal lines, SFC encoding
-// and graph partitioning.
+// Riemann fluxes, 6x6 block solves, block-tridiagonal lines, SFC encoding,
+// graph agglomeration and graph partitioning.
 //
 // `micro_kernels --kernels-json [path]` switches to the solver-kernel
 // timing mode: it sweeps the shared-memory pool over thread counts on the
 // fine-level residual kernels of both solvers, compares against a replica
 // of the pre-pool serial implementation, times Cartesian mesh generation
-// per generated cell, and writes machine-readable JSON (default path
-// BENCH_kernels.json). The solver kernels are timed on a developed flow
-// (kDevelopCycles cycles past freestream): at freestream the limiter's
-// directional differences are almost all below its 1e-14 threshold, so the
-// venkat branches, and the SA source, cost a fraction of their real price.
+// per generated cell and NSU3D solver construction per fine node, and
+// writes machine-readable JSON (default path BENCH_kernels.json). The
+// solver kernels are timed on a developed flow (kDevelopCycles cycles past
+// freestream): at freestream the limiter's directional differences are
+// almost all below its 1e-14 threshold, so the venkat branches, and the SA
+// source, cost a fraction of their real price.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -26,6 +27,7 @@
 #include "euler/flux.hpp"
 #include "euler/jacobian.hpp"
 #include "geom/components.hpp"
+#include "graph/agglomerate.hpp"
 #include "graph/partition.hpp"
 #include "linalg/block_tridiag.hpp"
 #include "mesh/builders.hpp"
@@ -145,6 +147,17 @@ graph::Csr make_grid(index_t n) {
     }
   return graph::Csr::from_edges(n * n, edges);
 }
+
+// One agglomeration sweep with its coarse graph (the graph-level hierarchy
+// step; the NSU3D levels take the fine-to-coarse map alone).
+void BM_Agglomerate(benchmark::State& state) {
+  const graph::Csr g = make_grid(64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::agglomerate(g));
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * g.num_vertices());
+}
+BENCHMARK(BM_Agglomerate);
 
 void BM_Partition16(benchmark::State& state) {
   const graph::Csr g = make_grid(64);
@@ -622,6 +635,39 @@ int run_kernels_json(const std::string& path) {
                 int(cells), double(cells) / ns * 60e9 / 1e6);
   }
 
+  // --- NSU3D set-up: dual metrics, lines, agglomerated levels, coloring. ---
+  // Nsu3dSolver construction from the nsu3d-wing mesh of columbia_bench
+  // (64x12x24, 4-level W, line-implicit), per fine node: the constructor
+  // runs pooled passes, so the row is timed at 1 and 4 threads.
+  {
+    mesh::WingMeshSpec spec;
+    spec.n_wrap = 64;
+    spec.n_span = 12;
+    spec.n_normal = 24;
+    spec.wall_spacing = 1e-4;
+    const auto m = mesh::make_wing_mesh(spec);
+    euler::FlowConditions fc;
+    fc.mach = 0.75;
+    fc.reynolds = 3e6;
+    nsu3d::Nsu3dOptions o;
+    o.mg_levels = 4;
+    o.cycle = nsu3d::CycleType::W;
+    o.smoother = nsu3d::SmootherKind::LineImplicit;
+    const double nodes = double(m.num_points());
+    double serial_ns = 0;
+    for (int t : {1, 4}) {
+      smp::set_global_threads(t);
+      const double ns =
+          time_kernel_ns([&] { const nsu3d::Nsu3dSolver s(m, fc, o); });
+      if (t == 1) serial_ns = ns;
+      rows.push_back({"nsu3d_setup_wing", t, ns / nodes, serial_ns / ns, 0});
+      std::printf("nsu3d_setup_wing t=%d: %.1f ns/node (%.2f ms, %.2fx "
+                  "serial)\n",
+                  t, ns / nodes, ns * 1e-6, serial_ns / ns);
+    }
+    smp::set_global_threads(1);
+  }
+
   // Same schema as before (bench/hardware_threads/note/kernels), emitted
   // through the shared obs JSON writer the harness --json reports use.
   std::ofstream f(path);
@@ -644,9 +690,11 @@ int run_kernels_json(const std::string& path) {
   w.kv("hardware_threads",
        std::uint64_t(std::thread::hardware_concurrency()));
   w.kv("note",
-       "ns_per_edge is wall time per edge (NSU3D), per face (Cart3D) or "
+       "ns_per_edge is wall time per edge (NSU3D), per face (Cart3D), "
        "per generated cell (cartesian_mesh_*: build_cart_mesh on the SSLV "
-       "at surface resolution 1 or 4, base_n 24, max_level 2); the solver "
+       "at surface resolution 1 or 4, base_n 24, max_level 2) or per fine "
+       "node (nsu3d_setup_wing: Nsu3dSolver construction from the "
+       "64x12x24 nsu3d-wing mesh, 4 levels, at 1 and 4 threads); the solver "
        "kernels are timed on the flow after 5 cycles from freestream; "
        "speedup_vs_seed compares against a replica of the pre-workspace "
        "serial kernel; speedup_vs_seed 0 means no seed baseline; "

@@ -21,15 +21,18 @@ ctest --preset release -j "$JOBS"
 
 echo
 echo "== tsan: configure + build + ctest -L tsan (includes resil) =="
+# Includes LevelFingerprint.*: NSU3D level construction runs pooled
+# passes, and each fingerprint is built at pool sizes 1 and 4.
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 ctest --preset tsan -j "$JOBS"
 
 echo
 echo "== asan: configure + build + ctest -L asan =="
-# The asan label covers the mesher's bit-identity suite, the resilience
-# and core suites (checkpoints, fault injection, allocation counting) and
-# the fork-free overlap suite.
+# The asan label covers the mesher's bit-identity suite, the NSU3D level
+# construction fingerprints (pool sizes 1 and 4), the resilience and core
+# suites (checkpoints, fault injection, allocation counting) and the
+# fork-free overlap suite.
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 ctest --preset asan -j "$JOBS"

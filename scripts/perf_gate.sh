@@ -18,7 +18,9 @@
 # regressions (an accidental O(n^2), a lost workspace reuse), not 5% noise.
 # Thread-sweep rows the host cannot run (threads > hardware threads) are
 # skipped inside columbia_report with an explicit reason rather than failed.
-# The cartesian_mesh_* rows gate mesh generation (ns per generated cell).
+# The cartesian_mesh_* rows gate mesh generation (ns per generated cell),
+# the nsu3d_setup_wing rows NSU3D solver construction (ns per fine node,
+# at 1 and 4 threads).
 #
 # BENCH_comm.json also carries the comm-observatory rows ("wait/exchange
 # (us)", measured with span recording on): those are Timing-gated like the

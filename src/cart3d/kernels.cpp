@@ -1,9 +1,11 @@
 #include "cart3d/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "smp/pool.hpp"
+#include "support/assert.hpp"
 
 namespace columbia::cart3d::kernels {
 
@@ -46,34 +48,73 @@ real_t venkat(real_t dplus, real_t dq, real_t eps2) {
 
 }  // namespace
 
-void LevelGeom::build(const CartMesh& m) {
+void LevelGeom::build(const CartMesh& m, bool second_order) {
   const std::size_t n = m.cells.size();
   const std::size_t nf = m.faces.size();
-  cells = n;
-  faces = nf;
+  if (!built) {
+    cells = n;
+    faces = nf;
 
-  // Cell volumes, read per cell per RK stage by the smoother and the
-  // residual norm: the mesh's own expression, evaluated once.
-  volume.resize(n);
-  for (std::size_t i = 0; i < n; ++i) volume[i] = m.cell_volume(m.cells[i]);
+    // Cell volumes, read per cell per RK stage by the smoother and the
+    // residual norm: the mesh's own expression, evaluated once.
+    volume.resize(n);
+    for (std::size_t i = 0; i < n; ++i) volume[i] = m.cell_volume(m.cells[i]);
+
+    cut_cells.clear();
+    for (std::size_t i = 0; i < n; ++i)
+      if (m.cells[i].cut) cut_cells.push_back(index_t(i));
+
+    // Per-face streams.
+    fl.resize(nf);
+    fr.resize(nf);
+    axis.resize(nf);
+    area.resize(nf);
+    for (std::size_t e = 0; e < nf; ++e) {
+      const CartFace& f = m.faces[e];
+      fl[e] = f.left;
+      fr[e] = f.right;
+      axis[e] = f.axis;
+      area[e] = f.area;
+    }
+
+    // Boundary-face streams.
+    const std::size_t nb = m.boundary_faces.size();
+    bfl.resize(nb);
+    barea.resize(nb);
+    bnx.resize(nb);
+    bny.resize(nb);
+    bnz.resize(nb);
+    for (std::size_t e = 0; e < nb; ++e) {
+      const CartFace& f = m.boundary_faces[e];
+      bfl[e] = f.left;
+      barea[e] = f.area;
+      const Vec3 bn = boundary_normal(f);
+      bnx[e] = bn.x;
+      bny[e] = bn.y;
+      bnz[e] = bn.z;
+    }
+    built = true;
+  }
+  if (!second_order || second_order_built) return;
 
   // Per-cell eps^2 with the exact expression the scalar limiter evaluated
-  // per face side.
+  // per face side. It depends only on the cell's refinement level, so one
+  // pow per level present.
+  constexpr int kLevels = 256;  // every std::int8_t refinement level
+  std::array<real_t, kLevels> eps2_of_level{};
+  std::array<bool, kLevels> have_level{};
   eps2.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const real_t h = m.cell_width(m.cells[i].level, 0);
-    eps2[i] = std::pow(0.3 * h, 3);
+    const int level = m.cells[i].level;
+    const std::size_t k = std::size_t(level + kLevels / 2);
+    if (!have_level[k]) {
+      eps2_of_level[k] = std::pow(0.3 * m.cell_width(level, 0), 3);
+      have_level[k] = true;
+    }
+    eps2[i] = eps2_of_level[k];
   }
 
-  cut_cells.clear();
-  for (std::size_t i = 0; i < n; ++i)
-    if (m.cells[i].cut) cut_cells.push_back(index_t(i));
-
-  // Per-face streams.
-  fl.resize(nf);
-  fr.resize(nf);
-  axis.resize(nf);
-  area.resize(nf);
+  // Per-face offsets.
   dabx.resize(nf);
   daby.resize(nf);
   dabz.resize(nf);
@@ -85,10 +126,6 @@ void LevelGeom::build(const CartMesh& m) {
   drz.resize(nf);
   for (std::size_t e = 0; e < nf; ++e) {
     const CartFace& f = m.faces[e];
-    fl[e] = f.left;
-    fr[e] = f.right;
-    axis[e] = f.axis;
-    area[e] = f.area;
     const Vec3 cl = m.cell_center(m.cells[std::size_t(f.left)]);
     const Vec3 cr = m.cell_center(m.cells[std::size_t(f.right)]);
     const Vec3 dab = cr - cl;
@@ -138,30 +175,13 @@ void LevelGeom::build(const CartMesh& m) {
     gi[4] = (b * c - a * e) * inv;
     gi[5] = (a * d - b * b) * inv;
   }
-
-  // Boundary-face streams.
-  const std::size_t nb = m.boundary_faces.size();
-  bfl.resize(nb);
-  barea.resize(nb);
-  bnx.resize(nb);
-  bny.resize(nb);
-  bnz.resize(nb);
-  for (std::size_t e = 0; e < nb; ++e) {
-    const CartFace& f = m.boundary_faces[e];
-    bfl[e] = f.left;
-    barea[e] = f.area;
-    const Vec3 bn = boundary_normal(f);
-    bnx[e] = bn.x;
-    bny[e] = bn.y;
-    bnz[e] = bn.z;
-  }
-  built = true;
+  second_order_built = true;
 }
 
 void Scratch::resize(const LevelGeom& g, bool second_order) {
   w.resize(g.cells);
-  pb.resize(g.cells * kPrimStride);
   if (second_order) {
+    pb.resize(g.cells * kPrimStride);
     gb.resize(g.cells * kGradStride);
     rb.resize(g.cells * kRhsStride);
     ph.resize(g.cells * kPhiStride);
@@ -245,13 +265,15 @@ void residual(const LevelGeom& g, const CartMesh& m, const Prim& freestream,
               euler::FluxScheme scheme, std::span<const Cons> u,
               bool second_order, Scratch& s, std::vector<Cons>& res) {
   const std::size_t n = g.cells;
+  COLUMBIA_REQUIRE(g.built && (!second_order || g.second_order_built));
   s.resize(g, second_order);
   res.resize(n);
 
   // Fused setup pass: primitive cache + zero the residual; with second
-  // order also seed the limiter (phi = 1), the neighbor min/max (own
-  // value) and zero the LSQ rhs blocks — all stores nothing reads before
-  // the later sweeps, so fusing is bit-neutral.
+  // order also the blocked primitives, the limiter seed (phi = 1), the
+  // neighbor min/max (own value) and zeroed LSQ rhs blocks — all stores
+  // nothing reads before the later sweeps, so fusing is bit-neutral. A
+  // first-order residual reads only the AoS primitives.
   Prim* const w = s.w.data();
   real_t* const pb = s.pb.data();
   real_t* const gb = s.gb.data();
@@ -261,13 +283,13 @@ void residual(const LevelGeom& g, const CartMesh& m, const Prim& freestream,
   for_cells(n, [&](std::size_t i) {
     const Prim wi = euler::to_primitive(u[i]);
     w[i] = wi;
-    real_t* const __restrict p = pb + i * kPrimStride;
-    p[0] = wi.rho;
-    p[1] = wi.vel.x;
-    p[2] = wi.vel.y;
-    p[3] = wi.vel.z;
-    p[4] = wi.p;
     if (second_order) {
+      real_t* const __restrict p = pb + i * kPrimStride;
+      p[0] = wi.rho;
+      p[1] = wi.vel.x;
+      p[2] = wi.vel.y;
+      p[3] = wi.vel.z;
+      p[4] = wi.p;
       real_t* const __restrict bl = gb + i * kGradStride;
       real_t* const __restrict rl = rb + i * kRhsStride;
       real_t* const __restrict f = ph + i * kPhiStride;

@@ -71,9 +71,12 @@ inline constexpr std::size_t kFdqStride = 10;   // per face: [g.dl 5][g.dr 5]
 inline constexpr std::size_t kGinvStride = 8;   // [i00,i01,i02,i11,i12,i22] + pad
 
 /// Per-level geometry, built once per mesh level (everything here is a
-/// pure function of the mesh).
+/// pure function of the mesh). The streams only a second-order residual
+/// reads are built on the level's first second-order call: every coarse
+/// level, and every level of a first-order solve, never needs them.
 struct LevelGeom {
-  bool built = false;
+  bool built = false;               // the first-order streams
+  bool second_order_built = false;  // eps2, ginv, singular, dab/dl/dr
   std::size_t cells = 0, faces = 0;
 
   // Per-cell streams.
@@ -96,10 +99,12 @@ struct LevelGeom {
   std::vector<real_t> barea;
   std::vector<real_t> bnx, bny, bnz;
 
-  void build(const cartesian::CartMesh& m);
+  /// Builds what a residual of the given order reads and is not built yet.
+  void build(const cartesian::CartMesh& m, bool second_order);
 };
 
-/// Per-level SoA scratch (persistent across sweeps).
+/// Per-level SoA scratch (persistent across sweeps). Only `w` serves a
+/// first-order residual; the blocked streams serve the second-order one.
 struct Scratch {
   std::vector<Prim> w;      // AoS primitives (what the Riemann solvers eat)
   std::vector<real_t> pb;   // kPrimStride-blocked primitive scalars
@@ -110,8 +115,9 @@ struct Scratch {
   void resize(const LevelGeom& g, bool second_order);
 };
 
-/// Full second-/first-order residual against the precomputed geometry.
-/// Bit-identical to residual_reference for every thread count.
+/// Full second-/first-order residual against the precomputed geometry
+/// (built for that order). Bit-identical to residual_reference for every
+/// thread count.
 void residual(const LevelGeom& g, const cartesian::CartMesh& m,
               const Prim& freestream, euler::FluxScheme scheme,
               std::span<const Cons> u, bool second_order, Scratch& s,

@@ -38,15 +38,18 @@ void Cart3DSolver::compute_residual(int level, const std::vector<Cons>& u,
                                     std::vector<Cons>& res,
                                     bool second_order) {
   OBS_SPAN("cart3d.residual", "level", level);
-  kernels::residual(level_geom(level), hierarchy_.levels[std::size_t(level)],
-                    freestream_, opt_.flux, u, second_order,
-                    work_[std::size_t(level)].k, res);
+  kernels::residual(level_geom(level, second_order),
+                    hierarchy_.levels[std::size_t(level)], freestream_,
+                    opt_.flux, u, second_order, work_[std::size_t(level)].k,
+                    res);
   fresh_[std::size_t(level)] = false;  // the level's scratch was overwritten
 }
 
-const kernels::LevelGeom& Cart3DSolver::level_geom(int level) {
+const kernels::LevelGeom& Cart3DSolver::level_geom(int level,
+                                                   bool second_order) {
   kernels::LevelGeom& g = work_[std::size_t(level)].geom;
-  if (!g.built) g.build(hierarchy_.levels[std::size_t(level)]);
+  if (!g.built || (second_order && !g.second_order_built))
+    g.build(hierarchy_.levels[std::size_t(level)], second_order);
   return g;
 }
 

@@ -107,8 +107,9 @@ class Cart3DSolver : public core::MultigridDriver<Cart3DSolver, 5> {
   };
   std::vector<Workspace> work_;
 
-  /// The level's precomputed geometry, built on first use.
-  const kernels::LevelGeom& level_geom(int level);
+  /// The level's precomputed geometry, built on first use; its
+  /// second-order streams on the first second-order use.
+  const kernels::LevelGeom& level_geom(int level, bool second_order = false);
 };
 
 }  // namespace columbia::cart3d

@@ -8,7 +8,7 @@
 
 namespace columbia::graph {
 
-Agglomeration agglomerate(const Csr& g, std::span<const real_t> priority) {
+AgglomerateMap agglomerate_map(const Csr& g, std::span<const real_t> priority) {
   const index_t n = g.num_vertices();
   COLUMBIA_REQUIRE(priority.empty() || index_t(priority.size()) == n);
 
@@ -64,6 +64,14 @@ Agglomeration agglomerate(const Csr& g, std::span<const real_t> priority) {
       map[std::size_t(v)] = relabel[std::size_t(map[std::size_t(v)])];
     nc = next;
   }
+  return {std::move(map), nc};
+}
+
+Agglomeration agglomerate(const Csr& g, std::span<const real_t> priority) {
+  const index_t n = g.num_vertices();
+  AgglomerateMap agg = agglomerate_map(g, priority);
+  const index_t nc = agg.num_coarse;
+  const std::vector<index_t>& map = agg.fine_to_coarse;
 
   // Coarse graph with accumulated boundary weights.
   std::unordered_map<std::uint64_t, real_t> acc;
@@ -96,7 +104,7 @@ Agglomeration agglomerate(const Csr& g, std::span<const real_t> priority) {
   for (index_t v = 0; v < n; ++v)
     vw[std::size_t(map[std::size_t(v)])] += g.vertex_weight(v);
   out.coarse.set_vertex_weights(std::move(vw));
-  out.fine_to_coarse = std::move(map);
+  out.fine_to_coarse = std::move(agg.fine_to_coarse);
   return out;
 }
 

@@ -27,9 +27,24 @@ struct Agglomeration {
   }
 };
 
+/// The vertex grouping of one agglomeration sweep, without the coarse graph.
+struct AgglomerateMap {
+  /// fine_to_coarse[v] = agglomerate containing fine vertex v, numbered
+  /// 0 .. num_coarse - 1.
+  std::vector<index_t> fine_to_coarse;
+  index_t num_coarse = 0;
+};
+
 /// One agglomeration sweep. Seeds are visited in a boundary-first order (the
 /// `priority` span, higher first; pass {} for natural order); each unclaimed
-/// seed claims itself plus all currently unclaimed neighbors.
+/// seed claims itself plus its unclaimed distance-2 neighborhood, and
+/// singleton agglomerates are absorbed into a neighbor.
+AgglomerateMap agglomerate_map(const Csr& g,
+                               std::span<const real_t> priority = {});
+
+/// The same sweep plus the coarse graph over the agglomerates. Callers that
+/// build their own coarse edges (the NSU3D levels sum dual-face normals
+/// instead of edge weights) take agglomerate_map alone.
 Agglomeration agglomerate(const Csr& g, std::span<const real_t> priority = {});
 
 /// Relabels coarse-level partition ids so each coarse part maximally

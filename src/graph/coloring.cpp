@@ -1,6 +1,8 @@
 #include "graph/coloring.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "support/assert.hpp"
 
@@ -9,27 +11,34 @@ namespace columbia::graph {
 std::vector<index_t> color_edges(
     index_t num_vertices,
     std::span<const std::pair<index_t, index_t>> edges) {
-  // First-fit over edges: per vertex keep the set of colors already used by
-  // incident edges, as a bitmask grown on demand.
-  std::vector<std::vector<bool>> used(std::size_t(num_vertices),
-                                      std::vector<bool>{});
+  // First-fit over edges: each edge takes the lowest color neither endpoint
+  // has used yet. Colors below 64 live in one bit mask per vertex; a pair
+  // of vertices that has used all 64 between them continues in per-vertex
+  // overflow sets, allocated on first need. Either way the edge gets the
+  // same first-fit color.
+  std::vector<std::uint64_t> low(std::size_t(num_vertices), 0);
+  std::vector<std::vector<bool>> high;
   std::vector<index_t> color(edges.size(), kInvalidIndex);
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const auto [a, b] = edges[e];
     COLUMBIA_REQUIRE(a >= 0 && a < num_vertices && b >= 0 && b < num_vertices);
-    auto& ua = used[std::size_t(a)];
-    auto& ub = used[std::size_t(b)];
-    index_t c = 0;
-    while (true) {
-      const bool a_used = std::size_t(c) < ua.size() && ua[std::size_t(c)];
-      const bool b_used = std::size_t(c) < ub.size() && ub[std::size_t(c)];
-      if (!a_used && !b_used) break;
-      ++c;
+    const std::uint64_t both = low[std::size_t(a)] | low[std::size_t(b)];
+    if (both != ~std::uint64_t(0)) {
+      const int c = std::countr_one(both);
+      low[std::size_t(a)] |= std::uint64_t(1) << c;
+      low[std::size_t(b)] |= std::uint64_t(1) << c;
+      color[e] = index_t(c);
+      continue;
     }
-    if (std::size_t(c) >= ua.size()) ua.resize(std::size_t(c) + 1, false);
-    if (std::size_t(c) >= ub.size()) ub.resize(std::size_t(c) + 1, false);
-    ua[std::size_t(c)] = ub[std::size_t(c)] = true;
-    color[e] = c;
+    if (high.empty()) high.resize(std::size_t(num_vertices));
+    auto& ha = high[std::size_t(a)];
+    auto& hb = high[std::size_t(b)];
+    std::size_t c = 0;
+    while ((c < ha.size() && ha[c]) || (c < hb.size() && hb[c])) ++c;
+    if (c >= ha.size()) ha.resize(c + 1, false);
+    if (c >= hb.size()) hb.resize(c + 1, false);
+    ha[c] = hb[c] = true;
+    color[e] = index_t(64 + c);
   }
   return color;
 }

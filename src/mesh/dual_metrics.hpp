@@ -36,14 +36,20 @@ struct DualMetrics {
   index_t num_edges() const { return index_t(edges.size()); }
 
   /// Edge coupling weight |n|/|dx| — large across the thin direction of
-  /// stretched cells; feeds line extraction and agglomeration priorities.
+  /// stretched cells. nsu3d::build_levels extracts lines with the same
+  /// weights, computed from the edge lengths it keeps.
   std::vector<real_t> edge_coupling(const UnstructuredMesh& m) const;
 
   /// Max anisotropy ratio over nodes: strongest/weakest incident coupling.
   real_t max_anisotropy(const UnstructuredMesh& m) const;
 };
 
-/// Assembles the metrics. Cost: one pass over elements plus hashing edges.
+/// Assembles the metrics. Cost: each element's dual-face normals and
+/// volume terms computed on the pool, block by block, while two threads
+/// add the previous block's in element order (one numbering the edges
+/// first-seen in a flat hash table and adding the normals, one adding the
+/// node volumes); one pass over boundary faces; a Dijkstra over flat
+/// per-node edge lists. The result does not depend on the pool size.
 DualMetrics compute_dual_metrics(const UnstructuredMesh& m);
 
 /// Conservation check: returns the max over nodes of |closure residual| =

@@ -1,14 +1,16 @@
 #include "nsu3d/level.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <unordered_map>
 
 #include "graph/agglomerate.hpp"
 #include "graph/coloring.hpp"
 #include "graph/csr.hpp"
 #include "graph/lines.hpp"
+#include "smp/pool.hpp"
 #include "support/assert.hpp"
+#include "support/edge_index.hpp"
 
 namespace columbia::nsu3d {
 
@@ -16,28 +18,92 @@ using geom::Vec3;
 
 namespace {
 
+/// Edges per chunk of the pooled per-edge passes. Each pass writes only
+/// its own edge's entries, so the result does not depend on the chunking.
+constexpr std::size_t kEdgeGrain = 4096;
+
+/// Runs fn(e) for every e in [0, n) on the pool.
+template <class Fn>
+void for_edges(std::size_t n, Fn&& fn) {
+  smp::ThreadPool::global().parallel_for(
+      0, n, kEdgeGrain, [&](std::size_t lb, std::size_t le, int) {
+        for (std::size_t e = lb; e < le; ++e) fn(e);
+      });
+}
+
+/// Sizes every vector to n. The memory is allocated here, on the calling
+/// thread (a pool worker's allocation lands in its own malloc arena, which
+/// the solver's later allocations do not reuse); the first touch, the
+/// zeroing, runs one vector per pool task.
+template <class... Vs>
+void resize_in_parallel(std::size_t n, Vs&... vs) {
+  (vs.reserve(n), ...);
+  const std::array<void (*)(void*, std::size_t), sizeof...(Vs)> resize{
+      [](void* v, std::size_t k) { static_cast<Vs*>(v)->resize(k); }...};
+  const std::array<void*, sizeof...(Vs)> target{&vs...};
+  smp::ThreadPool::global().parallel_for(
+      0, sizeof...(Vs), 1, [&](std::size_t b, std::size_t e, int) {
+        for (std::size_t i = b; i < e; ++i) resize[i](target[i], n);
+      });
+}
+
 /// Applies a permutation (perm[new_id] = old_id) to one parallel edge
 /// array: out[k] = v[perm[k]].
 template <class T>
 std::vector<T> permuted(const std::vector<T>& v,
                         const std::vector<index_t>& perm) {
-  std::vector<T> out;
-  out.reserve(v.size());
-  for (index_t old_id : perm) out.push_back(v[std::size_t(old_id)]);
+  std::vector<T> out(perm.size());
+  for_edges(perm.size(), [&](std::size_t k) {
+    out[k] = v[std::size_t(perm[k])];
+  });
   return out;
 }
 
-}  // namespace
+/// |n| / len, 0 for a degenerate edge: the coupling weight that orders
+/// line extraction.
+std::vector<real_t> coupling_weights(const std::vector<Vec3>& normal,
+                                     const std::vector<real_t>& length) {
+  std::vector<real_t> w(normal.size());
+  for_edges(w.size(), [&](std::size_t e) {
+    w[e] = length[e] > 0 ? norm(normal[e]) / length[e] : 0.0;
+  });
+  return w;
+}
 
-void Level::build_incident() {
-  incident.assign(std::size_t(num_nodes),
-                  std::vector<std::pair<index_t, real_t>>{});
+/// For each line, the (edge id, sign) joining consecutive line nodes: one
+/// pass over the edges with each node's line and position at hand. Edges
+/// are unique, so at most one edge joins two nodes.
+FlatLists<std::pair<index_t, real_t>> line_edge_table(
+    index_t num_nodes, const graph::LineSet& lines,
+    const std::vector<std::pair<index_t, index_t>>& edges) {
+  FlatLists<std::pair<index_t, real_t>> le;
+  const std::size_t nl = lines.lines.size();
+  le.offsets.assign(nl + 1, 0);
+  std::vector<index_t> line_of(std::size_t(num_nodes), kInvalidIndex);
+  std::vector<index_t> pos(std::size_t(num_nodes), 0);
+  for (std::size_t li = 0; li < nl; ++li) {
+    const auto& line = lines.lines[li];
+    le.offsets[li + 1] = le.offsets[li] + (line.empty() ? 0 : line.size() - 1);
+    for (std::size_t k = 0; k < line.size(); ++k) {
+      line_of[std::size_t(line[k])] = index_t(li);
+      pos[std::size_t(line[k])] = index_t(k);
+    }
+  }
+  le.items.assign(le.offsets.back(), {kInvalidIndex, 0.0});
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const auto [a, b] = edges[e];
-    incident[std::size_t(a)].push_back({index_t(e), +1.0});
-    incident[std::size_t(b)].push_back({index_t(e), -1.0});
+    const index_t li = line_of[std::size_t(a)];
+    if (li == kInvalidIndex || li != line_of[std::size_t(b)]) continue;
+    const index_t pa = pos[std::size_t(a)], pb = pos[std::size_t(b)];
+    if (pb == pa + 1)
+      le.items[le.offsets[std::size_t(li)] + std::size_t(pa)] = {index_t(e), +1.0};
+    else if (pa == pb + 1)
+      le.items[le.offsets[std::size_t(li)] + std::size_t(pb)] = {index_t(e), -1.0};
   }
+  return le;
 }
+
+}  // namespace
 
 void Level::order_edges(bool color) {
   if (color && !edges.empty()) {
@@ -58,27 +124,36 @@ void Level::finalize_edges() {
   // it gives each pooled chunk a compact node range: on the agglomerated
   // coarse levels, whose node numbering is scattered, that keeps threads
   // off each other's cache lines of the per-node blocks. (Without
-  // coloring the single span is left alone.)
+  // coloring the single span is left alone.) The first nodes within a
+  // color are distinct, so each span has one sorted order and the spans
+  // sort in parallel.
   if (color_offsets.size() > 2) {
     std::vector<index_t> perm(edges.size());
-    for (std::size_t e = 0; e < perm.size(); ++e) perm[e] = index_t(e);
-    for (std::size_t c = 0; c + 1 < color_offsets.size(); ++c)
-      std::sort(perm.begin() + std::ptrdiff_t(color_offsets[c]),
-                perm.begin() + std::ptrdiff_t(color_offsets[c + 1]),
-                [&](index_t x, index_t y) {
-                  return edges[std::size_t(x)].first <
-                         edges[std::size_t(y)].first;
-                });
+    for_edges(perm.size(), [&](std::size_t e) { perm[e] = index_t(e); });
+    smp::ThreadPool::global().parallel_for(
+        0, color_offsets.size() - 1, 1,
+        [&](std::size_t cb, std::size_t ce, int) {
+          for (std::size_t c = cb; c < ce; ++c)
+            std::sort(perm.begin() + std::ptrdiff_t(color_offsets[c]),
+                      perm.begin() + std::ptrdiff_t(color_offsets[c + 1]),
+                      [&](index_t x, index_t y) {
+                        return edges[std::size_t(x)].first <
+                               edges[std::size_t(y)].first;
+                      });
+        });
     edges = permuted(edges, perm);
     edge_normal = permuted(edge_normal, perm);
     edge_length = permuted(edge_length, perm);
   }
 
-  edge_area.resize(edges.size());
-  edge_unit.resize(edges.size());
-  edge_dab.resize(edges.size());
-  edge_eps2.resize(edges.size());
-  for (std::size_t e = 0; e < edges.size(); ++e) {
+  // Per-edge geometry and its SoA mirrors for the kernel layer. The
+  // arrays are sized one per pool task, so their first touch is spread
+  // over the threads, then filled by a pooled loop.
+  const std::size_t ne = edges.size();
+  resize_in_parallel(ne, edge_area, edge_eps2, edge_nx, edge_ny, edge_nz,
+                     edge_ux, edge_uy, edge_uz, edge_dx, edge_dy, edge_dz,
+                     edge_geo, edge_unit, edge_dab, edge_a, edge_b);
+  for_edges(ne, [&](std::size_t e) {
     const auto [a, b] = edges[e];
     const real_t area = norm(edge_normal[e]);
     edge_area[e] = area;
@@ -86,25 +161,8 @@ void Level::finalize_edges() {
     edge_dab[e] = 0.5 * (node_center[std::size_t(b)] -
                          node_center[std::size_t(a)]);
     edge_eps2[e] = std::pow(0.3 * edge_length[e], 3);
-  }
-
-  // SoA mirrors for the kernel layer.
-  const std::size_t ne = edges.size();
-  edge_a.resize(ne);
-  edge_b.resize(ne);
-  edge_nx.resize(ne);
-  edge_ny.resize(ne);
-  edge_nz.resize(ne);
-  edge_ux.resize(ne);
-  edge_uy.resize(ne);
-  edge_uz.resize(ne);
-  edge_dx.resize(ne);
-  edge_dy.resize(ne);
-  edge_dz.resize(ne);
-  edge_geo.resize(ne);
-  for (std::size_t e = 0; e < ne; ++e) {
-    edge_a[e] = edges[e].first;
-    edge_b[e] = edges[e].second;
+    edge_a[e] = a;
+    edge_b[e] = b;
     edge_nx[e] = edge_normal[e].x;
     edge_ny[e] = edge_normal[e].y;
     edge_nz[e] = edge_normal[e].z;
@@ -114,70 +172,27 @@ void Level::finalize_edges() {
     edge_dx[e] = edge_dab[e].x;
     edge_dy[e] = edge_dab[e].y;
     edge_dz[e] = edge_dab[e].z;
-    edge_geo[e] = (edge_area[e] > 0 && edge_length[e] > 0)
-                      ? edge_area[e] / edge_length[e]
-                      : 0.0;
-  }
+    edge_geo[e] = (area > 0 && edge_length[e] > 0) ? area / edge_length[e]
+                                                   : 0.0;
+  });
   inv_volume.resize(node_volume.size());
   for (std::size_t i = 0; i < node_volume.size(); ++i)
     inv_volume[i] = 1.0 / std::max(node_volume[i], real_t(1e-300));
 
-  build_incident();
-  build_line_edges();
-}
-
-void Level::build_line_edges() {
-  line_edges.assign(lines.lines.size(), {});
-  for (std::size_t li = 0; li < lines.lines.size(); ++li) {
-    const auto& line = lines.lines[li];
-    if (line.empty()) continue;
-    auto& le = line_edges[li];
-    le.assign(line.size() - 1, {kInvalidIndex, 0.0});
-    for (std::size_t k = 0; k + 1 < line.size(); ++k) {
-      const index_t i = line[k];
-      const index_t j = line[k + 1];
-      for (const auto& [eid, sgn] : incident[std::size_t(i)]) {
-        const auto [ea, eb] = edges[std::size_t(eid)];
-        const index_t other = ea == i ? eb : ea;
-        if (other != j) continue;
-        le[k] = {eid, sgn};
-        break;
-      }
-    }
-  }
+  incident = edge_incidence(num_nodes, edges);
+  line_edges = line_edge_table(num_nodes, lines, edges);
 }
 
 namespace {
 
-/// Assigns line bookkeeping (line_of_node / pos_in_line) from lines.
-void index_lines(Level& lvl) {
-  lvl.line_of_node.assign(std::size_t(lvl.num_nodes), kInvalidIndex);
-  lvl.pos_in_line.assign(std::size_t(lvl.num_nodes), 0);
-  for (std::size_t li = 0; li < lvl.lines.lines.size(); ++li) {
-    const auto& line = lvl.lines.lines[li];
-    for (std::size_t k = 0; k < line.size(); ++k) {
-      lvl.line_of_node[std::size_t(line[k])] = index_t(li);
-      lvl.pos_in_line[std::size_t(line[k])] = index_t(k);
-    }
-  }
-}
-
-/// Coarse level from a fine level via agglomeration of the coupling graph.
+/// Coarse level from a fine level via agglomeration of its edge graph.
 Level coarsen(Level& fine, bool color_edges) {
-  // Coupling weights |n|/len seed the agglomeration priority so strongly
-  // coupled (boundary-layer) regions agglomerate along their stiffness.
-  std::vector<real_t> weights(fine.edges.size());
-  for (std::size_t e = 0; e < fine.edges.size(); ++e)
-    weights[e] = fine.edge_length[e] > 0
-                     ? norm(fine.edge_normal[e]) / fine.edge_length[e]
-                     : 0.0;
-  graph::Csr g = graph::Csr::from_weighted_edges(fine.num_nodes, fine.edges,
-                                                 weights);
-  const graph::Agglomeration agg = graph::agglomerate(g);
-  fine.to_coarse = agg.fine_to_coarse;
+  const graph::Csr g = graph::Csr::from_edges(fine.num_nodes, fine.edges);
+  graph::AgglomerateMap agg = graph::agglomerate_map(g);
+  fine.to_coarse = std::move(agg.fine_to_coarse);
 
   Level coarse;
-  coarse.num_nodes = agg.coarse.num_vertices();
+  coarse.num_nodes = agg.num_coarse;
   coarse.node_volume.assign(std::size_t(coarse.num_nodes), 0.0);
   coarse.node_center.assign(std::size_t(coarse.num_nodes), Vec3{});
   coarse.boundary_normal.assign(std::size_t(coarse.num_nodes), {});
@@ -202,48 +217,39 @@ Level coarsen(Level& fine, bool color_edges) {
     }
   }
 
-  // Coarse edges: accumulate fine dual-face normals across agglomerates.
-  std::unordered_map<std::uint64_t, std::size_t> edge_of;
+  // Coarse edges: accumulate fine dual-face normals across agglomerates,
+  // numbered in first-seen order over the fine edges.
+  EdgeIndex edge_of(coarse.num_nodes, fine.edges.size() / 4);
   for (std::size_t e = 0; e < fine.edges.size(); ++e) {
     const auto [a, b] = fine.edges[e];
     const index_t ca = fine.to_coarse[std::size_t(a)];
     const index_t cb = fine.to_coarse[std::size_t(b)];
     if (ca == cb) continue;
     const index_t lo = std::min(ca, cb), hi = std::max(ca, cb);
-    const std::uint64_t key =
-        (std::uint64_t(std::uint32_t(lo)) << 32) | std::uint32_t(hi);
-    auto [it, inserted] = edge_of.emplace(key, coarse.edges.size());
+    const auto [id, inserted] = edge_of.insert(lo, hi);
     if (inserted) {
       coarse.edges.emplace_back(lo, hi);
       coarse.edge_normal.push_back({});
     }
     // Fine normal oriented a -> b; coarse edge oriented lo -> hi.
     const real_t sign = (ca == lo) == (a < b) ? 1.0 : -1.0;
-    coarse.edge_normal[it->second] += sign * fine.edge_normal[e];
+    coarse.edge_normal[std::size_t(id)] += sign * fine.edge_normal[e];
   }
   coarse.edge_length.resize(coarse.edges.size());
-  for (std::size_t e = 0; e < coarse.edges.size(); ++e) {
+  for_edges(coarse.edges.size(), [&](std::size_t e) {
     const auto [a, b] = coarse.edges[e];
     coarse.edge_length[e] = distance(coarse.node_center[std::size_t(a)],
                                      coarse.node_center[std::size_t(b)]);
-  }
+  });
 
   // Line-implicit smoothing continues on coarse levels: extract lines from
   // the agglomerated coupling graph ("line-implicit driven agglomeration
   // multigrid", paper Sec. III). Where anisotropy has died out the lines
   // reduce to single points and the smoother becomes point-implicit.
-  {
-    std::vector<real_t> cw(coarse.edges.size());
-    for (std::size_t e = 0; e < coarse.edges.size(); ++e)
-      cw[e] = coarse.edge_length[e] > 0
-                  ? norm(coarse.edge_normal[e]) / coarse.edge_length[e]
-                  : 0.0;
-    const graph::Csr cg = graph::Csr::from_weighted_edges(
-        coarse.num_nodes, coarse.edges, cw);
-    graph::LineOptions lo;
-    coarse.lines = graph::extract_lines(cg, lo);
-  }
-  index_lines(coarse);
+  const graph::Csr cg = graph::Csr::from_weighted_edges(
+      coarse.num_nodes, coarse.edges,
+      coupling_weights(coarse.edge_normal, coarse.edge_length));
+  coarse.lines = graph::extract_lines(cg, graph::LineOptions{});
   coarse.order_edges(color_edges);
   return coarse;
 }
@@ -253,34 +259,34 @@ Level coarsen(Level& fine, bool color_edges) {
 std::vector<Level> build_levels(const mesh::UnstructuredMesh& m,
                                 const LevelOptions& opt) {
   COLUMBIA_REQUIRE(opt.num_levels >= 1);
-  const mesh::DualMetrics dm = mesh::compute_dual_metrics(m);
+  mesh::DualMetrics dm = mesh::compute_dual_metrics(m);
 
   std::vector<Level> levels;
   Level fine;
   fine.num_nodes = m.num_points();
-  fine.edges = dm.edges;
-  fine.edge_normal = dm.edge_normal;
-  fine.node_volume = dm.node_volume;
+  fine.edges = std::move(dm.edges);
+  fine.edge_normal = std::move(dm.edge_normal);
+  fine.node_volume = std::move(dm.node_volume);
   fine.node_center = std::vector<Vec3>(m.points.begin(), m.points.end());
-  fine.boundary_normal = dm.boundary_normal;
-  fine.wall_distance = dm.wall_distance;
+  fine.boundary_normal = std::move(dm.boundary_normal);
+  fine.wall_distance = std::move(dm.wall_distance);
   fine.edge_length.resize(fine.edges.size());
-  for (std::size_t e = 0; e < fine.edges.size(); ++e) {
+  for_edges(fine.edges.size(), [&](std::size_t e) {
     const auto [a, b] = fine.edges[e];
     fine.edge_length[e] =
         distance(m.points[std::size_t(a)], m.points[std::size_t(b)]);
-  }
+  });
 
-  // Implicit lines from the coupling-weighted graph (paper Fig. 5).
+  // Implicit lines from the coupling-weighted graph (paper Fig. 5); the
+  // weights are DualMetrics::edge_coupling's, from the lengths just taken.
   {
-    const std::vector<real_t> coupling = dm.edge_coupling(m);
     const graph::Csr g = graph::Csr::from_weighted_edges(
-        fine.num_nodes, fine.edges, coupling);
+        fine.num_nodes, fine.edges,
+        coupling_weights(fine.edge_normal, fine.edge_length));
     graph::LineOptions lo;
     lo.anisotropy_threshold = opt.line_threshold;
     fine.lines = graph::extract_lines(g, lo);
   }
-  index_lines(fine);
   fine.order_edges(opt.color_edges);
   levels.push_back(std::move(fine));
 

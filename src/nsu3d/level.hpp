@@ -15,6 +15,7 @@
 #include "graph/lines.hpp"
 #include "mesh/dual_metrics.hpp"
 #include "mesh/unstructured.hpp"
+#include "support/flat_lists.hpp"
 #include "support/types.hpp"
 
 namespace columbia::nsu3d {
@@ -64,24 +65,19 @@ struct Level {
   /// Implicit line set (fine level only has meaningful multi-node lines;
   /// coarse levels carry singleton lines).
   graph::LineSet lines;
-  /// For each node, index of its line and position within the line.
-  std::vector<index_t> line_of_node;
-  std::vector<index_t> pos_in_line;
 
   /// Map to the next coarser level (empty on the coarsest).
   std::vector<index_t> to_coarse;
 
-  /// Per-node incident edge lists (edge id, +1 if node is 'a' else -1).
-  std::vector<std::vector<std::pair<index_t, real_t>>> incident;
+  /// Per-node incident edge lists (edge id, +1 if node is 'a' else -1),
+  /// each in edge storage order.
+  FlatLists<std::pair<index_t, real_t>> incident;
 
   /// For line k, entry j is the (edge id, sign) connecting line[j] to
   /// line[j+1] (sign +1 when line[j] is the edge's 'a' endpoint), or
   /// (kInvalidIndex, 0) when no such edge exists. Precomputed so the
   /// block-tridiagonal assembly does not search `incident` every sweep.
-  std::vector<std::vector<std::pair<index_t, real_t>>> line_edges;
-
-  void build_incident();
-  void build_line_edges();
+  FlatLists<std::pair<index_t, real_t>> line_edges;
 
   /// Colors + reorders the edge arrays color-major (when `color` is set).
   /// The next coarser level is built from this order.

@@ -69,6 +69,21 @@ TEST(Agglomerate, PriorityOrdersSeeds) {
   for (index_t u : g.neighbors(55)) EXPECT_EQ(agg.fine_to_coarse[std::size_t(u)], c);
 }
 
+TEST(Agglomerate, MapIsTheSweepWithoutTheCoarseGraph) {
+  const Csr g = grid_graph(17, 13);
+  std::vector<real_t> priority(std::size_t(g.num_vertices()));
+  for (std::size_t v = 0; v < priority.size(); ++v)
+    priority[v] = real_t((v * 7) % 11);
+  for (const bool prioritized : {false, true}) {
+    const std::span<const real_t> p =
+        prioritized ? std::span<const real_t>(priority) : std::span<const real_t>();
+    const auto agg = agglomerate(g, p);
+    const auto map = agglomerate_map(g, p);
+    EXPECT_EQ(map.fine_to_coarse, agg.fine_to_coarse);
+    EXPECT_EQ(map.num_coarse, agg.coarse.num_vertices());
+  }
+}
+
 TEST(MatchPartitions, RelabelsForOverlap) {
   const Csr g = grid_graph(16, 16);
   const auto fine_part = partition(g, 4);

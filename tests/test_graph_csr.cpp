@@ -96,5 +96,35 @@ TEST(Coloring, EdgeColoringConflictFree) {
   EXPECT_LE(num_colors(color), 7);
 }
 
+TEST(Coloring, FirstFitPastSixtyFourColors) {
+  // Two hubs of degree 80 joined by an edge, plus a ring through the
+  // leaves: colors run past the 64 a vertex bit mask holds, and every edge
+  // must still get the lowest color neither endpoint has used, as a plain
+  // first-fit over per-vertex color sets gives it.
+  std::vector<Edge> edges;
+  const index_t leaves = 80, n = 2 + 2 * leaves;
+  for (index_t k = 0; k < leaves; ++k) edges.emplace_back(0, 2 + k);
+  edges.emplace_back(0, 1);
+  for (index_t k = 0; k < leaves; ++k) edges.emplace_back(1, 2 + leaves + k);
+  for (index_t k = 0; k + 1 < 2 * leaves; ++k)
+    edges.emplace_back(2 + k, 2 + k + 1);
+  for (index_t k = 0; k < leaves; ++k) edges.emplace_back(2 + k, 2 + leaves + k);
+
+  std::vector<std::vector<bool>> used(static_cast<std::size_t>(n));
+  std::vector<index_t> want;
+  for (const auto& [a, b] : edges) {
+    auto& ua = used[std::size_t(a)];
+    auto& ub = used[std::size_t(b)];
+    std::size_t c = 0;
+    while ((c < ua.size() && ua[c]) || (c < ub.size() && ub[c])) ++c;
+    ua.resize(std::max(ua.size(), c + 1));
+    ub.resize(std::max(ub.size(), c + 1));
+    ua[c] = ub[c] = true;
+    want.push_back(index_t(c));
+  }
+  EXPECT_EQ(color_edges(n, edges), want);
+  EXPECT_GT(num_colors(want), 64);
+}
+
 }  // namespace
 }  // namespace columbia::graph

@@ -217,7 +217,7 @@ TEST(Cart3dSoA, ResidualMatchesReferenceBitwiseAcrossThreads) {
   const auto u = sphere_state(m, inf);
 
   cart3d::kernels::LevelGeom geomc;
-  geomc.build(m);
+  geomc.build(m, true);
 
   for (bool second_order : {true, false}) {
     smp::set_global_threads(1);

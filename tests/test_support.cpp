@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "support/edge_index.hpp"
+#include "support/flat_lists.hpp"
 #include "support/random.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
@@ -81,6 +85,49 @@ TEST(Timer, MeasuresNonNegative) {
   EXPECT_GE(t.seconds(), 0.0);
   t.reset();
   EXPECT_GE(t.seconds(), 0.0);
+}
+
+TEST(EdgeIndex, NumbersEdgesInFirstSeenOrderAcrossGrowth) {
+  // A 40x40 grid's edges offered twice, each time in both orientations,
+  // into a table sized for 8: it grows many times and must keep every id.
+  EdgeIndex idx(40 * 40, 8);
+  std::vector<std::pair<index_t, index_t>> first_seen;
+  auto offer = [&](index_t a, index_t b) {
+    const auto [id, inserted] = idx.insert(a, b);
+    if (inserted) {
+      EXPECT_EQ(id, index_t(first_seen.size()));
+      first_seen.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    ASSERT_LT(std::size_t(id), first_seen.size());
+    EXPECT_EQ(first_seen[std::size_t(id)],
+              std::make_pair(std::min(a, b), std::max(a, b)));
+  };
+  for (int pass = 0; pass < 2; ++pass)
+    for (index_t j = 0; j < 40; ++j)
+      for (index_t i = 0; i < 40; ++i) {
+        const index_t v = j * 40 + i;
+        if (i + 1 < 40) pass == 0 ? offer(v, v + 1) : offer(v + 1, v);
+        if (j + 1 < 40) pass == 0 ? offer(v + 40, v) : offer(v, v + 40);
+      }
+  EXPECT_EQ(idx.size(), 2 * 40 * 39);
+  EXPECT_EQ(first_seen.size(), std::size_t(2 * 40 * 39));
+}
+
+TEST(FlatLists, EdgeIncidenceKeepsEdgeOrder) {
+  const std::vector<std::pair<index_t, index_t>> edges{
+      {0, 2}, {1, 2}, {0, 3}, {2, 3}, {1, 3}};
+  const auto inc = edge_incidence(5, edges);
+  ASSERT_EQ(inc.size(), 5u);
+  using List = std::vector<std::pair<index_t, real_t>>;
+  const std::vector<List> want{{{0, 1.0}, {2, 1.0}},
+                               {{1, 1.0}, {4, 1.0}},
+                               {{0, -1.0}, {1, -1.0}, {3, 1.0}},
+                               {{2, -1.0}, {3, -1.0}, {4, -1.0}},
+                               {}};
+  for (std::size_t v = 0; v < want.size(); ++v) {
+    const List got(inc[v].begin(), inc[v].end());
+    EXPECT_EQ(got, want[v]) << "node " << v;
+  }
 }
 
 }  // namespace

@@ -106,8 +106,6 @@ std::uint64_t topology_hash(const nsu3d::Level& l) {
   h.add(l.num_nodes);
   h.add_all(l.edges);
   h.add_all(l.color_offsets);
-  h.add_all(l.edge_a);
-  h.add_all(l.edge_b);
   h.add(l.lines.lines.size());
   for (const auto& line : l.lines.lines) h.add_all(line);
   h.add_all(l.to_coarse);
@@ -118,11 +116,8 @@ std::uint64_t topology_hash(const nsu3d::Level& l) {
 
 std::uint64_t geometry_hash(const nsu3d::Level& l) {
   Fnv1a h;
-  h.add_all(l.edge_normal);
   h.add_all(l.edge_length);
   h.add_all(l.edge_area);
-  h.add_all(l.edge_unit);
-  h.add_all(l.edge_dab);
   h.add_all(l.edge_eps2);
   for (const auto* v : {&l.edge_nx, &l.edge_ny, &l.edge_nz, &l.edge_ux,
                         &l.edge_uy, &l.edge_uz, &l.edge_dx, &l.edge_dy,
@@ -269,36 +264,36 @@ TEST(LevelFingerprint, FourElementTypesMesh) {
     ASSERT_GT(m.element_volume(e), 0) << "element " << e;
   ASSERT_EQ(m.boundary.size(), 14u);
   expect_fingerprint(m, 4, {0x3c942d0f5c308334ull,
-                        {0x8d6e0ba1b4350972ull, 0xf309c1524c2d7606ull},
-                        {0x60eaa4786b032aaaull, 0x93807c775a9a2969ull}});
+                        {0x537c84a7132d8b50ull, 0x854b73e159d48267ull},
+                        {0xd8a2db392dfa18ffull, 0xebea7ccbd4916c54ull}});
 }
 
 TEST(LevelFingerprint, TetrahedralizedBox) {
   const mesh::UnstructuredMesh m = mesh::make_box_mesh(
       6, 5, 4, {0, 0, 0}, {1.5, 1.0, 0.8}, true, mesh::BoundaryTag::Wall);
   expect_fingerprint(m, 4, {0xbdf7242fb9c2b696ull,
-                        {0x908fe497a0242c9cull, 0xc99f26aae77c68deull,
-                         0x10963f324dd86aa6ull},
-                        {0x3223e1b588747eefull, 0xa26f9c48edf87679ull,
-                         0x24deaee325f72c68ull}});
+                        {0x0d5bc43ebfa90d39ull, 0x88e09449cfbcfbddull,
+                         0xc3c1b10817aca926ull},
+                        {0x03f9c6e12684c6f5ull, 0x997848cea22a07f6ull,
+                         0x397b99b910f4db88ull}});
 }
 
 TEST(LevelFingerprint, Shm4WingMesh) {
   expect_fingerprint(wing(48, 8, 20), 4,
                      {0xb1515c26ffa70ff9ull,
-                      {0x0d6e422c1b159f5dull, 0x52bef7f7588a9008ull,
-                       0x432625da9c199a41ull, 0x8bf812ad87318fdeull},
-                      {0x7769608de33b642eull, 0xfc255c71a9aa18b7ull,
-                       0x337f0125152f5eccull, 0x841273fa38f1c686ull}});
+                      {0xfde2a255ec4c2589ull, 0x9d6292ae34f99984ull,
+                       0xb9edcd6c0badd4d2ull, 0x634e59813c2065ceull},
+                      {0x762e55f3a7a09f34ull, 0x3f49efe6d1d352b8ull,
+                       0x283a17ecdd636123ull, 0x605e75f0139a0ad2ull}});
 }
 
 TEST(LevelFingerprint, WingMesh) {
   expect_fingerprint(wing(64, 12, 24), 4,
                      {0xf3f419cf3f719ac4ull,
-                      {0xaf56323835665b5cull, 0x934c99a9d0666bf0ull,
-                       0xd79374de2a906d48ull, 0xcdbc7a16b4ef412eull},
-                      {0xa58fe34935a0726eull, 0x4b1ed20d76b3bf0full,
-                       0x4147218d0755367full, 0x91472145a64756ccull}});
+                      {0x7ca391017fa18d24ull, 0xa1c5135268185980ull,
+                       0xd915ef3b85454cb6ull, 0xf83776b41ae31a44ull},
+                      {0x2bc8dcd8037dc949ull, 0xc7944e4c29dcc8cdull,
+                       0x2433cd926431bbbfull, 0xe0e45cfc3c127fb5ull}});
 }
 
 }  // namespace

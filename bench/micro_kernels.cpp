@@ -34,6 +34,7 @@
 #include "nsu3d/kernels.hpp"
 #include "nsu3d/solver.hpp"
 #include "obs/json.hpp"
+#include "oracles/cart3d_reference.hpp"
 #include "sfc/hilbert.hpp"
 #include "sfc/morton.hpp"
 #include "smp/pool.hpp"
@@ -228,7 +229,7 @@ void seed_residual_replica(const nsu3d::Level& lvl,
   std::vector<std::array<Vec3, 6>> grad(n);
   for (std::size_t e = 0; e < lvl.edges.size(); ++e) {
     const auto [a, b] = lvl.edges[e];
-    const Vec3& nrm = lvl.edge_normal[e];
+    const Vec3 nrm{lvl.edge_nx[e], lvl.edge_ny[e], lvl.edge_nz[e]};
     for (int c = 0; c < 6; ++c) {
       const real_t qf =
           0.5 * (q_of(std::size_t(a), c) + q_of(std::size_t(b), c));
@@ -306,7 +307,7 @@ void seed_residual_replica(const nsu3d::Level& lvl,
 
   for (std::size_t e = 0; e < lvl.edges.size(); ++e) {
     const auto [a, b] = lvl.edges[e];
-    const Vec3& nrm = lvl.edge_normal[e];
+    const Vec3 nrm{lvl.edge_nx[e], lvl.edge_ny[e], lvl.edge_nz[e]};
     const real_t area = norm(nrm);
     if (area <= 0) continue;
     const Vec3 nh = nrm / area;

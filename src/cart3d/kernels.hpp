@@ -14,8 +14,9 @@
 // identical inputs).
 //
 // Bit-identity contract: every kernel performs exactly the arithmetic of
-// the retained scalar reference (residual_reference below) in the same
-// per-cell accumulation order. Hoisted values (Gram inverses, eps^2,
+// the scalar reference kept as the tests' oracle
+// (tests/oracles/cart3d_reference.hpp) in the same per-cell accumulation
+// order. Hoisted values (Gram inverses, eps^2,
 // offsets) are computed with the same expressions the scalar path
 // evaluated per call. Negated offsets rely only on fl(-t) == -fl(t).
 #pragma once
@@ -116,31 +117,11 @@ struct Scratch {
 };
 
 /// Full second-/first-order residual against the precomputed geometry
-/// (built for that order). Bit-identical to residual_reference for every
+/// (built for that order). Bit-identical to the scalar oracle for every
 /// thread count.
 void residual(const LevelGeom& g, const cartesian::CartMesh& m,
               const Prim& freestream, euler::FluxScheme scheme,
               std::span<const Cons> u, bool second_order, Scratch& s,
               std::vector<Cons>& res);
-
-// --- Retained scalar reference path ---
-
-/// Scratch for the scalar reference (the pre-SoA workspace layout).
-struct ReferenceScratch {
-  std::vector<Prim> w;
-  std::vector<std::array<geom::Vec3, 5>> grad;
-  std::vector<std::array<real_t, 5>> phi, qmin, qmax;
-  std::vector<std::array<real_t, 6>> gram;
-  std::vector<std::array<geom::Vec3, 5>> rhs;
-};
-
-/// Serial scalar residual: a verbatim retention of the pre-SoA loops
-/// (geometry recomputed per call, AoS state). The equivalence tests assert
-/// the SoA path reproduces it bit for bit; micro_kernels times it as the
-/// seed-replica baseline.
-void residual_reference(const cartesian::CartMesh& m, const Prim& freestream,
-                        euler::FluxScheme scheme, std::span<const Cons> u,
-                        bool second_order, ReferenceScratch& s,
-                        std::vector<Cons>& res);
 
 }  // namespace columbia::cart3d::kernels

@@ -7,6 +7,7 @@
 #include "linalg/block_tridiag.hpp"
 #include "obs/obs.hpp"
 #include "smp/pool.hpp"
+#include "support/assert.hpp"
 
 namespace columbia::nsu3d::kernels {
 
@@ -15,6 +16,7 @@ using geom::Vec3;
 using linalg::BlockLU;
 using linalg::BlockMat;
 using linalg::BlockVec;
+using Edge = std::pair<index_t, index_t>;
 
 namespace {
 
@@ -29,7 +31,7 @@ constexpr std::size_t kEdgeGrain = 64;
 constexpr std::size_t kLineGrain = 2;
 
 /// Runs `body(edge)` over every edge, one color span at a time. Edges in
-/// a span touch disjoint nodes (Level::order_edges), so the scatter is
+/// a span touch disjoint nodes (Level::color_offsets), so the scatter is
 /// race-free; processing colors in order keeps per-node accumulation
 /// order fixed for every thread count.
 template <class Fn>
@@ -131,16 +133,6 @@ void Scratch::resize(const Level& lvl) {
   mut.resize(n);
   pb.resize(n * kPrimStride);
   gb.resize(n * kGradStride);
-  ph.resize(n * kPhiStride);
-  edq.resize(lvl.edges.size() * kEdqStride);
-}
-
-void Scratch::LineScratch::reserve(std::size_t len) {
-  lower.reserve(len);
-  dd.reserve(len);
-  upper.reserve(len);
-  rhs.reserve(len);
-  lu.reserve(len);
 }
 
 namespace {
@@ -216,6 +208,7 @@ void gradients_sweep(const Level& lvl, Scratch& s, bool with_minmax);
 
 void gradients(const Level& lvl, Scratch& s, bool with_minmax) {
   const std::size_t n = std::size_t(lvl.num_nodes);
+  if (with_minmax) s.ph.resize(n * kPhiStride);
   const real_t* const pb = s.pb.data();
   real_t* const gb = s.gb.data();
   real_t* const ph = s.ph.data();
@@ -250,15 +243,14 @@ void gradients_sweep(const Level& lvl, Scratch& s, bool with_minmax) {
   // Fused sweep: Green-Gauss accumulation and neighbor min/max visit edges
   // in the same order, so each output stream keeps the scalar path's
   // per-node accumulation order.
-  const index_t* const ea = lvl.edge_a.data();
-  const index_t* const eb = lvl.edge_b.data();
+  const Edge* const ends = lvl.edges.data();
   const real_t* const nx = lvl.edge_nx.data();
   const real_t* const ny = lvl.edge_ny.data();
   const real_t* const nz = lvl.edge_nz.data();
   auto sweep = [&](auto minmax) {
     for_edges_colored(lvl, [&](std::size_t e) {
-      const std::size_t a = std::size_t(ea[e]);
-      const std::size_t b = std::size_t(eb[e]);
+      const std::size_t a = std::size_t(ends[e].first);
+      const std::size_t b = std::size_t(ends[e].second);
       const real_t enx = nx[e], eny = ny[e], enz = nz[e];
       grad_edge<decltype(minmax)::value>(
           gb + a * kGradStride, gb + b * kGradStride, pb + a * kPrimStride,
@@ -292,21 +284,23 @@ void gradients_sweep(const Level& lvl, Scratch& s, bool with_minmax) {
 }  // namespace
 
 void limiter(const Level& lvl, Scratch& s) {
+  // ph was sized and seeded to 1 by the gradients(with_minmax) pass that
+  // must precede this kernel (the limiter needs those gradients and
+  // min/max).
+  COLUMBIA_REQUIRE(s.ph.size() == std::size_t(lvl.num_nodes) * kPhiStride);
+  s.edq.resize(lvl.edges.size() * kEdqStride);
   const real_t* const pb = s.pb.data();
   const real_t* const gb = s.gb.data();
   real_t* const ph = s.ph.data();
   real_t* const edq = s.edq.data();
-  // ph was seeded to 1 by the gradients(with_minmax) pass that must
-  // precede this kernel (the limiter needs those gradients and min/max).
 
-  const index_t* const ea = lvl.edge_a.data();
-  const index_t* const eb = lvl.edge_b.data();
+  const Edge* const ends = lvl.edges.data();
   const real_t* const dx = lvl.edge_dx.data();
   const real_t* const dy = lvl.edge_dy.data();
   const real_t* const dz = lvl.edge_dz.data();
   for_edges_colored(lvl, [&](std::size_t e) {
-    const std::size_t a = std::size_t(ea[e]);
-    const std::size_t b = std::size_t(eb[e]);
+    const std::size_t a = std::size_t(ends[e].first);
+    const std::size_t b = std::size_t(ends[e].second);
     const real_t dxe = dx[e], dye = dy[e], dze = dz[e];
     const real_t eps2 = lvl.edge_eps2[e];
     const real_t* const pa = pb + a * kPrimStride;
@@ -361,12 +355,11 @@ void flux_edges_impl(const Level& lvl, const Physics& phys, const Scratch& s,
   // path, evaluated once).
   const real_t mu_pr = mu_lam / kPrandtl;
 
-  const index_t* const ea = lvl.edge_a.data();
-  const index_t* const eb = lvl.edge_b.data();
+  const Edge* const ends = lvl.edges.data();
   const real_t* const geo_ = lvl.edge_geo.data();
   for_edges_colored(lvl, [&](std::size_t e) {
-    const std::size_t a = std::size_t(ea[e]);
-    const std::size_t b = std::size_t(eb[e]);
+    const std::size_t a = std::size_t(ends[e].first);
+    const std::size_t b = std::size_t(ends[e].second);
     const real_t area = lvl.edge_area[e];
     if (area <= 0) return;
     const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
@@ -478,7 +471,7 @@ namespace {
 // Per-node bodies of the three residual closures. The closures are
 // independent across nodes, so residual() fuses them into a single node
 // pass, in the order boundary flux, strong-BC projection, SA source
-// (residual_reference runs the same order as three loops; sa_source, the
+// (the scalar oracle runs the same order as three loops; sa_source, the
 // benchmarks' standalone phase, loops over the last body alone).
 
 inline void boundary_node(const Level& lvl, const Physics& phys,
@@ -606,12 +599,14 @@ void residual(const Level& lvl, const Physics& phys, int level,
   // over the node arrays).
   res.resize(std::size_t(lvl.num_nodes));
   const bool grads = second_order || phys.viscous;
-  if (grads && second_order)
+  if (grads && second_order) {
+    s.ph.resize(std::size_t(lvl.num_nodes) * kPhiStride);
     prim_cache_impl<true, true, true>(lvl, phys, u, s, &res);
-  else if (grads)
+  } else if (grads) {
     prim_cache_impl<true, false, true>(lvl, phys, u, s, &res);
-  else
+  } else {
     prim_cache_impl<false, false, true>(lvl, phys, u, s, &res);
+  }
   if (grads) gradients_sweep(lvl, s, second_order);
   if (second_order) limiter(lvl, s);
   flux_sweep(lvl, phys, s, second_order, res);
@@ -649,14 +644,13 @@ void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s) {
   // for both endpoints of every edge.
   for_nodes(n, [&](std::size_t i) { snd[i] = w[i].sound_speed(); });
 
-  const index_t* const ea = lvl.edge_a.data();
-  const index_t* const eb = lvl.edge_b.data();
+  const Edge* const ends = lvl.edges.data();
   for_edges_colored(lvl, [&](std::size_t e) {
-    const std::size_t a = std::size_t(ea[e]);
-    const std::size_t b = std::size_t(eb[e]);
+    const std::size_t a = std::size_t(ends[e].first);
+    const std::size_t b = std::size_t(ends[e].second);
     const real_t area = lvl.edge_area[e];
     if (area <= 0) return;
-    const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
+    const Vec3 nh = lvl.edge_unit(e);
     wave[a] += (std::abs(dot(w[a].vel, nh)) + snd[a]) * area;
     wave[b] += (std::abs(dot(w[b].vel, nh)) + snd[b]) * area;
     if (viscous && lvl.edge_length[e] > 0) {
@@ -681,10 +675,10 @@ void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s) {
 // block, and incident lists are in edge storage order (color-major) —
 // the order the colored scatter added the terms in — so every block
 // accumulates the identical sequence. The gather needs no color barriers
-// and no thread ever writes another node's 6x6 block. On the coarse
-// levels, whose scattered node numbering made the scatter's blocks bounce
-// between cores every color, that turned no speedup at 4 threads into
-// 2.5x; at 1 thread it costs the same as the scatter.
+// and no thread ever writes another node's block. On the coarse levels,
+// whose scattered node numbering made the scatter's blocks bounce between
+// cores every color, that turned no speedup at 4 threads into 2.5x; at 1
+// thread it costs the same as the scatter.
 void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
                    std::span<const State> u, Scratch& s) {
   const std::size_t n = std::size_t(lvl.num_nodes);
@@ -693,37 +687,40 @@ void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
   const real_t* const mut = s.mut.data();
   const real_t* const wave = s.wave.data();
   const real_t* const snd = s.snd.data();
-  const index_t* const ea = lvl.edge_a.data();
-  const index_t* const eb = lvl.edge_b.data();
-  BlockMat<6>* const diag = s.diag.data();
+  const Edge* const ends = lvl.edges.data();
+  ImplicitBlock* const diag = s.diag.data();
   const real_t mu_lam = phys.mu_lam;
   const bool viscous = phys.viscous;
 
   for_nodes(n, [&](std::size_t i) {
     const real_t dt =
         wave[i] > 0 ? cfl * lvl.node_volume[i] / wave[i] : 1e30;
-    BlockMat<6> d = BlockMat<6>::diagonal(lvl.node_volume[i] / dt);
+    const real_t d0 = lvl.node_volume[i] / dt;
+    BlockMat<5> d = BlockMat<5>::diagonal(d0);
+    real_t dsa = d0;
     for (const auto& [eid, sgn] : lvl.incident[i]) {
       const std::size_t e = std::size_t(eid);
       const real_t area = lvl.edge_area[e];
       if (area <= 0) continue;
-      const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
+      const Vec3 nh = lvl.edge_unit(e);
       const real_t lam = (std::abs(dot(w[i].vel, nh)) + snd[i]) * area;
       // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
-      const BlockMat<5> j = euler::flux_jacobian(
-          w[i], sgn > 0 ? lvl.edge_normal[e] : -1.0 * lvl.edge_normal[e]);
+      const Vec3 nrm = lvl.edge_normal(e);
+      const BlockMat<5> j =
+          euler::flux_jacobian(w[i], sgn > 0 ? nrm : -1.0 * nrm);
       for (int rr = 0; rr < 5; ++rr)
         for (int cc = 0; cc < 5; ++cc) d(rr, cc) += 0.5 * j(rr, cc);
       for (int rr = 0; rr < 5; ++rr) d(rr, rr) += 0.5 * lam;
-      d(5, 5) += 0.5 * lam;
+      dsa += 0.5 * lam;
       if (viscous && lvl.edge_geo[e] > 0) {
-        const std::size_t a = std::size_t(ea[e]), b = std::size_t(eb[e]);
+        const std::size_t a = std::size_t(ends[e].first);
+        const std::size_t b = std::size_t(ends[e].second);
         const real_t geo = lvl.edge_geo[e];
         const real_t cm = (mu_lam + 0.5 * (mut[a] + mut[b])) * geo;
         const real_t cs =
             (mu_lam + 0.5 * (u[a][5] + u[b][5])) / kSigma * geo;
         for (int rr = 1; rr <= 4; ++rr) d(rr, rr) += cm;
-        d(5, 5) += cs;
+        dsa += cs;
       }
     }
     // Farfield linearization keeps boundary nodes well conditioned.
@@ -732,25 +729,22 @@ void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
     const real_t ba = norm(bn);
     if (ba > 0) {
       const real_t lam = euler::spectral_radius(w[i], bn / ba) * ba;
-      for (int rr = 0; rr < 6; ++rr) d(rr, rr) += 0.5 * lam;
+      for (int rr = 0; rr < 5; ++rr) d(rr, rr) += 0.5 * lam;
+      dsa += 0.5 * lam;
     }
-    diag[i] = d;
+    diag[i] = {d, dsa};
   });
 }
 
 namespace {
 
-BlockVec<6> rhs_of(std::span<const State> f, std::span<const State> r,
-                   std::size_t i) {
-  BlockVec<6> rhs;
-  for (int c = 0; c < 6; ++c) rhs[c] = f[i][std::size_t(c)] - r[i][std::size_t(c)];
-  return rhs;
-}
-
+/// Applies the under-relaxed mean-flow and SA updates to node i, keeping
+/// the old state when the new one is not physical.
 void apply_update(std::vector<State>& u, std::size_t i, real_t relax,
-                  const BlockVec<6>& du) {
+                  const BlockVec<5>& du, real_t dsa) {
   State unew = u[i];
-  for (int c = 0; c < 6; ++c) unew[std::size_t(c)] += relax * du[c];
+  for (int c = 0; c < 5; ++c) unew[std::size_t(c)] += relax * du[c];
+  unew[5] += relax * dsa;
   unew[5] = std::max<real_t>(unew[5], 0);
   if (state_valid(unew)) u[i] = unew;
 }
@@ -760,16 +754,23 @@ void apply_update(std::vector<State>& u, std::size_t i, real_t relax,
 void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
                  std::span<const State> r, Scratch& s, std::vector<State>& u) {
   const std::size_t n = std::size_t(lvl.num_nodes);
-  const BlockMat<6>* const diag = s.diag.data();
+  const ImplicitBlock* const diag = s.diag.data();
   for_nodes(n, [&](std::size_t i) {
-    BlockLU<6> lu;
-    if (!lu.factor_status(diag[i])) {
+    BlockLU<5> lu;
+    BlockLU<1> lu_sa;
+    if (!lu.factor_status(diag[i].mean) ||
+        !lu_sa.factor_status(BlockMat<1>::diagonal(diag[i].sa))) {
       // Singular point: skip the update (explicit fallback) but make
       // the event visible instead of silently dropping it.
       OBS_COUNT("resil.singular_pivot", 1);
       return;
     }
-    apply_update(u, i, relax, lu.solve(rhs_of(f, r, i)));
+    BlockVec<5> rhs;
+    for (int c = 0; c < 5; ++c)
+      rhs[c] = f[i][std::size_t(c)] - r[i][std::size_t(c)];
+    BlockVec<1> rhs_sa;
+    rhs_sa[0] = f[i][5] - r[i][5];
+    apply_update(u, i, relax, lu.solve(rhs), lu_sa.solve(rhs_sa)[0]);
   });
 }
 
@@ -786,33 +787,35 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
     std::size_t longest = 0;
     for (const auto& line : all_lines) longest = std::max(longest, line.size());
     s.line_scratch.resize(std::size_t(pool.num_threads()));
-    for (Scratch::LineScratch& ls : s.line_scratch) ls.reserve(longest);
+    for (Scratch::LineScratch& ls : s.line_scratch) {
+      ls.mean.reserve(longest);
+      ls.sa.reserve(longest);
+    }
   }
   const Prim* const w = s.w.data();
   const real_t* const mut = s.mut.data();
-  const BlockMat<6>* const diag = s.diag.data();
+  const ImplicitBlock* const diag = s.diag.data();
   const real_t mu_lam = phys.mu_lam;
   const bool viscous = phys.viscous;
   OBS_COUNT("nsu3d.line_solves", all_lines.size());
   pool.parallel_for(0, all_lines.size(), kLineGrain,
                     [&](std::size_t lb, std::size_t le, int tid) {
     Scratch::LineScratch& ls = s.line_scratch[std::size_t(tid)];
+    Scratch::Tridiag<5>& mf = ls.mean;
+    Scratch::Tridiag<1>& sa = ls.sa;
     for (std::size_t li = lb; li < le; ++li) {
       const auto& line = all_lines[li];
       const auto& ledges = lvl.line_edges[li];
       const std::size_t len = line.size();
-      ls.lower.assign(len, BlockMat<6>{});
-      ls.dd.assign(len, BlockMat<6>{});
-      ls.upper.assign(len, BlockMat<6>{});
-      ls.rhs.assign(len, BlockVec<6>{});
-      auto& lower = ls.lower;
-      auto& dd = ls.dd;
-      auto& upper = ls.upper;
-      auto& rhs = ls.rhs;
+      mf.assign(len);
+      sa.assign(len);
       for (std::size_t k = 0; k < len; ++k) {
         const std::size_t i = std::size_t(line[k]);
-        dd[k] = diag[i];
-        rhs[k] = rhs_of(f, r, i);
+        mf.dd[k] = diag[i].mean;
+        sa.dd[k](0, 0) = diag[i].sa;
+        for (int c = 0; c < 5; ++c)
+          mf.rhs[k][c] = f[i][std::size_t(c)] - r[i][std::size_t(c)];
+        sa.rhs[k][0] = f[i][5] - r[i][5];
       }
       // Off-diagonal blocks for consecutive line nodes; the connecting
       // edge was located once at level construction (Level::line_edges).
@@ -824,18 +827,19 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
         if (area <= 0) continue;
         const std::size_t i = std::size_t(line[k]);
         const std::size_t j = std::size_t(line[k + 1]);
-        const Vec3 n_out = sgn * lvl.edge_normal[ei];
+        const Vec3 n_out = sgn * lvl.edge_normal(ei);
         // n_out/area == sgn * edge_unit bitwise (sgn is +-1).
-        const Vec3 nh = sgn * lvl.edge_unit[ei];
+        const Vec3 nh = sgn * lvl.edge_unit(ei);
         // dR_i/du_j = 0.5 (A(w_j, n_out) - lambda_j I).
         const BlockMat<5> jj = euler::flux_jacobian(w[j], n_out);
         const real_t lam = euler::spectral_radius(w[j], nh) * area;
-        BlockMat<6> off;
+        BlockMat<5>& off = mf.upper[k];
         for (int rr = 0; rr < 5; ++rr) {
           for (int cc = 0; cc < 5; ++cc) off(rr, cc) = 0.5 * jj(rr, cc);
           off(rr, rr) -= 0.5 * lam;
         }
-        off(5, 5) -= 0.5 * lam;
+        real_t& off_sa = sa.upper[k](0, 0);
+        off_sa -= 0.5 * lam;
         real_t cm = 0, cs = 0;
         const bool visc_edge = viscous && lvl.edge_geo[ei] > 0;
         if (visc_edge) {
@@ -843,290 +847,35 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
           cm = (mu_lam + 0.5 * (mut[i] + mut[j])) * geo;
           cs = (mu_lam + 0.5 * (u[i][5] + u[j][5])) / kSigma * geo;
           for (int rr = 1; rr <= 4; ++rr) off(rr, rr) -= cm;
-          off(5, 5) -= cs;
+          off_sa -= cs;
         }
-        upper[k] = off;
         // dR_j/du_i: mirrored with w_i and the opposite normal.
         const BlockMat<5> ji = euler::flux_jacobian(w[i], -1.0 * n_out);
         const real_t lam_i = euler::spectral_radius(w[i], nh) * area;
-        BlockMat<6> offl;
+        BlockMat<5>& offl = mf.lower[k + 1];
         for (int rr = 0; rr < 5; ++rr) {
           for (int cc = 0; cc < 5; ++cc) offl(rr, cc) = 0.5 * ji(rr, cc);
           offl(rr, rr) -= 0.5 * lam_i;
         }
-        offl(5, 5) -= 0.5 * lam_i;
+        real_t& offl_sa = sa.lower[k + 1](0, 0);
+        offl_sa -= 0.5 * lam_i;
         if (visc_edge) {
           for (int rr = 1; rr <= 4; ++rr) offl(rr, rr) -= cm;
-          offl(5, 5) -= cs;
+          offl_sa -= cs;
         }
-        lower[k + 1] = offl;
       }
-      if (!linalg::solve_block_tridiag_status<6>(lower, dd, upper, rhs,
-                                                 ls.lu)) {
+      if (!linalg::solve_block_tridiag_status<5>(mf.lower, mf.dd, mf.upper,
+                                                 mf.rhs, mf.lu) ||
+          !linalg::solve_block_tridiag_status<1>(sa.lower, sa.dd, sa.upper,
+                                                 sa.rhs, sa.lu)) {
         OBS_COUNT("resil.singular_pivot", 1);
         continue;
       }
       for (std::size_t k = 0; k < len; ++k)
-        apply_update(u, std::size_t(line[k]), relax, rhs[k]);
+        apply_update(u, std::size_t(line[k]), relax, mf.rhs[k],
+                     sa.rhs[k][0]);
     }
   });
-}
-
-namespace {
-
-/// Scalar component c of the reconstruction set [rho, u, v, w, p, nut]
-/// (the reference path's per-component switch, retained verbatim).
-real_t prim_scalar(const Prim& w, real_t nut, int c) {
-  switch (c) {
-    case 0: return w.rho;
-    case 1: return w.vel.x;
-    case 2: return w.vel.y;
-    case 3: return w.vel.z;
-    case 4: return w.p;
-    default: return nut;
-  }
-}
-
-}  // namespace
-
-void residual_reference(const Level& lvl, const Physics& phys, int level,
-                        std::span<const State> u, bool second_order,
-                        ReferenceScratch& ws, std::vector<State>& res) {
-  const std::size_t n = std::size_t(lvl.num_nodes);
-  const real_t mu_lam = phys.mu_lam;
-  const bool viscous = phys.viscous;
-  res.assign(n, State{});
-
-  // Primitive caches.
-  ws.w.resize(n);
-  ws.nut.resize(n);
-  ws.mut.resize(n);
-  auto& w = ws.w;
-  auto& nut = ws.nut;
-  auto& mut = ws.mut;
-  for (std::size_t i = 0; i < n; ++i) {
-    w[i] = mean_prim(u[i]);
-    nut[i] = u[i][5] / u[i][0];
-    mut[i] =
-        viscous ? eddy_viscosity(w[i].rho, nut[i], mu_lam / w[i].rho) : 0.0;
-  }
-
-  // Green-Gauss gradients of [rho, u, v, w, p, nut].
-  const bool need_grad = second_order || viscous;
-  auto& grad = ws.grad;
-  if (need_grad) {
-    grad.assign(n, {});
-    for (std::size_t e = 0; e < lvl.edges.size(); ++e) {
-      const auto [a, b] = lvl.edges[e];
-      const Vec3& nrm = lvl.edge_normal[e];
-      for (int c = 0; c < 6; ++c) {
-        const real_t qf =
-            0.5 * (prim_scalar(w[std::size_t(a)], nut[std::size_t(a)], c) +
-                   prim_scalar(w[std::size_t(b)], nut[std::size_t(b)], c));
-        grad[std::size_t(a)][std::size_t(c)] += qf * nrm;
-        grad[std::size_t(b)][std::size_t(c)] -= qf * nrm;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      Vec3 bn{};
-      for (const Vec3& t : lvl.boundary_normal[i]) bn += t;
-      for (int c = 0; c < 6; ++c) {
-        grad[i][std::size_t(c)] += prim_scalar(w[i], nut[i], c) * bn;
-        grad[i][std::size_t(c)] = grad[i][std::size_t(c)] /
-                                  std::max(lvl.node_volume[i], real_t(1e-300));
-      }
-    }
-  }
-
-  // Venkatakrishnan limiter for the fine-level reconstruction.
-  auto& phi = ws.phi;
-  if (second_order) {
-    auto& qmin = ws.qmin;
-    auto& qmax = ws.qmax;
-    qmin.resize(n);
-    qmax.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (int c = 0; c < 6; ++c)
-        qmin[i][std::size_t(c)] = qmax[i][std::size_t(c)] =
-            prim_scalar(w[i], nut[i], c);
-    for (std::size_t e = 0; e < lvl.edges.size(); ++e) {
-      const auto [a, b] = lvl.edges[e];
-      for (int c = 0; c < 6; ++c) {
-        const real_t qa =
-            prim_scalar(w[std::size_t(a)], nut[std::size_t(a)], c);
-        const real_t qb =
-            prim_scalar(w[std::size_t(b)], nut[std::size_t(b)], c);
-        auto& mna = qmin[std::size_t(a)][std::size_t(c)];
-        auto& mxa = qmax[std::size_t(a)][std::size_t(c)];
-        auto& mnb = qmin[std::size_t(b)][std::size_t(c)];
-        auto& mxb = qmax[std::size_t(b)][std::size_t(c)];
-        mna = std::min(mna, qb);
-        mxa = std::max(mxa, qb);
-        mnb = std::min(mnb, qa);
-        mxb = std::max(mxb, qa);
-      }
-    }
-    phi.assign(n, {1, 1, 1, 1, 1, 1});
-    for (std::size_t e = 0; e < lvl.edges.size(); ++e) {
-      const auto [a, b] = lvl.edges[e];
-      const Vec3& dab = lvl.edge_dab[e];
-      const real_t eps2 = lvl.edge_eps2[e];
-      for (int side = 0; side < 2; ++side) {
-        const std::size_t i = std::size_t(side == 0 ? a : b);
-        const Vec3 d = side == 0 ? dab : -1.0 * dab;
-        for (int c = 0; c < 6; ++c) {
-          const real_t dq = dot(grad[i][std::size_t(c)], d);
-          real_t lim = 1.0;
-          if (dq > 1e-14)
-            lim = venkat(qmax[i][std::size_t(c)] - prim_scalar(w[i], nut[i], c),
-                         dq, eps2);
-          else if (dq < -1e-14)
-            lim = venkat(prim_scalar(w[i], nut[i], c) - qmin[i][std::size_t(c)],
-                         -dq, eps2);
-          phi[i][std::size_t(c)] = std::min(phi[i][std::size_t(c)], lim);
-        }
-      }
-    }
-  }
-
-  auto reconstruct = [&](std::size_t i, const Vec3& d,
-                         real_t& nut_out) -> Prim {
-    nut_out = nut[i];
-    if (!second_order) return w[i];
-    std::array<real_t, 6> q{w[i].rho, w[i].vel.x, w[i].vel.y, w[i].vel.z,
-                            w[i].p, nut[i]};
-    for (int c = 0; c < 6; ++c)
-      q[std::size_t(c)] +=
-          phi[i][std::size_t(c)] * dot(grad[i][std::size_t(c)], d);
-    if (q[0] <= 0 || q[4] <= 0) return w[i];
-    nut_out = q[5];
-    return Prim{q[0], {q[1], q[2], q[3]}, q[4]};
-  };
-
-  // Edge loop: convective + viscous fluxes (per-edge geometry divisions as
-  // in the seed; this is the baseline micro_kernels measures against).
-  for (std::size_t e = 0; e < lvl.edges.size(); ++e) {
-    const auto [ai, bi] = lvl.edges[e];
-    const std::size_t a = std::size_t(ai), b = std::size_t(bi);
-    const real_t area = lvl.edge_area[e];
-    if (area <= 0) continue;
-    const Vec3& nh = lvl.edge_unit[e];
-    const Vec3& dab = lvl.edge_dab[e];
-    real_t nut_l, nut_r;
-    const Prim wl = reconstruct(a, dab, nut_l);
-    const Prim wr = reconstruct(b, -1.0 * dab, nut_r);
-    const euler::Cons flux = euler::numerical_flux(wl, wr, nh, phys.flux);
-    const real_t mdot = flux[0] * area;
-    const real_t fnut = mdot * (mdot >= 0 ? nut_l : nut_r);
-    for (std::size_t c = 0; c < 5; ++c) {
-      res[a][c] += area * flux[c];
-      res[b][c] -= area * flux[c];
-    }
-    res[a][5] += fnut;
-    res[b][5] -= fnut;
-
-    if (viscous && lvl.edge_length[e] > 0) {
-      const real_t geo = area / lvl.edge_length[e];
-      const real_t mu_m = mu_lam + 0.5 * (mut[a] + mut[b]);
-      const real_t cm = mu_m * geo;
-      const Vec3 dvel = w[b].vel - w[a].vel;
-      res[a][1] -= cm * dvel.x;
-      res[a][2] -= cm * dvel.y;
-      res[a][3] -= cm * dvel.z;
-      res[b][1] += cm * dvel.x;
-      res[b][2] += cm * dvel.y;
-      res[b][3] += cm * dvel.z;
-      const real_t ck =
-          (mu_lam / kPrandtl + 0.5 * (mut[a] + mut[b]) / kPrandtlTurb) *
-          euler::kGamma / (euler::kGamma - 1) * geo;
-      const real_t dT = w[b].p / w[b].rho - w[a].p / w[a].rho;
-      const Vec3 vm = 0.5 * (w[a].vel + w[b].vel);
-      const real_t dke = dot(vm, dvel);
-      res[a][4] -= ck * dT + cm * dke;
-      res[b][4] += ck * dT + cm * dke;
-      const real_t rho_m = 0.5 * (w[a].rho + w[b].rho);
-      const real_t nu_m = mu_lam / rho_m;
-      const real_t nut_m = 0.5 * (nut[a] + nut[b]);
-      const real_t cs =
-          rho_m * (nu_m + std::max<real_t>(nut_m, 0)) / kSigma * geo;
-      const real_t dnt = nut[b] - nut[a];
-      res[a][5] -= cs * dnt;
-      res[b][5] += cs * dnt;
-    }
-  }
-
-  // Boundary closures.
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec3& fn =
-        lvl.boundary_normal[i][std::size_t(mesh::BoundaryTag::Farfield)];
-    const real_t fa = norm(fn);
-    if (fa > 0) {
-      const Vec3 nh = fn / fa;
-      const euler::Cons flux =
-          euler::farfield_flux(w[i], phys.freestream, nh, phys.flux);
-      for (std::size_t c = 0; c < 5; ++c) res[i][c] += fa * flux[c];
-      const real_t mdot = flux[0] * fa;
-      res[i][5] += mdot * (mdot >= 0 ? nut[i] : phys.nut_inf);
-    }
-    for (mesh::BoundaryTag tag :
-         {mesh::BoundaryTag::Wall, mesh::BoundaryTag::Symmetry}) {
-      const Vec3& bn = lvl.boundary_normal[i][std::size_t(tag)];
-      if (dot(bn, bn) > 0) {
-        const euler::Cons flux = euler::wall_flux(w[i], bn);
-        for (std::size_t c = 0; c < 5; ++c) res[i][c] += flux[c];
-      }
-    }
-  }
-
-  // Strong-BC residual projection.
-  if (level == 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (viscous && lvl.is_wall_node(index_t(i))) {
-        res[i][1] = res[i][2] = res[i][3] = 0;
-        res[i][5] = 0;
-        continue;
-      }
-      const Vec3& sn =
-          lvl.boundary_normal[i][std::size_t(mesh::BoundaryTag::Symmetry)];
-      const real_t s2 = dot(sn, sn);
-      if (s2 > 0) {
-        const Vec3 nh = sn / std::sqrt(s2);
-        Vec3 rm{res[i][1], res[i][2], res[i][3]};
-        rm -= dot(rm, nh) * nh;
-        res[i][1] = rm.x;
-        res[i][2] = rm.y;
-        res[i][3] = rm.z;
-      }
-    }
-  }
-
-  // SA source terms (production - destruction), volume-scaled.
-  if (viscous) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const real_t d = std::max(lvl.wall_distance[i], real_t(1e-8));
-      const real_t nu = mu_lam / w[i].rho;
-      const real_t nt = std::max<real_t>(nut[i], 0);
-      const Vec3 gx = grad[i][1], gy = grad[i][2], gz = grad[i][3];
-      const Vec3 omega{gz.y - gy.z, gx.z - gz.x, gy.x - gx.y};
-      const real_t sv = norm(omega);
-      const real_t chi = nt / nu;
-      const real_t chi3 = chi * chi * chi;
-      const real_t fv1 = chi3 / (chi3 + kCv1 * kCv1 * kCv1);
-      const real_t fv2 = 1.0 - chi / (1.0 + chi * fv1);
-      const real_t k2d2 = kKappa * kKappa * d * d;
-      real_t stilde = sv + nt / k2d2 * fv2;
-      stilde = std::max(stilde, real_t(0.3) * sv);
-      const real_t prod = kCb1 * stilde * w[i].rho * nt;
-      real_t rr = stilde > 0 ? nt / (stilde * k2d2) : 10.0;
-      rr = std::min(rr, real_t(10.0));
-      const real_t g = rr + kCw2 * (std::pow(rr, 6) - rr);
-      const real_t c6 = std::pow(kCw3, 6);
-      const real_t fw =
-          g * std::pow((1.0 + c6) / (std::pow(g, 6) + c6), 1.0 / 6.0);
-      const real_t destr = kCw1 * fw * w[i].rho * (nt / d) * (nt / d);
-      res[i][5] += lvl.node_volume[i] * (destr - prod);
-    }
-  }
 }
 
 }  // namespace columbia::nsu3d::kernels

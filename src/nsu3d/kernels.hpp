@@ -21,13 +21,14 @@
 //    reconstruction — the two phases evaluate the identical expression.
 //
 // Bit-identity contract: every kernel here performs exactly the arithmetic
-// of the retained scalar reference path (residual_reference below), in the
-// same per-node accumulation order — layout and access-pattern transforms
-// only. Divisions and square roots keep their original operands; values
-// hoisted to setup time (edge geometry, 1/volume, p/rho) are computed with
-// the same expressions the scalar path evaluated per sweep. Combined with
-// the thread pool's fixed chunking, results are bitwise identical for
-// every thread count and to the pre-SoA implementation.
+// of the scalar reference path kept as the tests' oracle
+// (tests/oracles/nsu3d_reference.hpp), in the same per-node accumulation
+// order — layout and access-pattern transforms only. Divisions and square
+// roots keep their original operands; values hoisted to setup time (edge
+// geometry, 1/volume, p/rho) are computed with the same expressions the
+// scalar path evaluated per sweep. Combined with the thread pool's fixed
+// chunking, results are bitwise identical for every thread count and to
+// the pre-SoA implementation.
 #pragma once
 
 #include <array>
@@ -111,9 +112,23 @@ struct Physics {
   bool viscous = true;
 };
 
+/// Implicit diagonal block of one node. assemble_diag never couples the
+/// SA equation to the mean flow, so the 6x6 block of the paper's coupled
+/// scheme is a 5x5 mean-flow block plus an SA scalar, and the smoothers
+/// solve the two apart. With row and column 5 zero off the diagonal, a 6x6
+/// partial-pivoting LU never picks row 5 as a pivot (the test is a strict
+/// `>`) and its eliminations add only signed zeros, so the split solves
+/// give the 6x6 solve's result bit for bit.
+struct ImplicitBlock {
+  linalg::BlockMat<5> mean;
+  real_t sa = 0;
+};
+
 /// Per-level SoA scratch. Persistent across sweeps (vectors keep their
 /// capacity). Per-node fields use the fixed-stride component blocks
-/// described above; per-edge fields are unit-stride streams.
+/// described above; per-edge fields are unit-stride streams. Each field is
+/// sized by the first kernel that writes it, so a level that never runs a
+/// phase holds none of its scratch.
 struct Scratch {
   std::size_t n = 0;  // node count
 
@@ -128,29 +143,51 @@ struct Scratch {
   // [rho, u, v, w, p, nut] plus the eddy viscosity and p/rho into one
   // cache line; gradient block gb packs the three Green-Gauss gradient
   // components and the limiter's neighbor min/max; phi block ph holds the
-  // limiter value per component.
+  // limiter value per component (second order only: sized by the
+  // min/max-seeding gradient pass).
   std::vector<real_t> pb, gb, ph;
 
   // Per-edge stream: the limiter's directional differences g . (+-d) for
-  // both edge sides, reused bitwise by the flux reconstruction.
+  // both edge sides, reused bitwise by the flux reconstruction (sized by
+  // the limiter).
   std::vector<real_t> edq;
 
-  // Smoother scratch: wave-speed sums, cached sound speeds, 6x6 blocks.
+  // Smoother scratch: wave-speed sums, cached sound speeds, 5+1 blocks.
   std::vector<real_t> wave, snd;
-  std::vector<linalg::BlockMat<6>> diag;
+  std::vector<ImplicitBlock> diag;
+  /// One block-tridiagonal system along a line (Thomas algorithm scratch).
+  template <int N>
+  struct Tridiag {
+    std::vector<linalg::BlockMat<N>> lower, dd, upper;
+    std::vector<linalg::BlockVec<N>> rhs;
+    std::vector<linalg::BlockLU<N>> lu;  // factorization scratch
+    void reserve(std::size_t len) {
+      lower.reserve(len);
+      dd.reserve(len);
+      upper.reserve(len);
+      rhs.reserve(len);
+      lu.reserve(len);
+    }
+    /// Zeroes the system for a line of `len` nodes.
+    void assign(std::size_t len) {
+      lower.assign(len, linalg::BlockMat<N>{});
+      dd.assign(len, linalg::BlockMat<N>{});
+      upper.assign(len, linalg::BlockMat<N>{});
+      rhs.assign(len, linalg::BlockVec<N>{});
+    }
+  };
   struct LineScratch {
-    std::vector<linalg::BlockMat<6>> lower, dd, upper;
-    std::vector<linalg::BlockVec<6>> rhs;
-    std::vector<linalg::BlockLU<6>> lu;  // factorization scratch
-    void reserve(std::size_t len);
+    Tridiag<5> mean;  // mean-flow blocks
+    Tridiag<1> sa;    // SA scalars
   };
   /// One slot per pool thread, each reserved for the level's longest line:
   /// chunks go to whichever thread claims them first, so any slot may meet
   /// any line, and none grows in steady state.
   std::vector<LineScratch> line_scratch;
 
-  /// Sizes the per-node and per-edge arrays (residual-path fields only;
-  /// smoother fields are sized by their kernels).
+  /// Sizes the per-node fields every residual reads (the second-order
+  /// fields ph and edq, and the smoother fields, are sized by their
+  /// kernels).
   void resize(const Level& lvl);
 };
 
@@ -167,10 +204,12 @@ void prim_cache(const Level& lvl, const Physics& phys,
 
 /// Green-Gauss gradients of [rho, u, v, w, p, nut]; when `with_minmax` is
 /// set the same edge sweep also accumulates the limiter's neighbor min/max
-/// (fused: both accumulate in identical per-node edge order).
+/// (fused: both accumulate in identical per-node edge order) and seeds the
+/// limiter's phi block, sizing it.
 void gradients(const Level& lvl, Scratch& s, bool with_minmax);
 
-/// Venkatakrishnan limiter phi from gradients and neighbor min/max.
+/// Venkatakrishnan limiter phi from gradients and neighbor min/max;
+/// requires gradients(with_minmax) to have run for the same state.
 void limiter(const Level& lvl, Scratch& s);
 
 /// Interior edge sweep: zeroes `res`, then accumulates convective (+
@@ -195,43 +234,26 @@ void residual(const Level& lvl, const Physics& phys, int level,
 /// per-node sound speeds in s.snd.
 void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s);
 
-/// Assembles the 6x6 point-implicit diagonal blocks into s.diag.
+/// Assembles the 5+1 point-implicit diagonal blocks into s.diag.
 /// Requires prim_cache and wave_speeds to have run for the same state.
 void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
                    std::span<const State> u, Scratch& s);
 
-/// Point-implicit update sweep: factors each diagonal block and applies
-/// the under-relaxed update to u. Singular pivots keep their previous
-/// state and are counted on the "resil.singular_pivot" observable.
+/// Point-implicit update sweep: factors each node's 5x5 block and SA
+/// scalar and applies the under-relaxed update to u. A singular pivot in
+/// either keeps the node's previous state and is counted once on the
+/// "resil.singular_pivot" observable.
 void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
                  std::span<const State> r, Scratch& s, std::vector<State>& u);
 
-/// Line-implicit update sweep: block-tridiagonal solve along each implicit
-/// line (off-line couplings stay explicit). Lines are node-disjoint, so
-/// reading u for the viscous linearization while other lines update theirs
-/// is race-free.
+/// Line-implicit update sweep: a 5x5 block-tridiagonal solve plus a scalar
+/// tridiagonal SA solve along each implicit line (off-line couplings stay
+/// explicit). A singular pivot in either skips the line and is counted
+/// once. Lines are node-disjoint, so reading u for the viscous
+/// linearization while other lines update theirs is race-free.
 void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
                 std::span<const State> f, std::span<const State> r,
                 Scratch& s, std::vector<State>& u);
-
-// --- Retained scalar reference path ---
-
-/// Scratch for the scalar reference implementation (AoS layout, matching
-/// the pre-SoA workspace).
-struct ReferenceScratch {
-  std::vector<euler::Prim> w;
-  std::vector<real_t> nut, mut;
-  std::vector<std::array<geom::Vec3, 6>> grad;
-  std::vector<std::array<real_t, 6>> phi, qmin, qmax;
-};
-
-/// Serial scalar residual: a verbatim retention of the pre-SoA edge/node
-/// loops (AoS state, per-component switch, per-edge geometry divisions).
-/// The equivalence tests assert the SoA path reproduces it bit for bit;
-/// micro_kernels times it for speedup attribution.
-void residual_reference(const Level& lvl, const Physics& phys, int level,
-                        std::span<const State> u, bool second_order,
-                        ReferenceScratch& s, std::vector<State>& res);
 
 }  // namespace kernels
 }  // namespace columbia::nsu3d

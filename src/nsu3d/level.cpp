@@ -103,22 +103,29 @@ FlatLists<std::pair<index_t, real_t>> line_edge_table(
   return le;
 }
 
-}  // namespace
-
-void Level::order_edges(bool color) {
-  if (color && !edges.empty()) {
-    const std::vector<index_t> colors = graph::color_edges(num_nodes, edges);
+/// Colors + reorders the edge arrays color-major (when `color` is set).
+/// The next coarser level is built from this order.
+void order_edges(Level& lvl, std::vector<Vec3>& normal, bool color) {
+  if (color && !lvl.edges.empty()) {
+    const std::vector<index_t> colors =
+        graph::color_edges(lvl.num_nodes, lvl.edges);
     graph::ColorOrder order = graph::color_major_order(colors);
-    edges = permuted(edges, order.perm);
-    edge_normal = permuted(edge_normal, order.perm);
-    edge_length = permuted(edge_length, order.perm);
-    color_offsets = std::move(order.offsets);
+    lvl.edges = permuted(lvl.edges, order.perm);
+    normal = permuted(normal, order.perm);
+    lvl.edge_length = permuted(lvl.edge_length, order.perm);
+    lvl.color_offsets = std::move(order.offsets);
   } else {
-    color_offsets = {0, edges.size()};
+    lvl.color_offsets = {0, lvl.edges.size()};
   }
 }
 
-void Level::finalize_edges() {
+/// Sorts each color span by first node, derives the per-edge streams from
+/// the normals (which die here), and builds `incident` and `line_edges`.
+/// Runs after edges/normals/lengths/centers are final and the next coarser
+/// level has been built.
+void finalize_edges(Level& lvl, std::vector<Vec3> normal) {
+  auto& edges = lvl.edges;
+  const auto& offsets = lvl.color_offsets;
   // Within a color, edges by first node. A node meets at most one edge
   // per color, so this never changes a per-node accumulation order, but
   // it gives each pooled chunk a compact node range: on the agglomerated
@@ -127,66 +134,65 @@ void Level::finalize_edges() {
   // coloring the single span is left alone.) The first nodes within a
   // color are distinct, so each span has one sorted order and the spans
   // sort in parallel.
-  if (color_offsets.size() > 2) {
+  if (offsets.size() > 2) {
     std::vector<index_t> perm(edges.size());
     for_edges(perm.size(), [&](std::size_t e) { perm[e] = index_t(e); });
     smp::ThreadPool::global().parallel_for(
-        0, color_offsets.size() - 1, 1,
-        [&](std::size_t cb, std::size_t ce, int) {
+        0, offsets.size() - 1, 1, [&](std::size_t cb, std::size_t ce, int) {
           for (std::size_t c = cb; c < ce; ++c)
-            std::sort(perm.begin() + std::ptrdiff_t(color_offsets[c]),
-                      perm.begin() + std::ptrdiff_t(color_offsets[c + 1]),
+            std::sort(perm.begin() + std::ptrdiff_t(offsets[c]),
+                      perm.begin() + std::ptrdiff_t(offsets[c + 1]),
                       [&](index_t x, index_t y) {
                         return edges[std::size_t(x)].first <
                                edges[std::size_t(y)].first;
                       });
         });
     edges = permuted(edges, perm);
-    edge_normal = permuted(edge_normal, perm);
-    edge_length = permuted(edge_length, perm);
+    normal = permuted(normal, perm);
+    lvl.edge_length = permuted(lvl.edge_length, perm);
   }
 
-  // Per-edge geometry and its SoA mirrors for the kernel layer. The
-  // arrays are sized one per pool task, so their first touch is spread
-  // over the threads, then filled by a pooled loop.
+  // The per-edge streams of the kernel layer. The arrays are sized one per
+  // pool task, so their first touch is spread over the threads, then
+  // filled by a pooled loop.
   const std::size_t ne = edges.size();
-  resize_in_parallel(ne, edge_area, edge_eps2, edge_nx, edge_ny, edge_nz,
-                     edge_ux, edge_uy, edge_uz, edge_dx, edge_dy, edge_dz,
-                     edge_geo, edge_unit, edge_dab, edge_a, edge_b);
+  resize_in_parallel(ne, lvl.edge_area, lvl.edge_eps2, lvl.edge_nx,
+                     lvl.edge_ny, lvl.edge_nz, lvl.edge_ux, lvl.edge_uy,
+                     lvl.edge_uz, lvl.edge_dx, lvl.edge_dy, lvl.edge_dz,
+                     lvl.edge_geo);
   for_edges(ne, [&](std::size_t e) {
     const auto [a, b] = edges[e];
-    const real_t area = norm(edge_normal[e]);
-    edge_area[e] = area;
-    edge_unit[e] = area > 0 ? edge_normal[e] / area : Vec3{};
-    edge_dab[e] = 0.5 * (node_center[std::size_t(b)] -
-                         node_center[std::size_t(a)]);
-    edge_eps2[e] = std::pow(0.3 * edge_length[e], 3);
-    edge_a[e] = a;
-    edge_b[e] = b;
-    edge_nx[e] = edge_normal[e].x;
-    edge_ny[e] = edge_normal[e].y;
-    edge_nz[e] = edge_normal[e].z;
-    edge_ux[e] = edge_unit[e].x;
-    edge_uy[e] = edge_unit[e].y;
-    edge_uz[e] = edge_unit[e].z;
-    edge_dx[e] = edge_dab[e].x;
-    edge_dy[e] = edge_dab[e].y;
-    edge_dz[e] = edge_dab[e].z;
-    edge_geo[e] = (area > 0 && edge_length[e] > 0) ? area / edge_length[e]
-                                                   : 0.0;
+    const Vec3 n = normal[e];
+    const real_t area = norm(n);
+    const Vec3 unit = area > 0 ? n / area : Vec3{};
+    const Vec3 half = 0.5 * (lvl.node_center[std::size_t(b)] -
+                             lvl.node_center[std::size_t(a)]);
+    const real_t len = lvl.edge_length[e];
+    lvl.edge_area[e] = area;
+    lvl.edge_eps2[e] = std::pow(0.3 * len, 3);
+    lvl.edge_nx[e] = n.x;
+    lvl.edge_ny[e] = n.y;
+    lvl.edge_nz[e] = n.z;
+    lvl.edge_ux[e] = unit.x;
+    lvl.edge_uy[e] = unit.y;
+    lvl.edge_uz[e] = unit.z;
+    lvl.edge_dx[e] = half.x;
+    lvl.edge_dy[e] = half.y;
+    lvl.edge_dz[e] = half.z;
+    lvl.edge_geo[e] = (area > 0 && len > 0) ? area / len : 0.0;
   });
-  inv_volume.resize(node_volume.size());
-  for (std::size_t i = 0; i < node_volume.size(); ++i)
-    inv_volume[i] = 1.0 / std::max(node_volume[i], real_t(1e-300));
+  lvl.inv_volume.resize(lvl.node_volume.size());
+  for (std::size_t i = 0; i < lvl.node_volume.size(); ++i)
+    lvl.inv_volume[i] = 1.0 / std::max(lvl.node_volume[i], real_t(1e-300));
 
-  incident = edge_incidence(num_nodes, edges);
-  line_edges = line_edge_table(num_nodes, lines, edges);
+  lvl.incident = edge_incidence(lvl.num_nodes, edges);
+  lvl.line_edges = line_edge_table(lvl.num_nodes, lvl.lines, edges);
 }
 
-namespace {
-
-/// Coarse level from a fine level via agglomeration of its edge graph.
-Level coarsen(Level& fine, bool color_edges) {
+/// Coarse level from a fine level via agglomeration of its edge graph;
+/// the coarse normals go to `coarse_normal`.
+Level coarsen(Level& fine, const std::vector<Vec3>& fine_normal,
+              bool color_edges, std::vector<Vec3>& coarse_normal) {
   const graph::Csr g = graph::Csr::from_edges(fine.num_nodes, fine.edges);
   graph::AgglomerateMap agg = graph::agglomerate_map(g);
   fine.to_coarse = std::move(agg.fine_to_coarse);
@@ -219,6 +225,7 @@ Level coarsen(Level& fine, bool color_edges) {
 
   // Coarse edges: accumulate fine dual-face normals across agglomerates,
   // numbered in first-seen order over the fine edges.
+  coarse_normal.clear();
   EdgeIndex edge_of(coarse.num_nodes, fine.edges.size() / 4);
   for (std::size_t e = 0; e < fine.edges.size(); ++e) {
     const auto [a, b] = fine.edges[e];
@@ -229,11 +236,11 @@ Level coarsen(Level& fine, bool color_edges) {
     const auto [id, inserted] = edge_of.insert(lo, hi);
     if (inserted) {
       coarse.edges.emplace_back(lo, hi);
-      coarse.edge_normal.push_back({});
+      coarse_normal.push_back({});
     }
     // Fine normal oriented a -> b; coarse edge oriented lo -> hi.
     const real_t sign = (ca == lo) == (a < b) ? 1.0 : -1.0;
-    coarse.edge_normal[std::size_t(id)] += sign * fine.edge_normal[e];
+    coarse_normal[std::size_t(id)] += sign * fine_normal[e];
   }
   coarse.edge_length.resize(coarse.edges.size());
   for_edges(coarse.edges.size(), [&](std::size_t e) {
@@ -248,9 +255,9 @@ Level coarsen(Level& fine, bool color_edges) {
   // reduce to single points and the smoother becomes point-implicit.
   const graph::Csr cg = graph::Csr::from_weighted_edges(
       coarse.num_nodes, coarse.edges,
-      coupling_weights(coarse.edge_normal, coarse.edge_length));
+      coupling_weights(coarse_normal, coarse.edge_length));
   coarse.lines = graph::extract_lines(cg, graph::LineOptions{});
-  coarse.order_edges(color_edges);
+  order_edges(coarse, coarse_normal, color_edges);
   return coarse;
 }
 
@@ -262,10 +269,12 @@ std::vector<Level> build_levels(const mesh::UnstructuredMesh& m,
   mesh::DualMetrics dm = mesh::compute_dual_metrics(m);
 
   std::vector<Level> levels;
+  // Each level's dual-face normals, until finalize_edges consumes them.
+  std::vector<std::vector<Vec3>> normals;
   Level fine;
   fine.num_nodes = m.num_points();
   fine.edges = std::move(dm.edges);
-  fine.edge_normal = std::move(dm.edge_normal);
+  std::vector<Vec3> fine_normal = std::move(dm.edge_normal);
   fine.node_volume = std::move(dm.node_volume);
   fine.node_center = std::vector<Vec3>(m.points.begin(), m.points.end());
   fine.boundary_normal = std::move(dm.boundary_normal);
@@ -282,23 +291,28 @@ std::vector<Level> build_levels(const mesh::UnstructuredMesh& m,
   {
     const graph::Csr g = graph::Csr::from_weighted_edges(
         fine.num_nodes, fine.edges,
-        coupling_weights(fine.edge_normal, fine.edge_length));
+        coupling_weights(fine_normal, fine.edge_length));
     graph::LineOptions lo;
     lo.anisotropy_threshold = opt.line_threshold;
     fine.lines = graph::extract_lines(g, lo);
   }
-  fine.order_edges(opt.color_edges);
+  order_edges(fine, fine_normal, opt.color_edges);
   levels.push_back(std::move(fine));
+  normals.push_back(std::move(fine_normal));
 
   for (int l = 1; l < opt.num_levels; ++l) {
-    Level coarse = coarsen(levels.back(), opt.color_edges);
+    std::vector<Vec3> coarse_normal;
+    Level coarse = coarsen(levels.back(), normals.back(), opt.color_edges,
+                           coarse_normal);
     if (coarse.num_nodes >= levels.back().num_nodes) break;
     levels.push_back(std::move(coarse));
+    normals.push_back(std::move(coarse_normal));
     if (levels.back().num_nodes <= 4) break;
   }
   // Coarsening read each level's color-major edge order; only now may the
   // color spans be re-sorted.
-  for (Level& lvl : levels) lvl.finalize_edges();
+  for (std::size_t l = 0; l < levels.size(); ++l)
+    finalize_edges(levels[l], std::move(normals[l]));
   return levels;
 }
 

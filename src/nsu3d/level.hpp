@@ -22,8 +22,9 @@ namespace columbia::nsu3d {
 
 struct Level {
   index_t num_nodes = 0;
-  std::vector<std::pair<index_t, index_t>> edges;  // a < b
-  std::vector<geom::Vec3> edge_normal;             // oriented a -> b
+  /// Edge endpoints (a < b) in storage order: the one endpoint array the
+  /// edge sweeps, the partitioners and the multigrid tables all read.
+  std::vector<std::pair<index_t, index_t>> edges;
   std::vector<real_t> edge_length;                 // |x_b - x_a| proxy
 
   /// Color-major edge layout (paper Sec. III: the edge loop is colored so
@@ -34,22 +35,20 @@ struct Level {
   /// covering all edges (serial-only).
   std::vector<std::size_t> color_offsets;
 
-  /// Per-edge geometry precomputed once at level construction (the seed
-  /// recomputed norms/normalizations/pow per edge per sweep):
-  std::vector<real_t> edge_area;      // |edge_normal|
-  std::vector<geom::Vec3> edge_unit;  // edge_normal / area (0 if degenerate)
-  std::vector<geom::Vec3> edge_dab;   // 0.5 * (center_b - center_a)
-  std::vector<real_t> edge_eps2;      // Venkatakrishnan (0.3 h)^3
-  /// SoA mirror of the edge topology/geometry for the vectorized kernel
-  /// layer (nsu3d/kernels.*): endpoint indices and the normal / unit-normal
-  /// / half-offset components as contiguous per-component arrays. Values
-  /// are bitwise-identical copies of the AoS fields above; `edge_geo` is
-  /// the viscous metric area/length (0 when either vanishes), computed
-  /// with the same division the flux sweep previously performed per edge.
-  std::vector<index_t> edge_a, edge_b;
+  /// Per-edge geometry, precomputed once at level construction and stored
+  /// once, as unit-stride per-component streams for the kernel layer
+  /// (nsu3d/kernels.*): the dual-face normal n (oriented a -> b), its
+  /// area |n|, the unit normal n / area (0 if degenerate), the half offset
+  /// 0.5 * (center_b - center_a), the Venkatakrishnan (0.3 h)^3 and the
+  /// viscous metric area/length (0 when either vanishes). The normals of
+  /// the agglomerated coarse levels are sums of fine normals, so they are
+  /// built as Vec3s and live only until construction has derived these
+  /// streams from them.
+  std::vector<real_t> edge_area;
   std::vector<real_t> edge_nx, edge_ny, edge_nz;
   std::vector<real_t> edge_ux, edge_uy, edge_uz;
   std::vector<real_t> edge_dx, edge_dy, edge_dz;
+  std::vector<real_t> edge_eps2;
   std::vector<real_t> edge_geo;
   std::vector<real_t> node_volume;
   /// 1 / max(node_volume, 1e-300): the gradient normalization factor. The
@@ -79,18 +78,21 @@ struct Level {
   /// block-tridiagonal assembly does not search `incident` every sweep.
   FlatLists<std::pair<index_t, real_t>> line_edges;
 
-  /// Colors + reorders the edge arrays color-major (when `color` is set).
-  /// The next coarser level is built from this order.
-  void order_edges(bool color);
-
-  /// Sorts each color span by first node, precomputes the per-edge
-  /// geometry, and (re)builds `incident` and `line_edges`. Must run after
-  /// edges/normals/lengths/centers are final and the next coarser level
-  /// has been built.
-  void finalize_edges();
-
   index_t num_edge_colors() const {
     return color_offsets.size() < 2 ? 0 : index_t(color_offsets.size() - 1);
+  }
+
+  /// Dual-face normal of edge e, oriented a -> b.
+  geom::Vec3 edge_normal(std::size_t e) const {
+    return {edge_nx[e], edge_ny[e], edge_nz[e]};
+  }
+  /// Unit normal of edge e (0 if degenerate).
+  geom::Vec3 edge_unit(std::size_t e) const {
+    return {edge_ux[e], edge_uy[e], edge_uz[e]};
+  }
+  /// Half offset 0.5 * (center_b - center_a) of edge e.
+  geom::Vec3 edge_half(std::size_t e) const {
+    return {edge_dx[e], edge_dy[e], edge_dz[e]};
   }
 
   bool is_wall_node(index_t v) const {

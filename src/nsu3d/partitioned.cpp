@@ -65,7 +65,7 @@ PartitionPlan build_partition_plan(const std::vector<Level>& levels,
       std::vector<real_t> weights(lvl.edges.size());
       for (std::size_t e = 0; e < lvl.edges.size(); ++e)
         weights[e] = lvl.edge_length[e] > 0
-                         ? norm(lvl.edge_normal[e]) / lvl.edge_length[e]
+                         ? lvl.edge_area[e] / lvl.edge_length[e]
                          : 0.0;
       const graph::Csr g = graph::Csr::from_weighted_edges(
           lvl.num_nodes, lvl.edges, weights);
@@ -248,9 +248,9 @@ std::vector<State> parallel_residual(const Level& lvl,
   auto flux_edge = [&](std::size_t e, auto&& state_of, auto&& prim_of,
                        std::vector<State>& res) {
     const auto [a, b] = lvl.edges[e];
-    const real_t area = norm(lvl.edge_normal[e]);
+    const real_t area = lvl.edge_area[e];
     if (area <= 0) return;
-    const Vec3 nh = lvl.edge_normal[e] / area;
+    const Vec3 nh = lvl.edge_unit(e);
     const euler::Prim wl = prim_of(a);
     const euler::Prim wr = prim_of(b);
     const euler::Cons flux =

@@ -1,13 +1,18 @@
 // SoA kernel layer equivalence: the blocked/stream kernels must reproduce
-// the retained scalar reference paths BIT FOR BIT — same residual, same
-// gradient/limiter intermediates — at every thread count, and the
+// the scalar oracles (tests/oracles) BIT FOR BIT — same residual, same
+// gradient/limiter intermediates, and the 5+1 smoother sweeps the same
+// updates as the coupled 6x6 one — at every thread count, and the
 // temp-free block solves must match their operator*-based formulations
 // exactly. These tests are the enforcement arm of the bit-identity
 // contract documented in nsu3d/kernels.hpp and cart3d/kernels.hpp.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "cart3d/kernels.hpp"
@@ -20,6 +25,11 @@
 #include "mesh/builders.hpp"
 #include "nsu3d/kernels.hpp"
 #include "nsu3d/partitioned.hpp"
+#include "nsu3d/solver.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "oracles/cart3d_reference.hpp"
+#include "oracles/nsu3d_reference.hpp"
 #include "smp/pool.hpp"
 #include "support/random.hpp"
 
@@ -179,6 +189,194 @@ TEST(Nsu3dSoA, HaloStrategiesBitIdenticalWithPackedComponents) {
   const auto master = nsu3d::parallel_residual(
       lvl, u, inf, part, 4, {ExchangeStrategy::MasterThread, 2});
   EXPECT_EQ(t2t, master);
+}
+
+// --- NSU3D smoother: 5+1 blocks against the coupled 6x6 oracle ---
+
+using Block6 = linalg::BlockMat<6>;
+
+/// Bitwise equality of two states (signed zeros and NaN payloads count).
+bool same_bits(const std::vector<nsu3d::State>& a,
+               const std::vector<nsu3d::State>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(nsu3d::State)) ==
+             0;
+}
+
+/// Residual, wave speeds and both diagonals of `u` on one level: the 5+1
+/// blocks in `k.diag`, the coupled 6x6 blocks in `diag6`.
+struct SmootherInputs {
+  nsu3d::kernels::Scratch k;
+  std::vector<nsu3d::State> r, f;
+  std::vector<Block6> diag6;
+};
+
+SmootherInputs smoother_inputs(const nsu3d::Level& lvl,
+                               const nsu3d::kernels::Physics& phys, int level,
+                               const std::vector<nsu3d::State>& u,
+                               real_t cfl) {
+  namespace K = nsu3d::kernels;
+  SmootherInputs in;
+  K::residual(lvl, phys, level, u, level == 0, in.k, in.r);
+  K::wave_speeds(lvl, phys, in.k);
+  K::assemble_diag(lvl, phys, cfl, u, in.k);
+  K::assemble_diag_reference(lvl, phys, cfl, u, in.k, in.diag6);
+  // A forcing that is neither zero nor the residual, so every update is a
+  // nontrivial solve.
+  in.f.resize(u.size());
+  for (std::size_t i = 0; i < u.size(); ++i)
+    for (std::size_t c = 0; c < 6; ++c)
+      in.f[i][c] = 0.25 * in.r[i][c] + 1e-6 * real_t(int(i % 7) - 3);
+  return in;
+}
+
+std::uint64_t singular_pivots() {
+  return obs::counter("resil.singular_pivot").value();
+}
+
+/// Runs the 5+1 sweep and the 6x6 oracle from the same state and checks
+/// they leave bit-identical states and count the same singular pivots;
+/// returns the 5+1 sweep's state and pivot count.
+std::pair<std::vector<nsu3d::State>, std::uint64_t> sweep_both(
+    const nsu3d::Level& lvl, const nsu3d::kernels::Physics& phys, bool lines,
+    SmootherInputs& in, const std::vector<nsu3d::State>& u) {
+  namespace K = nsu3d::kernels;
+  constexpr real_t kRelax = 0.7;
+  std::vector<nsu3d::State> got = u, want = u;
+  const std::uint64_t p0 = singular_pivots();
+  if (lines)
+    K::line_sweep(lvl, phys, kRelax, in.f, in.r, in.k, got);
+  else
+    K::point_sweep(lvl, kRelax, in.f, in.r, in.k, got);
+  const std::uint64_t p1 = singular_pivots();
+  if (lines)
+    K::line_sweep_reference(lvl, phys, kRelax, in.f, in.r, in.k, in.diag6,
+                            want);
+  else
+    K::point_sweep_reference(lvl, kRelax, in.f, in.r, in.diag6, want);
+  const std::uint64_t p2 = singular_pivots();
+  EXPECT_TRUE(same_bits(got, want)) << (lines ? "line" : "point") << " sweep";
+  EXPECT_EQ(p1 - p0, p2 - p1) << "singular pivots, 5+1 vs 6x6";
+  return {got, p1 - p0};
+}
+
+struct ObsOn {
+  ObsOn() { obs::set_enabled(true); }
+  ~ObsOn() { obs::set_enabled(false); }
+};
+
+TEST(Nsu3dSmoother, SplitBlocksMatchCoupledOracleOnWingLevels) {
+  // Levels 0 and 1 of the nsu3d-wing mesh after five W-cycles: the 5+1
+  // blocks are the 6x6 blocks' mean-flow part and SA diagonal (nothing
+  // couples them), and both sweeps leave the state bit-identical to the
+  // 6x6 oracle's, at pool sizes 1 and 4.
+  PoolGuard guard;
+  mesh::WingMeshSpec spec;
+  spec.n_wrap = 64;
+  spec.n_span = 12;
+  spec.n_normal = 24;
+  spec.wall_spacing = 1e-4;
+  const auto m = mesh::make_wing_mesh(spec);
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.reynolds = 3e6;
+  nsu3d::Nsu3dOptions o;
+  o.cycle = nsu3d::CycleType::W;
+  smp::set_global_threads(4);
+  nsu3d::Nsu3dSolver solver(m, fc, o);
+  for (int c = 0; c < 5; ++c) solver.run_cycle();
+  const auto phys = wing_physics(fc);
+
+  for (int level : {0, 1}) {
+    const nsu3d::Level& lvl = solver.level(level);
+    const std::vector<nsu3d::State> u = solver.solution(level);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("level " + std::to_string(level) + ", pool size " +
+                   std::to_string(threads));
+      smp::set_global_threads(threads);
+      SmootherInputs in = smoother_inputs(lvl, phys, level, u, o.cfl);
+      for (std::size_t i = 0; i < in.diag6.size(); ++i) {
+        const Block6& d6 = in.diag6[i];
+        const auto& d = in.k.diag[i];
+        const auto bits = [](real_t x) { return std::bit_cast<std::uint64_t>(x); };
+        bool same = bits(d6(5, 5)) == bits(d.sa);
+        for (int rr = 0; rr < 5; ++rr) {
+          same = same && d6(rr, 5) == 0 && d6(5, rr) == 0;
+          for (int cc = 0; cc < 5; ++cc)
+            same = same && bits(d6(rr, cc)) == bits(d.mean(rr, cc));
+        }
+        ASSERT_TRUE(same) << "diagonal block of node " << i;
+      }
+      for (bool lines : {false, true}) {
+        const auto [got, pivots] = sweep_both(lvl, phys, lines, in, u);
+        EXPECT_FALSE(same_bits(got, u)) << "the sweep updated nothing";
+        EXPECT_EQ(pivots, 0u);
+      }
+    }
+  }
+}
+
+TEST(Nsu3dSmoother, SingularAndNanPivotsMatchCoupledOracle) {
+  // A singular SA pivot and a singular mean-flow pivot each skip their
+  // line (and node) and count one singular pivot, as the 6x6 solve does;
+  // a NaN SA pivot is not singular (the 6x6 test is `best < tiny`), and
+  // the NaN it spreads leaves every node of its line unchanged.
+  PoolGuard guard;
+  ObsOn obs_on;
+  const auto m = small_wing();
+  nsu3d::LevelOptions lo;
+  lo.num_levels = 1;
+  const auto levels = nsu3d::build_levels(m, lo);
+  const nsu3d::Level& lvl = levels[0];
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.reynolds = 3e6;
+  const auto phys = wing_physics(fc);
+  const auto u = wing_state(lvl, phys);
+  std::size_t li = 0;
+  while (lvl.lines.lines[li].size() < 4) ++li;
+  const auto& line = lvl.lines.lines[li];
+  // The line's first node: its block is the line solve's first pivot.
+  const std::size_t i0 = std::size_t(line[0]);
+
+  enum class Poison { SaZero, MeanZero, SaNan };
+  for (Poison poison : {Poison::SaZero, Poison::MeanZero, Poison::SaNan}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("poison " + std::to_string(int(poison)) + ", pool size " +
+                   std::to_string(threads));
+      smp::set_global_threads(threads);
+      SmootherInputs in = smoother_inputs(lvl, phys, 0, u, 20.0);
+      auto& d = in.k.diag[i0];
+      Block6& d6 = in.diag6[i0];
+      switch (poison) {
+        case Poison::SaZero:
+          d.sa = d6(5, 5) = 0;
+          break;
+        case Poison::MeanZero:
+          d.mean = {};
+          for (int rr = 0; rr < 5; ++rr)
+            for (int cc = 0; cc < 5; ++cc) d6(rr, cc) = 0;
+          break;
+        case Poison::SaNan:
+          d.sa = d6(5, 5) = std::numeric_limits<real_t>::quiet_NaN();
+          break;
+      }
+      const std::uint64_t want_pivots = poison == Poison::SaNan ? 0 : 1;
+      for (bool lines : {false, true}) {
+        const auto [got, pivots] = sweep_both(lvl, phys, lines, in, u);
+        if (obs::kCompiledIn) EXPECT_EQ(pivots, want_pivots);
+        // The poisoned node keeps its state; so does its whole line.
+        const auto& skipped =
+            lines ? line : std::vector<index_t>{index_t(i0)};
+        for (index_t v : skipped)
+          EXPECT_EQ(std::memcmp(&got[std::size_t(v)], &u[std::size_t(v)],
+                                sizeof(nsu3d::State)),
+                    0)
+              << (lines ? "line" : "point") << " sweep moved node " << v;
+        EXPECT_FALSE(same_bits(got, u)) << "the sweep updated nothing";
+      }
+    }
+  }
 }
 
 // --- Cart3D ---

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
 #include "nsu3d/solver.hpp"
+#include "smp/pool.hpp"
 
 namespace columbia::nsu3d {
 namespace {
@@ -51,8 +53,8 @@ TEST(Levels, CoarseEdgeNormalsStillClose) {
   std::vector<geom::Vec3> sum(std::size_t(c.num_nodes));
   for (std::size_t e = 0; e < c.edges.size(); ++e) {
     const auto [a, b] = c.edges[e];
-    sum[std::size_t(a)] += c.edge_normal[e];
-    sum[std::size_t(b)] -= c.edge_normal[e];
+    sum[std::size_t(a)] += c.edge_normal(e);
+    sum[std::size_t(b)] -= c.edge_normal(e);
   }
   for (index_t v = 0; v < c.num_nodes; ++v)
     for (const geom::Vec3& bn : c.boundary_normal[std::size_t(v)])
@@ -263,6 +265,54 @@ TEST(Partitioned, EmptyPartsOnTinyCoarseLevels) {
   const index_t coarse_nodes = levels.back().num_nodes;
   const auto plan = build_partition_plan(levels, coarse_nodes + 4);
   EXPECT_GT(plan.levels.back().empty_parts, 0);
+}
+
+/// Heap bytes in use, arenas and mmapped chunks together.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+TEST(Nsu3dFootprint, WingHeapPerFineNode) {
+  // What the nsu3d-wing solver holds once its first cycle has sized every
+  // kernel scratch: the levels, the multigrid state and the per-level
+  // scratch (the mesh is the caller's). Each array is stored once and
+  // second-order scratch exists only on the level solved at second order:
+  // about 2,000 B per fine node, where AoS copies of the edge streams,
+  // 6x6 smoother blocks and limiter caches on every level took about
+  // 2,500.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizers replace malloc";
+#endif
+  smp::set_global_threads(1);
+  mesh::WingMeshSpec spec;
+  spec.n_wrap = 64;
+  spec.n_span = 12;
+  spec.n_normal = 24;
+  spec.wall_spacing = 1e-4;
+  const mesh::UnstructuredMesh m = mesh::make_wing_mesh(spec);
+  const std::size_t before = heap_in_use();
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.reynolds = 3e6;
+  Nsu3dOptions o;
+  o.cycle = CycleType::W;
+  Nsu3dSolver s(m, fc, o);
+  s.run_cycle();
+  const double per_node =
+      double(heap_in_use() - before) / double(m.num_points());
+  EXPECT_LE(per_node, 2050.0) << "heap bytes per fine node";
+
+  // A level solved at first order never sizes the limiter's scratch.
+  kernels::Physics phys;
+  phys.freestream = fc.freestream();
+  phys.mu_lam = fc.mach / fc.reynolds;
+  phys.nut_inf = 3.0 * phys.mu_lam / phys.freestream.rho;
+  kernels::Scratch k;
+  std::vector<State> res;
+  kernels::residual(s.level(1), phys, 1, s.solution(1), false, k, res);
+  EXPECT_TRUE(k.ph.empty());
+  EXPECT_TRUE(k.edq.empty());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks for the hot kernels of both solvers:
-// Riemann fluxes, 6x6 block solves, block-tridiagonal lines, SFC encoding,
+// Riemann fluxes, dense block solves, block-tridiagonal lines, SFC encoding,
 // graph agglomeration and graph partitioning.
 //
 // `micro_kernels --kernels-json [path]` switches to the solver-kernel

@@ -1,8 +1,8 @@
 // Analytic Euler flux Jacobian dF/dU.
 //
-// The point- and line-implicit smoothers of NSU3D assemble dense 6x6 blocks
-// per grid point (paper Sec. III); the 5x5 mean-flow part comes from this
-// Jacobian, the sixth (turbulence) row/column from the SA linearization.
+// The point- and line-implicit smoothers of NSU3D assemble implicit blocks
+// per grid point (paper Sec. III): the 5x5 mean-flow block comes from this
+// Jacobian, the SA diagonal from the turbulence linearization.
 #pragma once
 
 #include "euler/state.hpp"

@@ -1,9 +1,10 @@
 // Fixed-size dense blocks used by the implicit solvers.
 //
 // NSU3D stores six unknowns per grid point (density, momentum x3, energy,
-// turbulence working variable), so the point-implicit and line-implicit
-// schemes invert dense 6x6 blocks at every point (paper Sec. III). Cart3D
-// carries five unknowns per cell. Both sizes instantiate the same templates.
+// turbulence working variable); its point-implicit and line-implicit
+// schemes invert a 5x5 mean-flow block and an uncoupled SA scalar (N = 1)
+// at every point (paper Sec. III). Cart3D carries five unknowns per cell.
+// Every size instantiates the same templates.
 #pragma once
 
 #include <array>

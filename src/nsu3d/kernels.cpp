@@ -650,7 +650,7 @@ void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s) {
     const std::size_t b = std::size_t(ends[e].second);
     const real_t area = lvl.edge_area[e];
     if (area <= 0) return;
-    const Vec3 nh = lvl.edge_unit(e);
+    const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
     wave[a] += (std::abs(dot(w[a].vel, nh)) + snd[a]) * area;
     wave[b] += (std::abs(dot(w[b].vel, nh)) + snd[b]) * area;
     if (viscous && lvl.edge_length[e] > 0) {
@@ -702,7 +702,7 @@ void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
       const std::size_t e = std::size_t(eid);
       const real_t area = lvl.edge_area[e];
       if (area <= 0) continue;
-      const Vec3 nh = lvl.edge_unit(e);
+      const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
       const real_t lam = (std::abs(dot(w[i].vel, nh)) + snd[i]) * area;
       // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
       const Vec3 nrm = lvl.edge_normal(e);

@@ -126,9 +126,9 @@ struct ImplicitBlock {
 
 /// Per-level SoA scratch. Persistent across sweeps (vectors keep their
 /// capacity). Per-node fields use the fixed-stride component blocks
-/// described above; per-edge fields are unit-stride streams. Each field is
-/// sized by the first kernel that writes it, so a level that never runs a
-/// phase holds none of its scratch.
+/// described above; per-edge fields are unit-stride streams. The smoother
+/// and second-order fields are sized by the first kernel that writes them,
+/// so a level that never runs a phase holds none of its scratch.
 struct Scratch {
   std::size_t n = 0;  // node count
 

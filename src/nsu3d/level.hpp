@@ -90,10 +90,6 @@ struct Level {
   geom::Vec3 edge_unit(std::size_t e) const {
     return {edge_ux[e], edge_uy[e], edge_uz[e]};
   }
-  /// Half offset 0.5 * (center_b - center_a) of edge e.
-  geom::Vec3 edge_half(std::size_t e) const {
-    return {edge_dx[e], edge_dy[e], edge_dz[e]};
-  }
 
   bool is_wall_node(index_t v) const {
     const geom::Vec3& n =

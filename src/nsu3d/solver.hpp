@@ -4,7 +4,7 @@
 // Mirrors the paper's Sec. III: six unknowns per grid point (density,
 // momentum, energy, Spalart-Allmaras working variable) solved in coupled
 // form; second-order upwind convection on the fine grid; edge-based viscous
-// operator; local block-implicit (6x6) solves at each point, upgraded to
+// operator; local block-implicit (5x5 + SA) solves at each point, upgraded to
 // block-tridiagonal line solves in stretched boundary-layer regions; FAS
 // agglomeration multigrid with V- or W-cycles (W preferred, Fig. 4).
 #pragma once

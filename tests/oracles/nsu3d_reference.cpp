@@ -133,7 +133,7 @@ void residual_reference(const Level& lvl, const Physics& phys, int level,
     phi.assign(n, {1, 1, 1, 1, 1, 1});
     for (std::size_t e = 0; e < lvl.edges.size(); ++e) {
       const auto [a, b] = lvl.edges[e];
-      const Vec3 dab = lvl.edge_half(e);
+      const Vec3 dab{lvl.edge_dx[e], lvl.edge_dy[e], lvl.edge_dz[e]};
       const real_t eps2 = lvl.edge_eps2[e];
       for (int side = 0; side < 2; ++side) {
         const std::size_t i = std::size_t(side == 0 ? a : b);
@@ -175,7 +175,7 @@ void residual_reference(const Level& lvl, const Physics& phys, int level,
     const real_t area = lvl.edge_area[e];
     if (area <= 0) continue;
     const Vec3 nh = lvl.edge_unit(e);
-    const Vec3 dab = lvl.edge_half(e);
+    const Vec3 dab{lvl.edge_dx[e], lvl.edge_dy[e], lvl.edge_dz[e]};
     real_t nut_l, nut_r;
     const Prim wl = reconstruct(a, dab, nut_l);
     const Prim wr = reconstruct(b, -1.0 * dab, nut_r);

@@ -1,6 +1,6 @@
 // Scalar oracles of the NSU3D kernel layer (nsu3d/kernels.hpp), kept out
 // of the production library: the tests pin the SoA kernels to them bit for
-// bit, and micro_kernels times nothing here.
+// bit.
 //
 //  * residual_reference: the pre-SoA edge/node residual loops (AoS state,
 //    per-component switch, per-edge geometry divisions), serial.

@@ -286,6 +286,7 @@ TEST(Nsu3dSmoother, SplitBlocksMatchCoupledOracleOnWingLevels) {
   nsu3d::Nsu3dSolver solver(m, fc, o);
   for (int c = 0; c < 5; ++c) solver.run_cycle();
   const auto phys = wing_physics(fc);
+  ObsOn obs_on;  // count singular pivots
 
   for (int level : {0, 1}) {
     const nsu3d::Level& lvl = solver.level(level);
@@ -364,7 +365,9 @@ TEST(Nsu3dSmoother, SingularAndNanPivotsMatchCoupledOracle) {
       const std::uint64_t want_pivots = poison == Poison::SaNan ? 0 : 1;
       for (bool lines : {false, true}) {
         const auto [got, pivots] = sweep_both(lvl, phys, lines, in, u);
-        if (obs::kCompiledIn) EXPECT_EQ(pivots, want_pivots);
+        if (obs::kCompiledIn) {
+          EXPECT_EQ(pivots, want_pivots);
+        }
         // The poisoned node keeps its state; so does its whole line.
         const auto& skipped =
             lines ? line : std::vector<index_t>{index_t(i0)};

@@ -276,11 +276,9 @@ std::size_t heap_in_use() {
 TEST(Nsu3dFootprint, WingHeapPerFineNode) {
   // What the nsu3d-wing solver holds once its first cycle has sized every
   // kernel scratch: the levels, the multigrid state and the per-level
-  // scratch (the mesh is the caller's). Each array is stored once and
-  // second-order scratch exists only on the level solved at second order:
-  // about 2,000 B per fine node, where AoS copies of the edge streams,
-  // 6x6 smoother blocks and limiter caches on every level took about
-  // 2,500.
+  // scratch (the mesh is the caller's). With each array stored once, 5+1
+  // smoother blocks, and limiter scratch only on the level solved at
+  // second order, that is about 2,000 B per fine node.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "sanitizers replace malloc";
 #endif

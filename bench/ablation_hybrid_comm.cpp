@@ -177,39 +177,37 @@ int main(int argc, char** argv) {
 
   // Comm observatory: wait-state cost per exchange, per strategy. This
   // pass runs with span recording ON (the timing/alloc passes above run
-  // obs-off, so instrumentation overhead never contaminates those rows).
+  // with it off, so instrumentation overhead never contaminates those
+  // rows).
   // "wait/exchange (us)" is Timing-gated by the perf gate; "messages" is
-  // exact. Table exists only when observability is compiled in, matching
-  // the build that produced the committed baseline.
-  if (obs::kCompiledIn) {
-    Table ct({"strategy", "messages", "wait/exchange (us)", "late-send %",
-              "retransmits"});
-    for (const Config& cfg : configs) {
-      core::ExchangePlanOptions opt = cfg.opt;
-      opt.level = 0;
-      core::ExchangePlan xplan(requests, opt);
-      xplan.exchange(data);  // warm-up (first-use obs registries)
-      obs::reset_trace();
-      obs::set_enabled(true);
-      for (int e = 0; e < kExchanges; ++e) xplan.exchange(data);
-      obs::set_enabled(false);
-      const obs::CommReport cr =
-          obs::build_comm_report(obs::phase_events_since());
-      std::uint64_t msgs = 0;
-      for (const obs::CommGroup& g : cr.groups) msgs += g.messages;
-      char name[96];
-      std::snprintf(name, sizeof(name), "plan %s", cfg.name);
-      ct.add_row(
-          {name, std::to_string(msgs / std::uint64_t(kExchanges)),
-           Table::num(cr.wait_s * 1e6 / kExchanges, 2),
-           Table::num(cr.wait_s > 0 ? 100.0 * cr.late_sender_s / cr.wait_s : 0.0,
-                      1),
-           std::to_string(cr.retransmits)});
-      obs::reset_trace();
-    }
-    ct.print();
-    rep.table("comm_observatory", ct);
+  // exact.
+  Table ct({"strategy", "messages", "wait/exchange (us)", "late-send %",
+            "retransmits"});
+  for (const Config& cfg : configs) {
+    core::ExchangePlanOptions opt = cfg.opt;
+    opt.level = 0;
+    core::ExchangePlan xplan(requests, opt);
+    xplan.exchange(data);  // warm-up (first-use obs registries)
+    obs::reset_trace();
+    obs::set_enabled(true);
+    for (int e = 0; e < kExchanges; ++e) xplan.exchange(data);
+    obs::set_enabled(false);
+    const obs::CommReport cr =
+        obs::build_comm_report(obs::phase_events_since());
+    std::uint64_t msgs = 0;
+    for (const obs::CommGroup& g : cr.groups) msgs += g.messages;
+    char name[96];
+    std::snprintf(name, sizeof(name), "plan %s", cfg.name);
+    ct.add_row(
+        {name, std::to_string(msgs / std::uint64_t(kExchanges)),
+         Table::num(cr.wait_s * 1e6 / kExchanges, 2),
+         Table::num(cr.wait_s > 0 ? 100.0 * cr.late_sender_s / cr.wait_s : 0.0,
+                    1),
+         std::to_string(cr.retransmits)});
+    obs::reset_trace();
   }
+  ct.print();
+  rep.table("comm_observatory", ct);
 
   // Flight-recorder ablation: the distributed flight recorder
   // (obs/shard.hpp) arms the same span recorder the observatory pass
@@ -218,40 +216,38 @@ int main(int argc, char** argv) {
   // prices that against the recorder-off exchange on the same plan —
   // the cost a forked rank pays for leaving a mergeable shard behind.
   // "exchange (us)" is Timing-gated by the perf gate; "messages" is
-  // exact. Obs-compiled builds only, like comm_observatory.
-  if (obs::kCompiledIn) {
-    Table ft({"mode", "messages", "exchange (us)"});
-    for (const bool armed : {false, true}) {
-      core::ExchangePlanOptions opt = configs[0].opt;
-      opt.level = 0;
-      core::ExchangePlan xplan(requests, opt);
-      xplan.exchange(data);  // warm-up (first-use obs registries)
-      std::optional<obs::FlightRecorder> rec;
-      if (armed) {
-        obs::ShardOptions so;
-        const char* tmp = std::getenv("TMPDIR");
-        so.path = std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
-                  "/columbia_bench_flight_recorder.rank0.round0.jsonl";
-        so.backend = "local";
-        so.flush_ms = 25;  // durable rewrites land mid-measurement
-        rec.emplace(so);
-      }
-      WallTimer timer;
-      for (int e = 0; e < kExchanges; ++e) xplan.exchange(data);
-      const double us = timer.seconds() * 1e6 / kExchanges;
-      if (rec) {
-        rec->finalize(obs::ShardClock{});
-        std::remove(rec->path().c_str());
-      }
-      obs::set_enabled(false);
-      obs::reset_trace();
-      ft.add_row({armed ? "recorder on (t2t)" : "recorder off (t2t)",
-                  std::to_string(xplan.messages_per_exchange()),
-                  Table::num(us, 1)});
+  // exact.
+  Table ft({"mode", "messages", "exchange (us)"});
+  for (const bool armed : {false, true}) {
+    core::ExchangePlanOptions opt = configs[0].opt;
+    opt.level = 0;
+    core::ExchangePlan xplan(requests, opt);
+    xplan.exchange(data);  // warm-up (first-use obs registries)
+    std::optional<obs::FlightRecorder> rec;
+    if (armed) {
+      obs::ShardOptions so;
+      const char* tmp = std::getenv("TMPDIR");
+      so.path = std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
+                "/columbia_bench_flight_recorder.rank0.round0.jsonl";
+      so.backend = "local";
+      so.flush_ms = 25;  // durable rewrites land mid-measurement
+      rec.emplace(so);
     }
-    ft.print();
-    rep.table("flight_recorder", ft);
+    WallTimer timer;
+    for (int e = 0; e < kExchanges; ++e) xplan.exchange(data);
+    const double us = timer.seconds() * 1e6 / kExchanges;
+    if (rec) {
+      rec->finalize(obs::ShardClock{});
+      std::remove(rec->path().c_str());
+    }
+    obs::set_enabled(false);
+    obs::reset_trace();
+    ft.add_row({armed ? "recorder on (t2t)" : "recorder off (t2t)",
+                std::to_string(xplan.messages_per_exchange()),
+                Table::num(us, 1)});
   }
+  ft.print();
+  rep.table("flight_recorder", ft);
 
   // Overlap ablation (interior/boundary split, Figs. 16-19): two group
   // members on a real wire (core::LocalGroup), each owning half the
@@ -385,15 +381,9 @@ int main(int argc, char** argv) {
       MemberResult res[2] = {};
       run_overlap(reqs, dat, cfg.strat, cfg.tpp, cfg.level, split, cfg.reps,
                   res);
-      std::uint64_t retransmits = 0;
-      double wait_s = 0;
-      if (obs::kCompiledIn) {
-        const obs::CommReport cr =
-            obs::build_comm_report(obs::phase_events_since());
-        retransmits = cr.retransmits;
-        wait_s = cr.wait_s;
-        obs::reset_trace();
-      }
+      const obs::CommReport cr =
+          obs::build_comm_report(obs::phase_events_since());
+      obs::reset_trace();
       char name[96];
       std::snprintf(name, sizeof(name), "%s %s", cfg.name,
                     split ? "split" : "blocking");
@@ -402,11 +392,11 @@ int main(int argc, char** argv) {
            Table::num(std::max(res[0].iter_s, res[1].iter_s) * 1e6 /
                           kOverlapIters,
                       1),
-           Table::num(wait_s * 1e6 / kOverlapIters, 1),
+           Table::num(cr.wait_s * 1e6 / kOverlapIters, 1),
            Table::num(std::max(res[0].stall_s, res[1].stall_s) * 1e6 /
                           kOverlapIters,
                       1),
-           std::to_string(retransmits)});
+           std::to_string(cr.retransmits)});
     }
   }
   ot.print();

@@ -7,8 +7,6 @@
 
 #include "geom/components.hpp"
 #include "obs/json.hpp"
-#include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "smp/pool.hpp"
 #include "support/build_info.hpp"
 #include "support/durable.hpp"
@@ -63,7 +61,6 @@ Reporter::~Reporter() {
   w.begin_object();
   w.kv("git_sha", bi.git_sha);
   w.kv("build_type", bi.build_type);
-  w.kv("obs_compiled", bi.obs_compiled);
   w.kv("columbia_threads", std::int64_t(smp::env_threads()));
   w.kv("hardware_threads", std::int64_t(hardware_threads()));
   w.end_object();
@@ -97,15 +94,6 @@ Reporter::~Reporter() {
     w.end_array();
   }
   w.end_object();
-  // With COLUMBIA_REPORT set and spans recorded, embed the process-wide
-  // phase profile so a single --json artifact carries both the bench
-  // tables and the flight-recorder view that produced them.
-  if (obs::kCompiledIn && obs::report_enabled() &&
-      obs::num_trace_events() > 0) {
-    const obs::PhaseProfile p = obs::current_profile();
-    w.key("report");
-    obs::write_profile_json_into(w, name_, p);
-  }
   w.end_object();
   os << "\n";
   if (!support::durable_write_file(path_, os.str())) {

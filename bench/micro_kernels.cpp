@@ -684,7 +684,6 @@ int run_kernels_json(const std::string& path) {
   w.begin_object();
   w.kv("git_sha", bi.git_sha);
   w.kv("build_type", bi.build_type);
-  w.kv("obs_compiled", bi.obs_compiled);
   w.kv("columbia_threads", std::int64_t(smp::env_threads()));
   w.kv("hardware_threads", std::int64_t(hardware_threads()));
   w.end_object();

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full suite in the release preset, the
 # thread-sensitive suites (labels tsan + resil) under ThreadSanitizer, the
-# memory-sensitive suites (label asan) under AddressSanitizer, the obs
-# suites with observability compiled out, the reachability gate, the
-# time-to-solution benchmark against its seed-1 references, the soak
-# matrix and the perf gate.
+# memory-sensitive suites (label asan) under AddressSanitizer, the
+# reachability gate, the time-to-solution benchmark against its seed-1
+# references, the soak matrix and the perf gate.
 #
-#   scripts/check.sh            # release, tsan, asan, obs-off, reach,
-#                               # bench, soak, perf gate
+#   scripts/check.sh            # release, tsan, asan, reach, bench,
+#                               # soak, perf gate
 #   JOBS=8 scripts/check.sh     # override parallelism
 set -euo pipefail
 
@@ -36,14 +35,6 @@ echo "== asan: configure + build + ctest -L asan =="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 ctest --preset asan -j "$JOBS"
-
-echo
-echo "== obs-off: configure + build + ctest -L obs with COLUMBIA_OBS=OFF =="
-# The compiled-out stubs: exporters must still produce valid, empty
-# documents (ObsTest.CompiledOutExportsEmptyDocuments runs only here).
-cmake --preset obs-off
-cmake --build --preset obs-off -j "$JOBS"
-ctest --preset obs-off -j "$JOBS"
 
 echo
 echo "== reach: every library function has a production user (scripts/reach.sh) =="

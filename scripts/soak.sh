@@ -110,8 +110,6 @@ elif run trace-shm "$WORK/trace-shm.txt" --backend shm --ranks 2 \
   if [[ ! -e "${shards[0]:-}" ]]; then
     echo "FAIL trace-shm: no telemetry shards left beside the trace"
     fail=1
-  elif grep -q '"obs":false' "${shards[0]}"; then
-    echo "skip trace-shm report: observability compiled out in this build"
   elif ! "$REPORT" comm --json "${shards[@]}" >"$WORK/trace-shm-comm.json" \
       2>"$WORK/trace-shm-comm.err"; then
     echo "FAIL trace-shm: columbia_report comm failed on the shards"

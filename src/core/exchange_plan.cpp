@@ -919,12 +919,6 @@ index_t ExchangePlan::max_ghost_items() const {
   return m;
 }
 
-index_t ExchangePlan::total_ghost_items() const {
-  index_t t = 0;
-  for (index_t g : ghost_items_) t += g;
-  return t;
-}
-
 index_t ExchangePlan::max_neighbors() const {
   index_t m = 0;
   for (index_t d : neighbor_count_) m = std::max(m, d);

@@ -158,7 +158,6 @@ class ExchangePlan {
   /// Distinct other partitions `part` requests from.
   index_t neighbor_count(index_t part) const;
   index_t max_ghost_items() const;
-  index_t total_ghost_items() const;
   index_t max_neighbors() const;
 
   /// Wire cost of one steady-state (fault-free) exchange.

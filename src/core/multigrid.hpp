@@ -203,10 +203,6 @@ class MultigridDriver {
   /// `max_cycles` elapse; returns the residual-norm history (initial norm
   /// first).
   std::vector<real_t> solve(int max_cycles, real_t orders = 6) {
-    // COLUMBIA_REPORT flight recorder: prints/appends the phase profile of
-    // this solve's window on scope exit. Purely observational — histories
-    // stay bit-identical with reporting on or off (test_obs_determinism).
-    obs::SolveReportScope report(name_);
     OBS_SPAN(span_solve_);
     begin_solve();
     std::vector<real_t> history{residual_norm()};
@@ -225,7 +221,6 @@ class MultigridDriver {
   resil::GuardedSolveResult solve_guarded(
       int max_cycles, real_t orders = 6,
       const resil::GuardedSolveOptions& options = {}) {
-    obs::SolveReportScope report(name_);
     OBS_SPAN(span_guarded_);
     begin_solve();
     resil::GuardCallbacks cb;

@@ -356,8 +356,7 @@ DualMetrics compute_dual_metrics(const UnstructuredMesh& m) {
     }
   }
   if (!heap.empty()) {
-    const FlatLists<std::pair<index_t, real_t>> adj =
-        edge_incidence(np, dm.edges);
+    const FlatLists<index_t> adj = edge_incidence(np, dm.edges);
     std::vector<real_t> len(dm.edges.size());
     pool.parallel_for(0, len.size(), 4096,
                       [&](std::size_t lb, std::size_t le, int) {
@@ -369,9 +368,9 @@ DualMetrics compute_dual_metrics(const UnstructuredMesh& m) {
     while (!heap.empty()) {
       const index_t v = heap.pop();
       const real_t d = dm.wall_distance[std::size_t(v)];
-      for (const auto& [eid, sgn] : adj[std::size_t(v)]) {
+      for (const index_t eid : adj[std::size_t(v)]) {
         const auto [a, b] = dm.edges[std::size_t(eid)];
-        const index_t u = sgn > 0 ? b : a;
+        const index_t u = a == v ? b : a;
         const real_t nd = d + len[std::size_t(eid)];
         if (nd < dm.wall_distance[std::size_t(u)]) {
           dm.wall_distance[std::size_t(u)] = nd;

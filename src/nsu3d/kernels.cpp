@@ -698,7 +698,7 @@ void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
     const real_t d0 = lvl.node_volume[i] / dt;
     BlockMat<5> d = BlockMat<5>::diagonal(d0);
     real_t dsa = d0;
-    for (const auto& [eid, sgn] : lvl.incident[i]) {
+    for (const index_t eid : lvl.incident[i]) {
       const std::size_t e = std::size_t(eid);
       const real_t area = lvl.edge_area[e];
       if (area <= 0) continue;
@@ -706,8 +706,8 @@ void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
       const real_t lam = (std::abs(dot(w[i].vel, nh)) + snd[i]) * area;
       // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
       const Vec3 nrm = lvl.edge_normal(e);
-      const BlockMat<5> j =
-          euler::flux_jacobian(w[i], sgn > 0 ? nrm : -1.0 * nrm);
+      const BlockMat<5> j = euler::flux_jacobian(
+          w[i], std::size_t(ends[e].first) == i ? nrm : -1.0 * nrm);
       for (int rr = 0; rr < 5; ++rr)
         for (int cc = 0; cc < 5; ++cc) d(rr, cc) += 0.5 * j(rr, cc);
       for (int rr = 0; rr < 5; ++rr) d(rr, rr) += 0.5 * lam;

@@ -103,10 +103,10 @@ FlatLists<std::pair<index_t, real_t>> line_edge_table(
   return le;
 }
 
-/// Colors + reorders the edge arrays color-major (when `color` is set).
-/// The next coarser level is built from this order.
-void order_edges(Level& lvl, std::vector<Vec3>& normal, bool color) {
-  if (color && !lvl.edges.empty()) {
+/// Colors + reorders the edge arrays color-major. The next coarser level
+/// is built from this order.
+void order_edges(Level& lvl, std::vector<Vec3>& normal) {
+  if (!lvl.edges.empty()) {
     const std::vector<index_t> colors =
         graph::color_edges(lvl.num_nodes, lvl.edges);
     graph::ColorOrder order = graph::color_major_order(colors);
@@ -130,10 +130,9 @@ void finalize_edges(Level& lvl, std::vector<Vec3> normal) {
   // per color, so this never changes a per-node accumulation order, but
   // it gives each pooled chunk a compact node range: on the agglomerated
   // coarse levels, whose node numbering is scattered, that keeps threads
-  // off each other's cache lines of the per-node blocks. (Without
-  // coloring the single span is left alone.) The first nodes within a
-  // color are distinct, so each span has one sorted order and the spans
-  // sort in parallel.
+  // off each other's cache lines of the per-node blocks. (A level of one
+  // color keeps its order.) The first nodes within a color are distinct,
+  // so each span has one sorted order and the spans sort in parallel.
   if (offsets.size() > 2) {
     std::vector<index_t> perm(edges.size());
     for_edges(perm.size(), [&](std::size_t e) { perm[e] = index_t(e); });
@@ -192,7 +191,7 @@ void finalize_edges(Level& lvl, std::vector<Vec3> normal) {
 /// Coarse level from a fine level via agglomeration of its edge graph;
 /// the coarse normals go to `coarse_normal`.
 Level coarsen(Level& fine, const std::vector<Vec3>& fine_normal,
-              bool color_edges, std::vector<Vec3>& coarse_normal) {
+              std::vector<Vec3>& coarse_normal) {
   const graph::Csr g = graph::Csr::from_edges(fine.num_nodes, fine.edges);
   graph::AgglomerateMap agg = graph::agglomerate_map(g);
   fine.to_coarse = std::move(agg.fine_to_coarse);
@@ -257,7 +256,7 @@ Level coarsen(Level& fine, const std::vector<Vec3>& fine_normal,
       coarse.num_nodes, coarse.edges,
       coupling_weights(coarse_normal, coarse.edge_length));
   coarse.lines = graph::extract_lines(cg, graph::LineOptions{});
-  order_edges(coarse, coarse_normal, color_edges);
+  order_edges(coarse, coarse_normal);
   return coarse;
 }
 
@@ -296,14 +295,13 @@ std::vector<Level> build_levels(const mesh::UnstructuredMesh& m,
     lo.anisotropy_threshold = opt.line_threshold;
     fine.lines = graph::extract_lines(g, lo);
   }
-  order_edges(fine, fine_normal, opt.color_edges);
+  order_edges(fine, fine_normal);
   levels.push_back(std::move(fine));
   normals.push_back(std::move(fine_normal));
 
   for (int l = 1; l < opt.num_levels; ++l) {
     std::vector<Vec3> coarse_normal;
-    Level coarse = coarsen(levels.back(), normals.back(), opt.color_edges,
-                           coarse_normal);
+    Level coarse = coarsen(levels.back(), normals.back(), coarse_normal);
     if (coarse.num_nodes >= levels.back().num_nodes) break;
     levels.push_back(std::move(coarse));
     normals.push_back(std::move(coarse_normal));

@@ -31,8 +31,7 @@ struct Level {
   /// accumulate-to-points vectorizes/threads): color c occupies the
   /// contiguous span [color_offsets[c], color_offsets[c+1]) and no two
   /// edges within a span share a node, so a scatter over one span is
-  /// race-free. With coloring disabled this degenerates to one span
-  /// covering all edges (serial-only).
+  /// race-free.
   std::vector<std::size_t> color_offsets;
 
   /// Per-edge geometry, precomputed once at level construction and stored
@@ -68,9 +67,9 @@ struct Level {
   /// Map to the next coarser level (empty on the coarsest).
   std::vector<index_t> to_coarse;
 
-  /// Per-node incident edge lists (edge id, +1 if node is 'a' else -1),
-  /// each in edge storage order.
-  FlatLists<std::pair<index_t, real_t>> incident;
+  /// Per-node incident edge ids, each list in edge storage order; node v
+  /// is edge e's 'a' side when edges[e].first == v.
+  FlatLists<index_t> incident;
 
   /// For line k, entry j is the (edge id, sign) connecting line[j] to
   /// line[j+1] (sign +1 when line[j] is the edge's 'a' endpoint), or
@@ -102,9 +101,6 @@ struct LevelOptions {
   int num_levels = 4;
   /// Edge-coupling ratio above which an edge joins an implicit line.
   real_t line_threshold = 4.0;
-  /// Color + reorder edges color-major for the threaded scatter loops.
-  /// Disable only for serial-order equivalence testing.
-  bool color_edges = true;
 };
 
 /// Builds the hierarchy: level 0 from the mesh's dual metrics, coarser

@@ -8,6 +8,7 @@
 #include "graph/agglomerate.hpp"
 #include "graph/csr.hpp"
 #include "graph/partition.hpp"
+#include "nsu3d/kernels.hpp"
 #include "obs/obs.hpp"
 #include "smp/pool.hpp"
 #include "support/assert.hpp"
@@ -94,13 +95,6 @@ PartitionPlan build_partition_plan(const std::vector<Level>& levels,
     }
     dec.max_part_nodes = real_t(max_nodes);
     dec.avg_part_nodes = real_t(lvl.num_nodes) / real_t(nparts);
-
-    // Halo statistics: ghosts per part and communication degree, read off
-    // the exchange schedule this decomposition implies.
-    const core::ExchangePlan xplan(halo_requests(lvl, dec.part, nparts));
-    dec.max_ghost_nodes = real_t(xplan.max_ghost_items());
-    dec.total_ghost_nodes = real_t(xplan.total_ghost_items());
-    dec.max_comm_degree = xplan.max_neighbors();
 
     plan.levels.push_back(std::move(dec));
     prev_part = plan.levels.back().part;
@@ -300,12 +294,7 @@ std::vector<State> parallel_residual(const Level& lvl,
             return u[std::size_t(v)];
           };
           auto owned_prim = [&](index_t v) {
-            const State& s = u[std::size_t(v)];
-            const real_t inv = 1.0 / s[0];
-            const Vec3 vel{s[1] * inv, s[2] * inv, s[3] * inv};
-            const real_t p =
-                (euler::kGamma - 1) * (s[4] - 0.5 * s[0] * dot(vel, vel));
-            return euler::Prim{s[0], vel, p};
+            return kernels::mean_prim(u[std::size_t(v)]);
           };
 
           std::vector<State> res(n, State{});
@@ -363,12 +352,7 @@ std::vector<State> parallel_residual(const Level& lvl,
                                               : ghost[std::size_t(v)];
           };
           auto prim_of = [&](index_t v) {
-            const State& s = state_of(v);
-            const real_t inv = 1.0 / s[0];
-            const Vec3 vel{s[1] * inv, s[2] * inv, s[3] * inv};
-            const real_t p =
-                (euler::kGamma - 1) * (s[4] - 0.5 * s[0] * dot(vel, vel));
-            return euler::Prim{s[0], vel, p};
+            return kernels::mean_prim(state_of(v));
           };
 
           auto& res = res_of[mep];

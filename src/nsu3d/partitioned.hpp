@@ -8,9 +8,10 @@
 // partitions get ghost vertices (Fig. 6a); the halo exchange packs all
 // values destined for one neighbor into a single message.
 //
-// The same analysis produces, for every level, the work and communication
-// quantities the Columbia machine model consumes: per-partition work, halo
-// sizes, communication-graph degree, and the inter-grid transfer volume.
+// The same analysis produces, for every level, the work and inter-grid
+// quantities the Columbia machine model consumes; halo sizes and the
+// communication-graph degree are read off the core::ExchangePlan of
+// halo_requests (perf::stats_from_plan).
 #pragma once
 
 #include <vector>
@@ -28,11 +29,6 @@ struct LevelDecomposition {
   real_t max_part_nodes = 0;
   real_t avg_part_nodes = 0;
   index_t empty_parts = 0;        // paper Sec. VI: occurs on coarse levels
-  /// Halo exchange: per-part ghost counts (values received per exchange).
-  real_t max_ghost_nodes = 0;
-  real_t total_ghost_nodes = 0;
-  /// Degree of the partition communication graph (paper: max 18 fine).
-  index_t max_comm_degree = 0;
   /// Inter-grid transfer to the next coarser level: number of fine nodes
   /// whose agglomerate lives on another partition (paper: degree <= 19).
   real_t intergrid_items = 0;       // total across partitions

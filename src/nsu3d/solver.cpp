@@ -30,7 +30,6 @@ Nsu3dSolver::Nsu3dSolver(const mesh::UnstructuredMesh& m,
   LevelOptions lo;
   lo.num_levels = opt_.mg_levels;
   lo.line_threshold = opt_.line_threshold;
-  lo.color_edges = opt_.color_edges;
   levels_ = build_levels(m, lo);
 
   scratch_.resize(levels_.size());

@@ -45,9 +45,6 @@ struct Nsu3dOptions : core::SolveParams {
   real_t relax = 0.7;  // update under-relaxation
   bool viscous = true;  // include viscous terms + SA (RANS mode)
   real_t line_threshold = 4.0;
-  /// Color-major edge reorder for threaded scatter loops (see Level).
-  /// Disable only for serial edge-order equivalence tests.
-  bool color_edges = true;
 };
 
 struct Forces {

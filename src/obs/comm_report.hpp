@@ -10,9 +10,9 @@
 // shrunk into the paper's Fig. 19 regime where an exchange costs more than
 // the work it unblocks (the agglomeration advisor).
 //
-// Inputs are PhaseEvents (obs/report.hpp), so the live SolveReportScope
-// summary and the offline `columbia_report comm` subcommand run the exact
-// same math; committed fixture traces in tests/data pin it.
+// Inputs are PhaseEvents (obs/report.hpp), so an in-process analysis of
+// the live recording and the offline `columbia_report comm` subcommand run
+// the exact same math; committed fixture traces in tests/data pin it.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +123,8 @@ Table comm_overlap_table(const CommReport& r);
 
 class JsonWriter;
 
-/// Emits the report as the next value of an in-progress JsonWriter (used
-/// for the "comm_xchg" object of the COLUMBIA_REPORT JSONL record).
+/// Emits the report as the next value of an in-progress JsonWriter (the
+/// "comm" object of each run in `columbia_report comm --json`).
 void write_comm_json_into(JsonWriter& w, const CommReport& r);
 
 /// Human-readable name of a strategy id ("t2t", "master", or "-").

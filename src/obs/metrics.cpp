@@ -51,15 +51,6 @@ void reset_metrics() {
   for (auto& [_, g] : reg.gauges) g->reset();
 }
 
-std::vector<std::string> counter_names() {
-  MetricsRegistry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::vector<std::string> out;
-  out.reserve(reg.counters.size());
-  for (const auto& [name, _] : reg.counters) out.push_back(name);
-  return out;
-}
-
 MetricsSnapshot metrics_snapshot() {
   MetricsRegistry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);

@@ -17,9 +17,8 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <vector>
 
-#include "obs/trace.hpp"  // enabled() / kCompiledIn
+#include "obs/trace.hpp"  // enabled()
 
 namespace columbia::obs {
 
@@ -52,9 +51,6 @@ Gauge& gauge(const std::string& name);
 
 /// Zeroes every registered metric (entries and references survive).
 void reset_metrics();
-
-/// Snapshot of registered counter names, sorted, for reports.
-std::vector<std::string> counter_names();
 
 /// Every registered metric's value at one instant, by name.
 struct MetricsSnapshot {

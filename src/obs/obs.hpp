@@ -2,11 +2,11 @@
 // metrics registry, phase profiles) plus the instrumentation macros used
 // in the hot layers.
 //
-// Compile-time switch: configure with -DCOLUMBIA_OBS=OFF to compile every
-// span and counter out entirely (the API surface remains and exporters
-// produce empty documents). Runtime switch: obs::set_enabled(true) or the
-// COLUMBIA_TRACE=1 environment variable; disabled by default, in which
-// case an instrumented hot path costs one relaxed atomic load.
+// Always compiled in; recording is switched on by obs::set_enabled(true),
+// the COLUMBIA_TRACE=1 environment variable or an example's --trace. Off
+// by default, in which case an instrumented hot path costs one relaxed
+// atomic load. What is recorded is read back only by columbia_report,
+// from the trace written by obs::write_trace (obs/shard.hpp).
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -24,8 +24,8 @@
                                                  __LINE__)(__VA_ARGS__)
 
 /// Bumps the named counter by `n`. The registry lookup resolves once per
-/// call site, and only after observability is first enabled; disabled or
-/// compiled-out builds pay a branch at most.
+/// call site, and only after observability is first enabled; with
+/// recording off a call site pays a branch.
 #define OBS_COUNT(name_literal, n)                             \
   do {                                                         \
     if (::columbia::obs::enabled()) {                          \

@@ -2,19 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <map>
-#include <mutex>
-#include <ostream>
-#include <sstream>
 
-#include "obs/comm_report.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "support/durable.hpp"
-#include "support/timer.hpp"
 
 namespace columbia::obs {
 
@@ -158,44 +148,25 @@ PhaseProfile build_profile(const std::vector<PhaseEvent>& events) {
   return out;
 }
 
-namespace {
-
-struct CommTotals {
-  std::uint64_t exchanges = 0, messages = 0, bytes = 0, retransmits = 0;
-};
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+void add_comm_counters(const MetricsSnapshot& s, PhaseProfile& p) {
+  const auto count = [&s](const char* name) -> std::uint64_t {
+    const auto it = s.counters.find(name);
+    return it == s.counters.end() ? 0 : it->second;
+  };
+  p.comm_exchanges += count("halo.plan.exchanges");
+  p.comm_messages += count("halo.plan.messages");
+  p.comm_bytes += count("halo.plan.bytes");
+  p.comm_retransmits += count("resil.halo.retransmits");
 }
 
-/// Sums the registry's halo transport counters without creating entries.
-CommTotals comm_counter_totals() {
-  CommTotals t;
-  for (const std::string& name : counter_names()) {
-    const std::uint64_t v = counter(name).value();
-    if (name == "resil.halo.retransmits") {
-      t.retransmits += v;
-    } else if (name.rfind("halo.", 0) == 0) {
-      if (ends_with(name, ".exchanges")) t.exchanges += v;
-      if (ends_with(name, ".messages")) t.messages += v;
-      if (ends_with(name, ".bytes")) t.bytes += v;
-    }
-  }
-  return t;
-}
-
-}  // namespace
-
-std::vector<PhaseEvent> phase_events_since(std::uint64_t min_ts_ns) {
+std::vector<PhaseEvent> phase_events_since() {
   const std::vector<TraceEvent> snap = trace_snapshot();
   std::uint64_t epoch = ~std::uint64_t(0);
-  for (const TraceEvent& e : snap)
-    if (e.ts_ns >= min_ts_ns) epoch = std::min(epoch, e.ts_ns);
+  for (const TraceEvent& e : snap) epoch = std::min(epoch, e.ts_ns);
   std::vector<PhaseEvent> events;
   events.reserve(snap.size());
   for (const TraceEvent& e : snap) {
-    if (e.ts_ns < min_ts_ns || e.name == nullptr) continue;
+    if (e.name == nullptr) continue;
     PhaseEvent pe;
     pe.name = e.name;
     pe.phase = e.phase;
@@ -211,16 +182,6 @@ std::vector<PhaseEvent> phase_events_since(std::uint64_t min_ts_ns) {
     events.push_back(std::move(pe));
   }
   return events;
-}
-
-PhaseProfile current_profile(std::uint64_t min_ts_ns) {
-  PhaseProfile p = build_profile(phase_events_since(min_ts_ns));
-  const CommTotals t = comm_counter_totals();
-  p.comm_exchanges = t.exchanges;
-  p.comm_messages = t.messages;
-  p.comm_bytes = t.bytes;
-  p.comm_retransmits = t.retransmits;
-  return p;
 }
 
 Table profile_table(const PhaseProfile& p) {
@@ -265,158 +226,6 @@ Table summary_table(const PhaseProfile& p) {
   t.add_row({"halo MB", Table::num(double(p.comm_bytes) / 1e6, 3)});
   t.add_row({"halo retransmits", std::to_string(p.comm_retransmits)});
   return t;
-}
-
-void write_profile_json(std::ostream& os, const std::string& name,
-                        const PhaseProfile& p, const CommReport* comm) {
-  JsonWriter w(os);
-  write_profile_json_into(w, name, p, comm);
-}
-
-void write_profile_json_into(JsonWriter& w, const std::string& name,
-                             const PhaseProfile& p, const CommReport* comm) {
-  w.begin_object();
-  w.kv("solver", name);
-  w.kv("wall_s", p.wall_s);
-  w.kv("busy_s", p.busy_s);
-  w.key("comm").begin_object();
-  w.kv("seconds", p.comm_s);
-  w.kv("fraction", p.comm_fraction);
-  double crit = 0;
-  for (double s : p.comm_per_thread) crit = std::max(crit, s);
-  w.kv("critical_path_s", crit);
-  w.key("per_thread_s").begin_array();
-  for (double s : p.comm_per_thread) w.value(s);
-  w.end_array();
-  w.kv("exchanges", p.comm_exchanges);
-  w.kv("messages", p.comm_messages);
-  w.kv("bytes", p.comm_bytes);
-  w.kv("retransmits", p.comm_retransmits);
-  w.end_object();
-  if (comm != nullptr && !comm->empty()) {
-    w.key("comm_xchg");
-    write_comm_json_into(w, *comm);
-  }
-  w.key("levels").begin_array();
-  for (const LevelStats& l : p.levels) {
-    w.begin_object();
-    w.kv("level", l.level);
-    w.kv("calls", l.calls);
-    w.kv("seconds", l.total_s);
-    w.kv("imbalance", l.imbalance);
-    w.kv("comm_s", l.comm_s);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("phases").begin_array();
-  for (const PhaseStats& s : p.phases) {
-    w.begin_object();
-    w.kv("phase", s.phase);
-    w.kv("level", s.level);
-    w.kv("calls", s.calls);
-    w.kv("threads", s.threads);
-    w.kv("total_s", s.total_s);
-    w.kv("min_s", s.min_s);
-    w.kv("mean_s", s.mean_s);
-    w.kv("p95_s", s.p95_s);
-    w.kv("max_s", s.max_s);
-    w.kv("imbalance", s.imbalance);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-// --- COLUMBIA_REPORT switch ----------------------------------------------
-
-namespace {
-
-struct ReportConfig {
-  bool on = false;
-  std::string path;
-};
-
-ReportConfig& report_config() {
-  static ReportConfig* cfg = [] {
-    auto* c = new ReportConfig;  // outlives static dtors
-    const char* env = std::getenv("COLUMBIA_REPORT");
-    if (env != nullptr && *env != '\0' && std::string(env) != "0") {
-      c->on = true;
-      if (std::string(env) != "1") c->path = env;
-    }
-    return c;
-  }();
-  return *cfg;
-}
-
-/// Serializes concurrent end-of-solve reports (database sweeps run cases
-/// on worker threads): whole-summary prints and whole-line appends.
-std::mutex& report_mu() {
-  static std::mutex* mu = new std::mutex;
-  return *mu;
-}
-
-}  // namespace
-
-bool report_enabled() { return report_config().on; }
-
-const std::string& report_path() { return report_config().path; }
-
-void set_report(bool on, const std::string& path) {
-  report_config().on = on;
-  report_config().path = path;
-}
-
-SolveReportScope::SolveReportScope(std::string name)
-    : name_(std::move(name)) {
-  if (!kCompiledIn || !report_enabled()) return;
-  active_ = true;
-  was_enabled_ = enabled();
-  set_enabled(true);
-  t0_ns_ = WallTimer::now_ns();
-  const CommTotals t0 = comm_counter_totals();
-  c0_exchanges_ = t0.exchanges;
-  c0_messages_ = t0.messages;
-  c0_bytes_ = t0.bytes;
-  c0_retransmits_ = t0.retransmits;
-}
-
-SolveReportScope::~SolveReportScope() {
-  if (!active_) return;
-  const std::vector<PhaseEvent> events = phase_events_since(t0_ns_);
-  set_enabled(was_enabled_);
-  PhaseProfile p = build_profile(events);
-  const CommTotals t = comm_counter_totals();
-  p.comm_exchanges = t.exchanges - std::min(t.exchanges, c0_exchanges_);
-  p.comm_messages = t.messages - std::min(t.messages, c0_messages_);
-  p.comm_bytes = t.bytes - std::min(t.bytes, c0_bytes_);
-  p.comm_retransmits =
-      t.retransmits - std::min(t.retransmits, c0_retransmits_);
-  const CommReport comm = build_comm_report(events);
-
-  std::lock_guard<std::mutex> lock(report_mu());
-  std::cerr << "== columbia report: " << name_ << " ==\n"
-            << summary_table(p).to_string();
-  const Table lt = level_table(p);
-  if (!lt.rows().empty()) std::cerr << lt.to_string();
-  std::cerr << profile_table(p).to_string();
-  if (!comm.empty()) {
-    std::cerr << "-- comm observatory: wait matrix --\n"
-              << comm_wait_matrix_table(comm).to_string()
-              << "-- comm observatory: strategy rollup --\n"
-              << comm_strategy_table(comm).to_string();
-    if (!comm.levels.empty())
-      std::cerr << "-- comm observatory: overlap headroom --\n"
-                << comm_overlap_table(comm).to_string();
-  }
-
-  if (!report_path().empty()) {
-    std::ostringstream line;
-    write_profile_json(line, name_, p, &comm);
-    if (!support::durable_append_line(report_path(), line.str()))
-      std::cerr << "columbia report: cannot append to " << report_path()
-                << '\n';
-  }
 }
 
 }  // namespace columbia::obs

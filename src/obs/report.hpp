@@ -4,21 +4,13 @@
 // threads, the quantity the paper tracks across ranks and multigrid
 // levels), and the communication fraction of total busy time.
 //
-// Two consumers share this aggregation:
-//   * in-process: MultigridDriver wraps every solve in a SolveReportScope;
-//     with COLUMBIA_REPORT set, the end of the solve prints a
-//     flight-recorder summary and can append the profile as JSONL.
-//   * offline: tools/columbia_report parses Chrome-trace files back into
-//     PhaseEvents and feeds them through the same profile builder, so the
-//     live summary and the offline analysis can never disagree.
-//
-// Everything here is read-only over recorded telemetry: building or
-// printing a profile never feeds back into solver arithmetic, so residual
-// histories stay bit-identical with COLUMBIA_REPORT on or off.
+// One reader: tools/columbia_report parses a trace back into PhaseEvents,
+// builds the profile and prints these tables. Everything here is
+// read-only over recorded telemetry, so building or printing a profile
+// never feeds back into solver arithmetic.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -87,8 +79,8 @@ struct PhaseProfile {
   /// halo critical-path estimate: no schedule can finish its exchanges
   /// faster than its busiest thread.
   std::vector<double> comm_per_thread;
-  /// Transport totals from the metrics registry (in-process profiles
-  /// only; zero for offline trace ingest, which has no counter stream).
+  /// Transport totals from the halo counters of the recorded metrics
+  /// (add_comm_counters); build_profile leaves them zero.
   std::uint64_t comm_exchanges = 0;
   std::uint64_t comm_messages = 0;
   std::uint64_t comm_bytes = 0;
@@ -103,17 +95,17 @@ bool is_comm_phase(const std::string& name);
 /// unmatched begins/ends at the edges of the window are dropped.
 PhaseProfile build_profile(const std::vector<PhaseEvent>& events);
 
-/// Converts the live trace buffers into PhaseEvents, keeping only events
-/// with ts_ns >= min_ts_ns; timestamps are microseconds since the earliest
-/// kept event. The shared front half of current_profile(), SolveReportScope,
-/// live_shard() (obs/shard.hpp) and the comm-observatory analyzer.
-std::vector<PhaseEvent> phase_events_since(std::uint64_t min_ts_ns = 0);
+struct MetricsSnapshot;  // obs/metrics.hpp
 
-/// Converts the live trace buffers into PhaseEvents, keeping only events
-/// with ts_ns >= min_ts_ns (so a solve can profile just its own window),
-/// then builds the profile and fills the transport totals from the
-/// "halo.*" counters.
-PhaseProfile current_profile(std::uint64_t min_ts_ns = 0);
+/// Adds one metrics snapshot's halo transport counters to the profile's
+/// comm_* totals: ExchangePlan's halo.plan.{exchanges,messages,bytes} and
+/// resil.halo.retransmits. A trace carries one snapshot per shard.
+void add_comm_counters(const MetricsSnapshot& s, PhaseProfile& p);
+
+/// Converts the live trace buffers into PhaseEvents; timestamps are
+/// microseconds since the earliest event. The front half of live_shard()
+/// (obs/shard.hpp) and of the in-process comm-observatory analysis.
+std::vector<PhaseEvent> phase_events_since();
 
 /// Per-(phase, level) table of the profile: calls, exclusive totals,
 /// instance min/mean/p95/max (milliseconds) and the imbalance factor.
@@ -126,60 +118,5 @@ Table level_table(const PhaseProfile& p);
 
 /// One-line-per-field summary (wall, busy, comm fraction, traffic).
 Table summary_table(const PhaseProfile& p);
-
-struct CommReport;  // obs/comm_report.hpp
-
-/// Writes the profile as one JSON object:
-/// {"solver", "wall_s", "busy_s", "comm": {...}, "phases": [...]}. When
-/// `comm` is non-null a "comm_xchg" object (wait matrix, late-sender/
-/// receiver split, overlap headroom) is appended.
-void write_profile_json(std::ostream& os, const std::string& name,
-                        const PhaseProfile& p,
-                        const CommReport* comm = nullptr);
-
-class JsonWriter;
-
-/// Same object, emitted as the next value of an in-progress JsonWriter —
-/// lets bench::Reporter embed the profile inside its own document.
-void write_profile_json_into(JsonWriter& w, const std::string& name,
-                             const PhaseProfile& p,
-                             const CommReport* comm = nullptr);
-
-// --- COLUMBIA_REPORT runtime switch -------------------------------------
-//
-// COLUMBIA_REPORT=1 prints the flight-recorder summary (stderr) at the
-// end of every solve; any other non-zero value is a path the profile is
-// appended to as JSONL, one record per solve, in addition to the summary.
-
-/// True when end-of-solve reporting is requested (env or override).
-bool report_enabled();
-/// JSONL destination ("" = print only).
-const std::string& report_path();
-/// Test/driver override; replaces whatever the environment said.
-void set_report(bool on, const std::string& path = "");
-
-/// RAII hook used by core::MultigridDriver: when reporting is enabled,
-/// construction turns the span recorder on and marks the window start;
-/// destruction builds the profile for the window, prints the summary and
-/// appends the JSONL record, then restores the previous recorder state.
-/// Inert when reporting is off or the obs layer is compiled out.
-class SolveReportScope {
- public:
-  explicit SolveReportScope(std::string name);
-  ~SolveReportScope();
-
-  SolveReportScope(const SolveReportScope&) = delete;
-  SolveReportScope& operator=(const SolveReportScope&) = delete;
-
- private:
-  std::string name_;
-  bool active_ = false;
-  bool was_enabled_ = false;
-  std::uint64_t t0_ns_ = 0;
-  // Transport counters at window start: the registry is cumulative across
-  // the process, the report wants this solve's traffic only.
-  std::uint64_t c0_exchanges_ = 0, c0_messages_ = 0, c0_bytes_ = 0,
-                c0_retransmits_ = 0;
-};
 
 }  // namespace columbia::obs

@@ -70,8 +70,7 @@ struct Options {
 /// attributable to the build that produced them.
 std::string version_line() {
   const BuildInfo& bi = build_info();
-  return std::string("columbia_report ") + bi.git_sha + " (" +
-         bi.build_type + ", obs " + (bi.obs_compiled ? "on" : "off") + ")";
+  return "columbia_report " + bi.git_sha + " (" + bi.build_type + ")";
 }
 
 bool parse_tolerance(const std::string& s, double& out) {
@@ -727,7 +726,11 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     run.m = merge_shards(std::move(shard_inputs));
     traces.push_back(std::move(run));
   }
-  for (TraceRun& run : traces) run.profile = build_profile(run.m.events);
+  for (TraceRun& run : traces) {
+    run.profile = build_profile(run.m.events);
+    for (const TelemetryShard& s : run.m.shards)
+      add_comm_counters(s.metrics, run.profile);
+  }
 
   // Provenance guard: mismatches across shards (from the merge) and
   // between the trace and this binary warn on stderr; --json additionally

@@ -1,12 +1,13 @@
 // The columbia_report command-line logic (tools/columbia_report is a thin
-// main around run()). Lives in the obs library so the report tests can
-// drive it hermetically against committed fixtures and so the analysis
-// shares obs::build_profile with the in-process flight recorder.
+// main around run()), the one reader of recorded telemetry. Lives in the
+// obs library so the report tests can drive it hermetically against
+// committed fixtures.
 //
 // Inputs are classified by content, not extension:
 //   * Chrome trace JSON ({"traceEvents": [...]}) — from an example's
 //     --trace flag (obs::write_trace), read by obs::parse_merged_trace.
-//     One file prints its phase profile and the convergence rollup of its
+//     One file prints its phase profile (with the halo traffic totals of
+//     the trace's metrics snapshots) and the convergence rollup of its
 //     cycle records (residual trajectory and per-level exclusive time);
 //     several files become a scaling series (Fig. 14b/15-style speedup
 //     and parallel-efficiency table, keyed by each trace's recorded

@@ -172,8 +172,6 @@ void read_shard_meta(const JsonValue& h, TelemetryShard& out) {
   out.backend = h.string_or("backend", "");
   out.git_sha = h.string_or("git_sha", "");
   out.build_type = h.string_or("build_type", "");
-  const JsonValue* obs = h.find("obs");
-  out.obs = obs == nullptr || !obs->is_bool() || obs->boolean();
   out.fault_spec = h.string_or("fault_spec", "");
   out.clock_base_ns = std::uint64_t(parse_i64(h, "clock_base_ns"));
   out.clock = parse_clock(h, "clock");
@@ -192,7 +190,6 @@ void write_header_line(std::ostream& os, const ShardOptions& opt,
   w.kv("backend", opt.backend);
   w.kv("git_sha", bi.git_sha);
   w.kv("build_type", bi.build_type);
-  w.kv("obs", bi.obs_compiled);
   w.kv("fault_spec", opt.fault_spec);
   w.kv("clock_base_ns", std::to_string(base_ns));
   write_clock_into(w, "clock", clock);
@@ -203,8 +200,6 @@ void write_header_line(std::ostream& os, const ShardOptions& opt,
 }  // namespace
 
 // --- Recorder (rank-process side) ------------------------------------------
-
-#if COLUMBIA_OBS_ENABLED
 
 /// Owns the recorder's serialization lock and the optional autoflush
 /// thread. A pimpl so the header stays free of <thread>/<mutex>.
@@ -350,18 +345,6 @@ bool FlightRecorder::write_image(bool with_footer,
   return support::durable_write_file(opt_.path, os.str());
 }
 
-#else  // !COLUMBIA_OBS_ENABLED
-
-FlightRecorder::FlightRecorder(const ShardOptions& opt) : path_(opt.path) {
-  // Span recording is compiled out; leave a valid header-only shard so
-  // downstream gathering/merging degrades to empty timelines, not errors.
-  std::ostringstream os;
-  write_header_line(os, opt, 0, ShardClock{});
-  support::durable_write_file(path_, os.str());
-}
-
-#endif  // COLUMBIA_OBS_ENABLED
-
 // --- Offline ingest / merge -------------------------------------------------
 
 bool parse_shard(const std::string& text, TelemetryShard& out,
@@ -430,7 +413,6 @@ TelemetryShard live_shard() {
   s.pid = std::int64_t(::getpid());
   s.git_sha = bi.git_sha;
   s.build_type = bi.build_type;
-  s.obs = bi.obs_compiled;
   s.truncated = false;
   s.metrics = metrics_snapshot();
   s.events = phase_events_since();
@@ -549,7 +531,6 @@ void write_merged_chrome_trace(std::ostream& os, const MergedTelemetry& m) {
   w.key("columbia").begin_object();
   w.kv("git_sha", m.git_sha);
   w.kv("build_type", m.build_type);
-  w.kv("obs", m.shards.empty() ? true : m.shards.front().obs);
   w.kv("threads", m.threads);
   w.kv("hardware_threads", std::int64_t(hardware_threads()));
   w.kv("backend", m.backend);
@@ -569,7 +550,6 @@ void write_merged_chrome_trace(std::ostream& os, const MergedTelemetry& m) {
     w.kv("backend", s.backend);
     w.kv("git_sha", s.git_sha);
     w.kv("build_type", s.build_type);
-    w.kv("obs", s.obs);
     w.kv("fault_spec", s.fault_spec);
     w.kv("clock_base_ns", std::to_string(s.clock_base_ns));
     w.kv("truncated", s.truncated);

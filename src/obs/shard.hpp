@@ -60,8 +60,6 @@ struct ShardOptions {
   int flush_ms = 250;
 };
 
-#if COLUMBIA_OBS_ENABLED
-
 /// Arms the span recorder for one rank process and keeps its shard
 /// durable. Construction clears any trace events inherited over fork(),
 /// enables recording, writes the first shard image, and starts the
@@ -100,23 +98,6 @@ class FlightRecorder {
   std::unique_ptr<Flusher> flusher_;
 };
 
-#else  // !COLUMBIA_OBS_ENABLED — recorder degrades to a header-only shard.
-
-class FlightRecorder {
- public:
-  explicit FlightRecorder(const ShardOptions& opt);
-  ~FlightRecorder() = default;
-  void set_clock(const ShardClock&) {}
-  bool flush() { return true; }
-  bool finalize(const ShardClock&) { return true; }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-#endif  // COLUMBIA_OBS_ENABLED
-
 // --- Offline shard ingest / merge -----------------------------------------
 
 /// One parsed shard. Event timestamps are microseconds relative to
@@ -126,7 +107,6 @@ struct TelemetryShard {
   int rank = 0, ranks = 1, round = 0;
   std::int64_t pid = 0;
   std::string backend, git_sha, build_type, fault_spec;
-  bool obs = true;
   std::uint64_t clock_base_ns = 0;
   ShardClock clock;      // group-start estimate
   ShardClock end_clock;  // footer estimate (valid when !truncated)

@@ -19,8 +19,6 @@ std::int64_t TraceEvent::arg_or(const char* key, std::int64_t fallback) const {
   return fallback;
 }
 
-#if COLUMBIA_OBS_ENABLED
-
 namespace {
 
 bool env_enabled() {
@@ -165,21 +163,5 @@ void reset_trace() {
   for (auto& b : reg.buffers) b->reset();
   reg.records.clear();
 }
-
-#else  // !COLUMBIA_OBS_ENABLED — keep the link surface, record nothing.
-
-std::uint64_t trace_epoch_ns() { return 0; }
-
-std::size_t num_trace_events() { return 0; }
-
-std::vector<TraceEvent> trace_snapshot() { return {}; }
-
-void emit_cycle(const CycleRecord&) {}
-
-std::vector<CycleRecord> cycle_records() { return {}; }
-
-void reset_trace() {}
-
-#endif  // COLUMBIA_OBS_ENABLED
 
 }  // namespace columbia::obs

@@ -10,10 +10,9 @@
 // Cycle records are rare and append under the buffer registry's lock.
 //
 // Cost model: with the runtime flag off (the default) a span is one
-// relaxed atomic load and a branch; compiled out (-DCOLUMBIA_OBS=OFF) it
-// is nothing at all. Recording never touches solver arithmetic, so
-// residual histories are bit-identical with it on or off at any thread
-// count.
+// relaxed atomic load and a branch. Recording never touches solver
+// arithmetic, so residual histories are bit-identical with it on or off
+// at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -22,24 +21,12 @@
 #include <string>
 #include <vector>
 
-#ifndef COLUMBIA_OBS_ENABLED
-#define COLUMBIA_OBS_ENABLED 1
-#endif
-
 namespace columbia::obs {
 
-/// True when the observability layer is compiled in (COLUMBIA_OBS=ON).
-inline constexpr bool kCompiledIn = COLUMBIA_OBS_ENABLED != 0;
-
-#if COLUMBIA_OBS_ENABLED
 /// Master runtime switch for spans and metrics. Defaults to off unless the
 /// COLUMBIA_TRACE environment variable is set to a nonzero value.
 bool enabled();
 void set_enabled(bool on);
-#else
-constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-#endif
 
 /// Named integer attribute attached to a 'B' event. `name` must be a
 /// string literal (or otherwise outlive the recorder).
@@ -67,13 +54,8 @@ struct TraceEvent {
   std::int64_t arg_or(const char* key, std::int64_t fallback) const;
 };
 
-#if COLUMBIA_OBS_ENABLED
 void record_span_event(const char* name, char phase,
                        const SpanArg* args = nullptr, int nargs = 0);
-#else
-inline void record_span_event(const char*, char, const SpanArg* = nullptr,
-                              int = 0) {}
-#endif
 
 /// RAII span. Prefer the OBS_SPAN macro (obs/obs.hpp), which names the
 /// guard for you.

@@ -10,15 +10,11 @@
 #ifndef COLUMBIA_BUILD_TYPE
 #define COLUMBIA_BUILD_TYPE "unknown"
 #endif
-#ifndef COLUMBIA_OBS_ENABLED
-#define COLUMBIA_OBS_ENABLED 1
-#endif
 
 namespace columbia {
 
 const BuildInfo& build_info() {
-  static const BuildInfo info{COLUMBIA_GIT_SHA, COLUMBIA_BUILD_TYPE,
-                              COLUMBIA_OBS_ENABLED != 0};
+  static const BuildInfo info{COLUMBIA_GIT_SHA, COLUMBIA_BUILD_TYPE};
   return info;
 }
 

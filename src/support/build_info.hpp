@@ -11,7 +11,6 @@ namespace columbia {
 struct BuildInfo {
   std::string git_sha;     // short SHA at configure time ("unknown" outside git)
   std::string build_type;  // CMAKE_BUILD_TYPE ("Release", "RelWithDebInfo", ...)
-  bool obs_compiled = false;  // COLUMBIA_OBS layer compiled in
 };
 
 /// Provenance of this binary, captured at CMake configure time.

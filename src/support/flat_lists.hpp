@@ -27,12 +27,11 @@ struct FlatLists {
   }
 };
 
-/// Per-node incidence of an edge list: list v holds (edge id, +1 when v is
-/// the edge's first endpoint, else -1) for every edge touching v, in edge
-/// order.
-inline FlatLists<std::pair<index_t, real_t>> edge_incidence(
+/// Per-node incidence of an edge list: list v holds the id of every edge
+/// touching v, in edge order. The side v is on is edges[e].first == v.
+inline FlatLists<index_t> edge_incidence(
     index_t num_nodes, std::span<const std::pair<index_t, index_t>> edges) {
-  FlatLists<std::pair<index_t, real_t>> inc;
+  FlatLists<index_t> inc;
   inc.offsets.assign(std::size_t(num_nodes) + 1, 0);
   for (const auto& [a, b] : edges) {
     ++inc.offsets[std::size_t(a) + 1];
@@ -44,8 +43,8 @@ inline FlatLists<std::pair<index_t, real_t>> edge_incidence(
   std::vector<std::size_t> fill(inc.offsets.begin(), inc.offsets.end() - 1);
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const auto [a, b] = edges[e];
-    inc.items[fill[std::size_t(a)]++] = {index_t(e), +1.0};
-    inc.items[fill[std::size_t(b)]++] = {index_t(e), -1.0};
+    inc.items[fill[std::size_t(a)]++] = index_t(e);
+    inc.items[fill[std::size_t(b)]++] = index_t(e);
   }
   return inc;
 }

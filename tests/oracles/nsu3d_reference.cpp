@@ -307,15 +307,16 @@ void assemble_diag_reference(const Level& lvl, const Physics& phys,
     const real_t dt =
         s.wave[i] > 0 ? cfl * lvl.node_volume[i] / s.wave[i] : 1e30;
     BlockMat<6> d = BlockMat<6>::diagonal(lvl.node_volume[i] / dt);
-    for (const auto& [eid, sgn] : lvl.incident[i]) {
+    for (const index_t eid : lvl.incident[i]) {
       const std::size_t e = std::size_t(eid);
       const real_t area = lvl.edge_area[e];
       if (area <= 0) continue;
       const Vec3 nh = lvl.edge_unit(e);
       const real_t lam = (std::abs(dot(wi.vel, nh)) + s.snd[i]) * area;
       // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
+      const bool side_a = std::size_t(lvl.edges[e].first) == i;
       const BlockMat<5> j = euler::flux_jacobian(
-          wi, sgn > 0 ? lvl.edge_normal(e) : -1.0 * lvl.edge_normal(e));
+          wi, side_a ? lvl.edge_normal(e) : -1.0 * lvl.edge_normal(e));
       for (int rr = 0; rr < 5; ++rr)
         for (int cc = 0; cc < 5; ++cc) d(rr, cc) += 0.5 * j(rr, cc);
       for (int rr = 0; rr < 5; ++rr) d(rr, rr) += 0.5 * lam;

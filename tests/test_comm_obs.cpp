@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <iostream>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,6 +25,7 @@
 #include "obs/json_parse.hpp"
 #include "obs/obs.hpp"
 #include "obs/report_cli.hpp"
+#include "obs/shard.hpp"
 #include "resil/faults.hpp"
 
 namespace columbia {
@@ -289,7 +289,6 @@ std::uint64_t retransmit_spans(const std::vector<obs::PhaseEvent>& events) {
 // halo.xchg.retransmit span stream, the plan's ExchangeStats, and the
 // resil.halo.retransmits counter.
 TEST(RetransmitAccounting, PlanSpansMatchStatsAndCounter) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const Scenario s = make_scenario(8, 20, 15, 11);
   const core::PartitionData want = expected(s);
   struct Config {
@@ -327,25 +326,28 @@ TEST(RetransmitAccounting, PlanSpansMatchStatsAndCounter) {
   }
 }
 
-// --- End to end: both partitioned drivers under COLUMBIA_REPORT ----------
+// --- End to end: both partitioned drivers, traced, through the report -----
 
-/// Captures std::cerr (where SolveReportScope prints) for one scope.
-struct CerrCapture {
-  std::ostringstream captured;
-  std::streambuf* old = std::cerr.rdbuf(captured.rdbuf());
-  ~CerrCapture() { std::cerr.rdbuf(old); }
-  std::string str() const { return captured.str(); }
-};
+/// Records `drive` with span recording on and writes this process's
+/// recording as the merged trace at `path`.
+template <class Drive>
+void record_trace(const std::string& path, Drive drive) {
+  ObsGuard guard;
+  obs::reset_trace();
+  obs::set_enabled(true);
+  drive();
+  obs::set_enabled(false);
+  ASSERT_TRUE(obs::write_trace(path, {obs::live_shard()}));
+}
 
-// A real NSU3D partitioned residual and a real Cart3D one, each inside a
-// SolveReportScope with a JSONL sink: the end-of-solve summary must print
-// the wait matrix / strategy rollup / overlap headroom tables, and every
-// appended JSONL record must parse and carry the comm_xchg object with
-// the exchanges attributed to the level the plan was tagged with.
+// A real NSU3D partitioned residual and a real Cart3D one, each recorded
+// into its own trace: `columbia_report comm` must print the wait matrix /
+// strategy rollup / overlap headroom tables for each, and `comm --json`
+// must carry each run's exchanges attributed to the level the plan was
+// tagged with.
 TEST(CommEndToEnd, PartitionedDriversReportWaitAndOverlap) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
-  const std::string jsonl = testing::TempDir() + "comm_e2e.jsonl";
-  std::remove(jsonl.c_str());
+  const std::string nsu3d_trace = testing::TempDir() + "comm_e2e_nsu3d.json";
+  const std::string cart3d_trace = testing::TempDir() + "comm_e2e_cart3d.json";
 
   {  // NSU3D wing decomposition, thread-to-thread, tagged level 0.
     mesh::WingMeshSpec spec;
@@ -370,20 +372,17 @@ TEST(CommEndToEnd, PartitionedDriversReportWaitAndOverlap) {
     }
     const auto plan = nsu3d::build_partition_plan(levels, 4);
 
-    CerrCapture cerr_log;
-    obs::set_report(true, jsonl);
-    {
-      obs::SolveReportScope scope("nsu3d.partitioned");
+    record_trace(nsu3d_trace, [&] {
       nsu3d::parallel_residual(lvl, u, inf, plan.levels[0].part, 4,
                                {core::ExchangeStrategy::ThreadToThread, 1, 0});
-    }
-    obs::set_report(false);
-    const std::string log = cerr_log.str();
-    EXPECT_NE(log.find("comm observatory: wait matrix"), std::string::npos)
-        << log;
-    EXPECT_NE(log.find("strategy rollup"), std::string::npos);
-    EXPECT_NE(log.find("overlap headroom"), std::string::npos);
-    EXPECT_NE(log.find("t2t"), std::string::npos);
+    });
+    const CliResult r = run_cli({"comm", nsu3d_trace});
+    ASSERT_EQ(r.exit_code, obs::report::kOk) << r.err;
+    EXPECT_NE(r.out.find("comm observatory"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("wait matrix"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("strategy rollup"), std::string::npos);
+    EXPECT_NE(r.out.find("overlap headroom"), std::string::npos);
+    EXPECT_NE(r.out.find("t2t"), std::string::npos);
   }
 
   {  // Cart3D SFC decomposition, master strategy, tagged level 0.
@@ -401,33 +400,29 @@ TEST(CommEndToEnd, PartitionedDriversReportWaitAndOverlap) {
     std::vector<euler::Cons> u(m.cells.size(), euler::to_conservative(inf));
     const auto part = cartesian::partition_cells(m, 4);
 
-    CerrCapture cerr_log;
-    obs::set_report(true, jsonl);
-    {
-      obs::SolveReportScope scope("cart3d.partitioned");
+    record_trace(cart3d_trace, [&] {
       cart3d::parallel_residual(m, u, inf, part, 4, euler::FluxScheme::Roe,
                                 {core::ExchangeStrategy::MasterThread, 2, 0});
-    }
-    obs::set_report(false);
-    const std::string log = cerr_log.str();
-    EXPECT_NE(log.find("comm observatory: wait matrix"), std::string::npos)
-        << log;
-    EXPECT_NE(log.find("master"), std::string::npos);
+    });
+    const CliResult r = run_cli({"comm", cart3d_trace});
+    ASSERT_EQ(r.exit_code, obs::report::kOk) << r.err;
+    EXPECT_NE(r.out.find("comm observatory"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("wait matrix"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("master"), std::string::npos);
   }
 
-  // The JSONL sink now holds one record per scope; each must parse and
-  // carry the comm observatory object attributed to level 0.
-  std::ifstream is(jsonl);
-  ASSERT_TRUE(is.good()) << jsonl;
-  std::string line;
-  int records = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    ++records;
-    obs::JsonValue doc;
-    ASSERT_TRUE(obs::parse_json(line, doc)) << line;
-    const obs::JsonValue* comm = doc.find("comm_xchg");
-    ASSERT_NE(comm, nullptr) << line;
+  // `comm --json` over both traces: one run per trace, each carrying the
+  // comm observatory object attributed to level 0.
+  const CliResult r = run_cli({"comm", "--json", nsu3d_trace, cart3d_trace});
+  ASSERT_EQ(r.exit_code, obs::report::kOk) << r.err;
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::parse_json(r.out, doc)) << r.out;
+  const obs::JsonValue* runs = doc.find("runs");
+  ASSERT_NE(runs, nullptr) << r.out;
+  EXPECT_EQ(runs->items().size(), 2u);
+  for (const obs::JsonValue& run : runs->items()) {
+    const obs::JsonValue* comm = run.find("comm");
+    ASSERT_NE(comm, nullptr) << r.out;
     const obs::JsonValue* groups = comm->find("groups");
     ASSERT_NE(groups, nullptr);
     ASSERT_FALSE(groups->items().empty());
@@ -437,8 +432,8 @@ TEST(CommEndToEnd, PartitionedDriversReportWaitAndOverlap) {
     ASSERT_FALSE(lvls->items().empty());
     EXPECT_GE(lvls->items()[0].number_or("headroom", -1), 0.0);
   }
-  EXPECT_EQ(records, 2);
-  std::remove(jsonl.c_str());
+  std::remove(nsu3d_trace.c_str());
+  std::remove(cart3d_trace.c_str());
 }
 
 }  // namespace

@@ -593,7 +593,6 @@ obs::MergedTelemetry traced_round_trip(const std::string& path) {
 // database cases side by side) must stay separate series: each record
 // carries its solve's id, and the report rolls up one series per id.
 TEST(CycleRecords, SimultaneousSolvesRollUpSeparately) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const mesh::UnstructuredMesh wing = record_wing();
   euler::FlowConditions fc;
   fc.mach = 0.75;
@@ -642,7 +641,6 @@ TEST(CycleRecords, SimultaneousSolvesRollUpSeparately) {
 // The recovery counters of a traced guarded solve survive the merged
 // trace, so the report can print them.
 TEST(TraceMetrics, GuardedRollbacksSurviveTheMergedTrace) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const mesh::UnstructuredMesh wing = record_wing();
   euler::FlowConditions fc;
   fc.mach = 0.75;
@@ -686,7 +684,6 @@ TEST(TraceMetrics, GuardedRollbacksSurviveTheMergedTrace) {
 // span names must outlive it. Under ASan a dangling name is a
 // heap-use-after-free here.
 TEST(CycleRecords, SpanNamesOutliveTheSolver) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   mesh::WingMeshSpec spec;
   spec.n_wrap = 24;
   spec.n_span = 3;
@@ -721,7 +718,7 @@ TEST(CycleRecords, SpanNamesOutliveTheSolver) {
 TEST(ExchangePlan, ScheduleStatisticsMatchRequestLists) {
   const Scenario s = make_scenario(6, 15, 12, 8);
   ExchangePlan plan(s.requests);
-  index_t max_ghost = 0, total_ghost = 0, max_nbrs = 0;
+  index_t max_ghost = 0, max_nbrs = 0;
   for (index_t p = 0; p < 6; ++p) {
     index_t ghosts = 0;
     std::set<index_t> owners;
@@ -733,11 +730,9 @@ TEST(ExchangePlan, ScheduleStatisticsMatchRequestLists) {
     EXPECT_EQ(plan.ghost_items(p), ghosts);
     EXPECT_EQ(plan.neighbor_count(p), index_t(owners.size()));
     max_ghost = std::max(max_ghost, ghosts);
-    total_ghost += ghosts;
     max_nbrs = std::max(max_nbrs, index_t(owners.size()));
   }
   EXPECT_EQ(plan.max_ghost_items(), max_ghost);
-  EXPECT_EQ(plan.total_ghost_items(), total_ghost);
   EXPECT_EQ(plan.max_neighbors(), max_nbrs);
 
   const perf::MeasuredStats st = perf::stats_from_plan(plan);

@@ -365,9 +365,7 @@ TEST(Nsu3dSmoother, SingularAndNanPivotsMatchCoupledOracle) {
       const std::uint64_t want_pivots = poison == Poison::SaNan ? 0 : 1;
       for (bool lines : {false, true}) {
         const auto [got, pivots] = sweep_both(lvl, phys, lines, in, u);
-        if (obs::kCompiledIn) {
-          EXPECT_EQ(pivots, want_pivots);
-        }
+        EXPECT_EQ(pivots, want_pivots);
         // The poisoned node keeps its state; so does its whole line.
         const auto& skipped =
             lines ? line : std::vector<index_t>{index_t(i0)};

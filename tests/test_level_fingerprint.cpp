@@ -80,6 +80,21 @@ class Fnv1a {
       }
     }
   }
+  /// Per-node incident edge ids, each hashed with its side sign (+1 when
+  /// the node is the edge's first endpoint, else -1): the same (edge id,
+  /// sign) sequence add_signed_lists hashes for the line-edge table.
+  void add_incidence(const FlatLists<index_t>& inc,
+                     const std::vector<std::pair<index_t, index_t>>& edges) {
+    add(std::size_t(inc.size()));
+    for (std::size_t v = 0; v < inc.size(); ++v) {
+      add(std::size_t(inc[v].size()));
+      for (const index_t eid : inc[v]) {
+        add(eid);
+        add(real_t(std::size_t(edges[std::size_t(eid)].first) == v ? 1.0
+                                                                   : -1.0));
+      }
+    }
+  }
   std::uint64_t value() const { return h_; }
 
  private:
@@ -109,7 +124,7 @@ std::uint64_t topology_hash(const nsu3d::Level& l) {
   h.add(l.lines.lines.size());
   for (const auto& line : l.lines.lines) h.add_all(line);
   h.add_all(l.to_coarse);
-  h.add_signed_lists(l.incident);
+  h.add_incidence(l.incident, l.edges);
   h.add_signed_lists(l.line_edges);
   return h.value();
 }

@@ -213,7 +213,9 @@ TEST(Partitioned, CommDegreeModest) {
   lo.num_levels = 3;
   const auto levels = build_levels(m, lo);
   const auto plan = build_partition_plan(levels, 8);
-  EXPECT_LE(plan.levels[0].max_comm_degree, 19);
+  EXPECT_LE(core::ExchangePlan(halo_requests(levels[0], plan.levels[0].part, 8))
+                .max_neighbors(),
+            19);
   EXPECT_LE(plan.levels[0].intergrid_degree, 20);
 }
 

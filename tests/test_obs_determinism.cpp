@@ -28,7 +28,6 @@ namespace {
 /// Restores single-threaded, observability-off state when a test exits.
 struct Guard {
   ~Guard() {
-    obs::set_report(false);
     obs::set_enabled(false);
     obs::reset_trace();
     obs::reset_metrics();
@@ -60,13 +59,11 @@ nsu3d::Nsu3dOptions nsu3d_options() {
 
 /// `records`, when set, receives the cycle records the solve emitted.
 std::vector<real_t> run_nsu3d(const mesh::UnstructuredMesh& m, int threads,
-                              bool tracing, bool report = false,
-                              const std::string& report_jsonl = {},
+                              bool tracing,
                               std::vector<obs::CycleRecord>* records = nullptr) {
   Guard guard;
   smp::set_global_threads(threads);
   obs::set_enabled(tracing);
-  obs::set_report(report, report_jsonl);
   nsu3d::Nsu3dSolver s(m, nsu3d_conditions(), nsu3d_options());
   const std::vector<real_t> hist = s.solve(5, 10);
   if (records != nullptr) *records = obs::cycle_records();
@@ -74,11 +71,10 @@ std::vector<real_t> run_nsu3d(const mesh::UnstructuredMesh& m, int threads,
 }
 
 std::vector<real_t> run_cart3d(const cartesian::CartMesh& m, int threads,
-                               bool tracing, bool report = false) {
+                               bool tracing) {
   Guard guard;
   smp::set_global_threads(threads);
   obs::set_enabled(tracing);
-  obs::set_report(report);
   euler::FlowConditions fc;
   fc.mach = 0.3;
   fc.alpha_deg = 2.0;
@@ -118,10 +114,8 @@ TEST(ObsDeterminism, Nsu3dTracedHistoryThreadInvariant) {
 TEST(ObsDeterminism, Nsu3dTelemetrySinkInvisible) {
   const auto m = small_wing();
   std::vector<obs::CycleRecord> records;
-  const std::vector<real_t> traced =
-      run_nsu3d(m, 2, true, false, {}, &records);
+  const std::vector<real_t> traced = run_nsu3d(m, 2, true, &records);
   expect_equal(run_nsu3d(m, 2, false), traced);
-  if (!obs::kCompiledIn) return;  // nothing records when compiled out
   ASSERT_EQ(records.size(), traced.size() - 1);
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].solver, "nsu3d");
@@ -139,40 +133,6 @@ TEST(ObsDeterminism, Cart3dTracingOnVsOff) {
 TEST(ObsDeterminism, Cart3dTracedHistoryThreadInvariant) {
   const auto m = small_sphere_mesh();
   expect_equal(run_cart3d(m, 1, true), run_cart3d(m, 4, true));
-}
-
-// COLUMBIA_REPORT (the end-of-solve flight recorder) must be exactly as
-// invisible as tracing: SolveReportScope only toggles the span recorder
-// and reads telemetry after the fact, never solver arithmetic.
-
-TEST(ObsDeterminism, Nsu3dReportOnVsOff) {
-  const auto m = small_wing();
-  expect_equal(run_nsu3d(m, 1, false),
-               run_nsu3d(m, 1, false, /*report=*/true));
-}
-
-TEST(ObsDeterminism, Nsu3dReportedHistoryThreadInvariant) {
-  const auto m = small_wing();
-  expect_equal(run_nsu3d(m, 1, false, true),
-               run_nsu3d(m, 3, false, true));
-}
-
-TEST(ObsDeterminism, Nsu3dReportJsonlSinkInvisible) {
-  const auto m = small_wing();
-  const std::string path = testing::TempDir() + "obs_det_report.jsonl";
-  expect_equal(run_nsu3d(m, 2, false, true),
-               run_nsu3d(m, 2, false, true, path));
-}
-
-TEST(ObsDeterminism, Cart3dReportOnVsOff) {
-  const auto m = small_sphere_mesh();
-  expect_equal(run_cart3d(m, 1, false), run_cart3d(m, 1, false, true));
-}
-
-TEST(ObsDeterminism, Cart3dReportedHistoryThreadInvariant) {
-  const auto m = small_sphere_mesh();
-  expect_equal(run_cart3d(m, 1, false, true),
-               run_cart3d(m, 4, false, true));
 }
 
 // The distributed flight recorder (obs/shard.hpp) must be exactly as
@@ -220,7 +180,6 @@ struct FaultGuard {
 // one record per cycle attempt, rolled-back attempts included.
 
 TEST(ObsDeterminism, GuardedSolveRecordsEveryCycleAttempt) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const auto m = small_wing();
   const std::vector<real_t> plain = run_nsu3d(m, 1, false);
   {
@@ -363,7 +322,6 @@ std::size_t residual_spans_per_cycle(Solver& s, const char* span) {
 }
 
 TEST(ResidualReuse, Nsu3dSpansMatchClosedForm) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const auto m = small_wing();
   euler::FlowConditions fc;
   fc.mach = 0.75;
@@ -382,7 +340,6 @@ TEST(ResidualReuse, Nsu3dSpansMatchClosedForm) {
 }
 
 TEST(ResidualReuse, Cart3dSpansMatchClosedForm) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const auto m = small_sphere_mesh();
   euler::FlowConditions fc;
   fc.mach = 0.3;

@@ -11,11 +11,14 @@
 #include <string>
 #include <vector>
 
+#include "core/exchange_plan.hpp"
+#include "halo_oracle.hpp"
 #include "obs/json.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/obs.hpp"
 #include "obs/report_cli.hpp"
 #include "obs/shard.hpp"
+#include "support/table.hpp"
 
 namespace columbia {
 namespace {
@@ -324,6 +327,51 @@ TEST(ReportCliTest, ConvergenceSkipsNonFiniteResiduals) {
   std::remove(path.c_str());
 }
 
+/// The value column of the summary row labelled `label`, or "" if absent.
+std::string summary_value(const std::string& out, const std::string& label) {
+  std::istringstream is(out);
+  for (std::string line; std::getline(is, line);)
+    if (line.rfind(label + "  ", 0) == 0)
+      return line.substr(line.find_last_of(' ') + 1);
+  return "";
+}
+
+// The halo traffic rows come from the metrics snapshot a trace carries
+// (ExchangePlan's halo.plan.* counters and resil.halo.retransmits), so an
+// offline report counts what the plan's own ledger counts.
+TEST(ReportCliTest, SummaryCountsHaloTrafficFromTrace) {
+  const halo_oracle::Scenario s = halo_oracle::make_scenario(8, 20, 15, 11);
+  core::ExchangePlan plan(s.requests);  // thread-to-thread
+  obs::reset_trace();
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  for (int round = 0; round < 3; ++round)
+    EXPECT_EQ(plan.exchange(s.data), halo_oracle::expected(s));
+  obs::set_enabled(false);
+  const std::string path = testing::TempDir() + "halo_traffic_trace.json";
+  ASSERT_TRUE(obs::write_trace(path, {obs::live_shard()}));
+  obs::reset_trace();
+  const CliResult r = run_cli({path});
+  std::remove(path.c_str());
+  ASSERT_EQ(r.exit_code, obs::report::kOk) << r.err;
+
+  const core::ExchangeStats& st = plan.stats();
+  ASSERT_EQ(st.exchanges, 3u);
+  ASSERT_GT(st.messages, 0u);
+  EXPECT_EQ(summary_value(r.out, "halo exchanges"),
+            std::to_string(st.exchanges))
+      << r.out;
+  EXPECT_EQ(summary_value(r.out, "halo messages"),
+            std::to_string(st.messages))
+      << r.out;
+  EXPECT_EQ(summary_value(r.out, "halo MB"),
+            Table::num(double(st.bytes) / 1e6, 3))
+      << r.out;
+  EXPECT_EQ(summary_value(r.out, "halo retransmits"),
+            std::to_string(st.retransmits))
+      << r.out;
+}
+
 TEST(ReportCliTest, UsageErrors) {
   EXPECT_EQ(run_cli({}).exit_code, obs::report::kUsage);
   EXPECT_EQ(run_cli({"--tolerance", "bogus", fixture("conv.jsonl")}).exit_code,
@@ -432,7 +480,6 @@ TEST(PerfGateTest, CommChangedMessageCountFails) {
 // --- round trip: live spans -> Chrome trace -> offline ingest -------------
 
 TEST(ReportRoundTripTest, LiveProfileMatchesOfflineTraceIngest) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::reset_trace();
   const bool was = obs::enabled();
   obs::set_enabled(true);
@@ -442,7 +489,8 @@ TEST(ReportRoundTripTest, LiveProfileMatchesOfflineTraceIngest) {
   }
   obs::set_enabled(was);
 
-  const obs::PhaseProfile live = obs::current_profile();
+  const obs::PhaseProfile live =
+      obs::build_profile(obs::phase_events_since());
   ASSERT_EQ(live.phases.size(), 2u);
 
   const std::string path = testing::TempDir() + "/rt_trace.json";

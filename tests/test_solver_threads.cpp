@@ -114,43 +114,5 @@ TEST(ColorReorder, SpansAreConflictFree) {
   }
 }
 
-TEST(ColorReorder, PreservesResidualUpToRoundoff) {
-  // Color-major reordering permutes the per-node accumulation order, so
-  // bit-exact agreement with the unordered edge loop is not expected
-  // (floating-point addition is not associative); the sums must agree to
-  // tight roundoff.
-  const auto m = small_wing();
-  euler::FlowConditions fc;
-  fc.mach = 0.75;
-  fc.reynolds = 3e6;
-  nsu3d::Nsu3dOptions colored;
-  colored.mg_levels = 1;
-  nsu3d::Nsu3dOptions plain = colored;
-  plain.color_edges = false;
-
-  PoolGuard guard;
-  smp::set_global_threads(1);
-  nsu3d::Nsu3dSolver sc(m, fc, colored);
-  nsu3d::Nsu3dSolver sp(m, fc, plain);
-  ASSERT_GE(sc.level(0).num_edge_colors(), 2);
-  ASSERT_EQ(sp.level(0).num_edge_colors(), 1);
-
-  const auto sol = sc.solution();
-  const std::vector<nsu3d::State> u(sol.begin(), sol.end());
-  std::vector<nsu3d::State> rc, rp;
-  sc.compute_residual(0, u, rc, true);
-  sp.compute_residual(0, u, rp, true);
-
-  ASSERT_EQ(rc.size(), rp.size());
-  real_t scale = 0;
-  for (const auto& r : rp)
-    for (real_t x : r) scale = std::max(scale, std::abs(x));
-  ASSERT_GT(scale, 0);
-  for (std::size_t i = 0; i < rc.size(); ++i)
-    for (int c = 0; c < 6; ++c)
-      EXPECT_NEAR(rc[i][std::size_t(c)], rp[i][std::size_t(c)], 1e-12 * scale)
-          << "node " << i << " comp " << c;
-}
-
 }  // namespace
 }  // namespace columbia

@@ -245,7 +245,6 @@ std::uint64_t retransmit_spans(const std::vector<obs::PhaseEvent>& events) {
 /// resil.halo.retransmits counter, and the transport's own
 /// resil.transport.retransmit counter — over genuine TCP bytes.
 TEST(RetransmitAccounting, TcpWireSpansMatchStatsAndCounters) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const Scenario s = make_scenario(8, 20, 15, 11);
   const core::PartitionData want = expected(s);
   ObsGuard guard;

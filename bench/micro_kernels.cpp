@@ -550,10 +550,12 @@ int run_kernels_json(const std::string& path) {
                   limiter_taken_fraction(ws.edq));
       phase("nsu3d_flux", [&] { K::flux_residual(lvl, phys, ws, true, res); });
       phase("nsu3d_sa_source", [&] { K::sa_source(lvl, phys, ws, res); });
-      // Smoother sweeps: assemble once, then time the update kernels on a
-      // working copy of the state (each call is a valid implicit sweep).
+      // Smoother: time the block assembly (which leaves ws.diag assembled),
+      // then the update kernels on a working copy of the state (each call
+      // is a valid implicit sweep).
       K::wave_speeds(lvl, phys, ws);
-      K::assemble_diag(lvl, phys, o.cfl, u, ws);
+      phase("nsu3d_assemble_diag",
+            [&] { K::assemble_diag(lvl, phys, o.cfl, u, ws); });
       const std::vector<nsu3d::State> forcing(u.size(), nsu3d::State{});
       std::vector<nsu3d::State> uu(u.begin(), u.end());
       phase("nsu3d_point_sweep",

@@ -10,14 +10,15 @@ namespace columbia::graph {
 
 index_t LineSet::longest() const {
   std::size_t m = 0;
-  for (const auto& l : lines) m = std::max(m, l.size());
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    m = std::max(m, lines[i].size());
   return index_t(m);
 }
 
 index_t LineSet::vertices_in_lines() const {
   std::size_t n = 0;
-  for (const auto& l : lines)
-    if (l.size() >= 2) n += l.size();
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    if (lines[i].size() >= 2) n += lines[i].size();
   return index_t(n);
 }
 
@@ -58,6 +59,7 @@ index_t strong_next(const Csr& g, index_t v, const std::vector<bool>& assigned,
 LineSet extract_lines(const Csr& g, const LineOptions& opt) {
   const index_t n = g.num_vertices();
   LineSet ls;
+  ls.lines.items.reserve(std::size_t(n));
   std::vector<bool> assigned(std::size_t(n), false);
 
   // Seed order: strongest-coupled vertices first (max edge weight), so lines
@@ -72,10 +74,11 @@ LineSet extract_lines(const Csr& g, const LineOptions& opt) {
     return strength[std::size_t(a)] > strength[std::size_t(b)];
   });
 
+  std::vector<index_t> line;
   for (index_t seed : order) {
     if (assigned[std::size_t(seed)]) continue;
     assigned[std::size_t(seed)] = true;
-    std::vector<index_t> line{seed};
+    line.assign(1, seed);
 
     // Grow forward from the seed, then backward from the seed's other side,
     // following the strongest sufficiently-anisotropic unclaimed edge.
@@ -95,7 +98,8 @@ LineSet extract_lines(const Csr& g, const LineOptions& opt) {
         tail = nxt;
       }
     }
-    ls.lines.push_back(std::move(line));
+    ls.lines.items.insert(ls.lines.items.end(), line.begin(), line.end());
+    ls.lines.offsets.push_back(ls.lines.items.size());
   }
   return ls;
 }
@@ -105,7 +109,7 @@ ContractedGraph contract_lines(const Csr& g, const LineSet& ls) {
   ContractedGraph cg;
   cg.vertex_to_line.assign(std::size_t(n), kInvalidIndex);
   for (std::size_t li = 0; li < ls.lines.size(); ++li)
-    for (index_t v : ls.lines[li]) {
+    for (const index_t v : ls.lines[li]) {
       COLUMBIA_REQUIRE(cg.vertex_to_line[std::size_t(v)] == kInvalidIndex);
       cg.vertex_to_line[std::size_t(v)] = index_t(li);
     }

@@ -4,13 +4,14 @@
 // connect closely coupled points (the wall-normal direction) into a set of
 // non-intersecting lines and solves implicitly along each line (paper
 // Sec. III, Fig. 5). For partitioning, each line is contracted to a single
-// weighted vertex so METIS never breaks a line (Fig. 6b). For vector
-// processors, lines are sorted by length and grouped into batches of 64.
+// weighted vertex so METIS never breaks a line (Fig. 6b). The solver sorts
+// its lines by length for its batched line solves (nsu3d::Level).
 #pragma once
 
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "support/flat_lists.hpp"
 
 namespace columbia::graph {
 
@@ -18,7 +19,9 @@ namespace columbia::graph {
 /// Isotropic vertices appear as singleton lines ("the line structure
 /// reduces to a single point" — paper Sec. III).
 struct LineSet {
-  std::vector<std::vector<index_t>> lines;
+  /// Line i is lines[i], its vertices in path order; lines are numbered in
+  /// extraction order.
+  FlatLists<index_t> lines;
 
   index_t num_lines() const { return index_t(lines.size()); }
   index_t longest() const;

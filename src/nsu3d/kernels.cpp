@@ -23,23 +23,31 @@ namespace {
 // Chunk grains for the pooled loops (kNodeGrain: kernels.hpp); fixed
 // constants so chunk boundaries — and with them floating-point combine
 // order — never depend on the thread count (see smp::ThreadPool's
-// determinism contract). The edge grain is sized for the coarse levels: a
-// lock-free chunk claim costs one CAS, so 64-edge chunks let every thread
-// share a coarse level's small colors (level 1 of the Fig. 14a wing: 20
-// colors of 4-1,170 edges).
+// determinism contract). A color shorter than two chunks runs inline on
+// the calling thread, without a dispatch. The heavy edge sweeps (limiter,
+// flux) split every color into 64-edge chunks, so all threads share even
+// the small colors of the coarse levels (level 1 of the Fig. 14a wing: 20
+// colors of 4-1,170 edges). The light ones (gradients, wave speeds) cost
+// about 20 ns per edge, too little to pay for a dispatch and for moving
+// the node blocks between cores every color: at 4 threads a 64-edge grain
+// made level 1's gradient sweep slower than at 1 thread. With 512-edge
+// chunks a color under 1,024 edges runs inline, and the fine level's
+// large colors still split (measured at 1, 2 and 4 threads against 64,
+// 256 and 1,024; DESIGN.md section 11).
 constexpr std::size_t kEdgeGrain = 64;
-constexpr std::size_t kLineGrain = 2;
+constexpr std::size_t kLightEdgeGrain = 512;
+constexpr std::size_t kLineGrain = 1;  // batches of kLanes lines
 
 /// Runs `body(edge)` over every edge, one color span at a time. Edges in
 /// a span touch disjoint nodes (Level::color_offsets), so the scatter is
 /// race-free; processing colors in order keeps per-node accumulation
 /// order fixed for every thread count.
 template <class Fn>
-void for_edges_colored(const Level& lvl, Fn&& body) {
+void for_edges_colored(const Level& lvl, std::size_t grain, Fn&& body) {
   smp::ThreadPool& pool = smp::ThreadPool::global();
   for (std::size_t c = 0; c + 1 < lvl.color_offsets.size(); ++c)
     pool.parallel_for(lvl.color_offsets[c], lvl.color_offsets[c + 1],
-                      kEdgeGrain, [&](std::size_t b, std::size_t e, int) {
+                      grain, [&](std::size_t b, std::size_t e, int) {
                         for (std::size_t k = b; k < e; ++k) body(k);
                       });
 }
@@ -248,7 +256,7 @@ void gradients_sweep(const Level& lvl, Scratch& s, bool with_minmax) {
   const real_t* const ny = lvl.edge_ny.data();
   const real_t* const nz = lvl.edge_nz.data();
   auto sweep = [&](auto minmax) {
-    for_edges_colored(lvl, [&](std::size_t e) {
+    for_edges_colored(lvl, kLightEdgeGrain, [&](std::size_t e) {
       const std::size_t a = std::size_t(ends[e].first);
       const std::size_t b = std::size_t(ends[e].second);
       const real_t enx = nx[e], eny = ny[e], enz = nz[e];
@@ -298,7 +306,7 @@ void limiter(const Level& lvl, Scratch& s) {
   const real_t* const dx = lvl.edge_dx.data();
   const real_t* const dy = lvl.edge_dy.data();
   const real_t* const dz = lvl.edge_dz.data();
-  for_edges_colored(lvl, [&](std::size_t e) {
+  for_edges_colored(lvl, kEdgeGrain, [&](std::size_t e) {
     const std::size_t a = std::size_t(ends[e].first);
     const std::size_t b = std::size_t(ends[e].second);
     const real_t dxe = dx[e], dye = dy[e], dze = dz[e];
@@ -357,7 +365,7 @@ void flux_edges_impl(const Level& lvl, const Physics& phys, const Scratch& s,
 
   const Edge* const ends = lvl.edges.data();
   const real_t* const geo_ = lvl.edge_geo.data();
-  for_edges_colored(lvl, [&](std::size_t e) {
+  for_edges_colored(lvl, kEdgeGrain, [&](std::size_t e) {
     const std::size_t a = std::size_t(ends[e].first);
     const std::size_t b = std::size_t(ends[e].second);
     const real_t area = lvl.edge_area[e];
@@ -645,7 +653,7 @@ void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s) {
   for_nodes(n, [&](std::size_t i) { snd[i] = w[i].sound_speed(); });
 
   const Edge* const ends = lvl.edges.data();
-  for_edges_colored(lvl, [&](std::size_t e) {
+  for_edges_colored(lvl, kLightEdgeGrain, [&](std::size_t e) {
     const std::size_t a = std::size_t(ends[e].first);
     const std::size_t b = std::size_t(ends[e].second);
     const real_t area = lvl.edge_area[e];
@@ -670,73 +678,33 @@ void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s) {
   });
 }
 
-// The diagonal blocks are gathered per node over Level::incident rather
-// than scattered per edge: each edge side only updates its own node's
-// block, and incident lists are in edge storage order (color-major) —
-// the order the colored scatter added the terms in — so every block
-// accumulates the identical sequence. The gather needs no color barriers
-// and no thread ever writes another node's block. On the coarse levels,
-// whose scattered node numbering made the scatter's blocks bounce between
-// cores every color, that turned no speedup at 4 threads into 2.5x; at 1
-// thread it costs the same as the scatter.
-void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
-                   std::span<const State> u, Scratch& s) {
-  const std::size_t n = std::size_t(lvl.num_nodes);
-  s.diag.resize(n);
-  const Prim* const w = s.w.data();
-  const real_t* const mut = s.mut.data();
-  const real_t* const wave = s.wave.data();
-  const real_t* const snd = s.snd.data();
-  const Edge* const ends = lvl.edges.data();
-  ImplicitBlock* const diag = s.diag.data();
-  const real_t mu_lam = phys.mu_lam;
-  const bool viscous = phys.viscous;
+// AVX2 instantiations of the lane kernels exist on x86, chosen at run
+// time; elsewhere the baseline lanes are the only ones.
+#if defined(__x86_64__) || defined(__i386__)
+#define COLUMBIA_LANES_AVX2 1
+#else
+#define COLUMBIA_LANES_AVX2 0
+#endif
 
-  for_nodes(n, [&](std::size_t i) {
-    const real_t dt =
-        wave[i] > 0 ? cfl * lvl.node_volume[i] / wave[i] : 1e30;
-    const real_t d0 = lvl.node_volume[i] / dt;
-    BlockMat<5> d = BlockMat<5>::diagonal(d0);
-    real_t dsa = d0;
-    for (const index_t eid : lvl.incident[i]) {
-      const std::size_t e = std::size_t(eid);
-      const real_t area = lvl.edge_area[e];
-      if (area <= 0) continue;
-      const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
-      const real_t lam = (std::abs(dot(w[i].vel, nh)) + snd[i]) * area;
-      // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
-      const Vec3 nrm = lvl.edge_normal(e);
-      const BlockMat<5> j = euler::flux_jacobian(
-          w[i], std::size_t(ends[e].first) == i ? nrm : -1.0 * nrm);
-      for (int rr = 0; rr < 5; ++rr)
-        for (int cc = 0; cc < 5; ++cc) d(rr, cc) += 0.5 * j(rr, cc);
-      for (int rr = 0; rr < 5; ++rr) d(rr, rr) += 0.5 * lam;
-      dsa += 0.5 * lam;
-      if (viscous && lvl.edge_geo[e] > 0) {
-        const std::size_t a = std::size_t(ends[e].first);
-        const std::size_t b = std::size_t(ends[e].second);
-        const real_t geo = lvl.edge_geo[e];
-        const real_t cm = (mu_lam + 0.5 * (mut[a] + mut[b])) * geo;
-        const real_t cs =
-            (mu_lam + 0.5 * (u[a][5] + u[b][5])) / kSigma * geo;
-        for (int rr = 1; rr <= 4; ++rr) d(rr, rr) += cm;
-        dsa += cs;
-      }
-    }
-    // Farfield linearization keeps boundary nodes well conditioned.
-    Vec3 bn{};
-    for (const Vec3& t : lvl.boundary_normal[i]) bn += t;
-    const real_t ba = norm(bn);
-    if (ba > 0) {
-      const real_t lam = euler::spectral_radius(w[i], bn / ba) * ba;
-      for (int rr = 0; rr < 5; ++rr) d(rr, rr) += 0.5 * lam;
-      dsa += 0.5 * lam;
-    }
-    diag[i] = {d, dsa};
-  });
+LaneIsa lane_isa() {
+#if COLUMBIA_LANES_AVX2
+  static const LaneIsa isa =
+      __builtin_cpu_supports("avx2") ? LaneIsa::Avx2 : LaneIsa::Baseline;
+  return isa;
+#else
+  return LaneIsa::Baseline;
+#endif
 }
 
+// The lane kernels pass 256-bit lanes by value between functions that are
+// all inlined into one instruction-set entry point; GCC's note that such
+// signatures changed ABI never applies.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 namespace {
+
+using linalg::kLanes;
 
 /// Applies the under-relaxed mean-flow and SA updates to node i, keeping
 /// the old state when the new one is not physical.
@@ -749,7 +717,445 @@ void apply_update(std::vector<State>& u, std::size_t i, real_t relax,
   if (state_valid(unew)) u[i] = unew;
 }
 
+/// Inputs of the batched line solve that every batch reads.
+struct LineSweepArgs {
+  const Level& lvl;
+  const Physics& phys;
+  real_t relax;
+  std::span<const State> f, r;
+  const Scratch& s;
+  std::vector<State>& u;
+};
+
+/// The lane kernels, on lane type L (linalg::LanesBaseline or
+/// linalg::LanesAvx; see lane_isa()).
+template <class L>
+struct LaneKernels {
+  using Mask = typename L::Mask;
+  template <int N>
+  using Mat = linalg::LaneMat<L, N>;
+
+  /// A primitive state in lanes.
+  struct LanePrim {
+    L rho, vx, vy, vz, p;
+  };
+
+  /// Lane l of the result is at(idx[l]).
+  template <class Fn>
+  static L gather(const std::size_t (&idx)[kLanes], Fn&& at) {
+    return L::of(at(idx[0]), at(idx[1]), at(idx[2]), at(idx[3]));
+  }
+
+  static LanePrim gather_prim(const Prim* w, const std::size_t (&idx)[kLanes]) {
+    return {gather(idx, [&](std::size_t i) { return w[i].rho; }),
+            gather(idx, [&](std::size_t i) { return w[i].vel.x; }),
+            gather(idx, [&](std::size_t i) { return w[i].vel.y; }),
+            gather(idx, [&](std::size_t i) { return w[i].vel.z; }),
+            gather(idx, [&](std::size_t i) { return w[i].p; })};
+  }
+
+  /// dot(w.vel, n) of geom::dot, lane by lane.
+  static L lane_dot(const LanePrim& w, const L& nx, const L& ny,
+                    const L& nz) {
+    return w.vx * nx + w.vy * ny + w.vz * nz;
+  }
+
+  /// euler::flux_jacobian lane by lane: the same expressions, evaluated in
+  /// the same order.
+  static Mat<5> lane_flux_jacobian(const LanePrim& w, const L& nx,
+                                   const L& ny, const L& nz) {
+    const real_t g = euler::kGamma;
+    const L& u = w.vx;
+    const L& v = w.vy;
+    const L& wz = w.vz;
+    const L q2 = u * u + v * v + wz * wz;
+    const L un = lane_dot(w, nx, ny, nz);
+    const L h = g / (g - 1) * w.p / w.rho + 0.5 * q2;
+    const real_t gm1 = g - 1;
+
+    Mat<5> a;
+    a(0, 0) = L::zero();
+    a(0, 1) = nx;
+    a(0, 2) = ny;
+    a(0, 3) = nz;
+    a(0, 4) = L::zero();
+    const L* const vel[3] = {&u, &v, &wz};
+    const L* const nn[3] = {&nx, &ny, &nz};
+    for (int i = 0; i < 3; ++i) {
+      a(1 + i, 0) = 0.5 * gm1 * q2 * *nn[i] - *vel[i] * un;
+      for (int j = 0; j < 3; ++j)
+        a(1 + i, 1 + j) =
+            i == j ? *vel[i] * *nn[j] - gm1 * *vel[j] * *nn[i] + un
+                   : *vel[i] * *nn[j] - gm1 * *vel[j] * *nn[i] + 0.0;
+      a(1 + i, 4) = gm1 * *nn[i];
+    }
+    a(4, 0) = (0.5 * gm1 * q2 - h) * un;
+    for (int j = 0; j < 3; ++j) a(4, 1 + j) = h * *nn[j] - gm1 * *vel[j] * un;
+    a(4, 4) = g * un;
+    return a;
+  }
+
+  /// select(m, a, b), skipped when every lane of m is on (`all`).
+  static L select_where(const Mask& m, bool all, const L& a, const L& b) {
+    return all ? a : select(m, a, b);
+  }
+
+  /// x += t in the lanes of m. Where a lane is off it keeps x through a
+  /// select, never an add of zero, so no signed zero can change.
+  static void add_where(L& x, const L& t, const Mask& m, bool all) {
+    x = select_where(m, all, x + t, x);
+  }
+
+  /// Edge terms of kLanes consecutive nodes' diagonal blocks (the lane-wise
+  /// body of assemble_diag): lane l walks node i0 + l's incident list in
+  /// edge order, and a lane whose list has ended, or whose edge has no
+  /// area, keeps its block. Lanes past `nreal` repeat node i0 and are not
+  /// stored.
+  static void assemble_lanes(const Level& lvl, const Physics& phys,
+                             real_t cfl, std::span<const State> u,
+                             const Scratch& s, std::size_t i0, int nreal,
+                             ImplicitBlock* diag) {
+    const Edge* const ends = lvl.edges.data();
+    const real_t* const mut = s.mut.data();
+    std::size_t node[kLanes];
+    std::span<const index_t> inc[kLanes];
+    std::size_t most = 0;
+    for (int l = 0; l < kLanes; ++l) {
+      node[l] = i0 + std::size_t(l < nreal ? l : 0);
+      inc[l] = lvl.incident[node[l]];
+      most = std::max(most, inc[l].size());
+    }
+    const LanePrim wl = gather_prim(s.w.data(), node);
+    const L wave = gather(node, [&](std::size_t i) { return s.wave[i]; });
+    const L vol =
+        gather(node, [&](std::size_t i) { return lvl.node_volume[i]; });
+    const L snd = gather(node, [&](std::size_t i) { return s.snd[i]; });
+    const L dt = select(wave > 0.0, cfl * vol / wave, L::splat(1e30));
+    const L d0 = vol / dt;
+    Mat<5> d;
+    for (int rr = 0; rr < 5; ++rr)
+      for (int cc = 0; cc < 5; ++cc) d(rr, cc) = rr == cc ? d0 : L::zero();
+    L dsa = d0;
+    const real_t mu_lam = phys.mu_lam;
+    for (std::size_t k = 0; k < most; ++k) {
+      // A lane whose list has ended reads an edge of a lane still walking;
+      // its mask bit is off.
+      std::size_t e[kLanes] = {};
+      std::size_t walking = 0;
+      unsigned on = 0;
+      for (int l = 0; l < kLanes; ++l)
+        if (k < inc[l].size()) {
+          e[l] = walking = std::size_t(inc[l][k]);
+          on |= 1u << l;
+        }
+      for (int l = 0; l < kLanes; ++l)
+        if (!(on >> l & 1u)) e[l] = walking;
+      auto at_edges = [&](const std::vector<real_t>& v) {
+        return gather(e, [&](std::size_t x) { return v[x]; });
+      };
+      const L area = at_edges(lvl.edge_area);
+      const Mask valid = Mask::from_bits(on) & ~(area <= 0.0);
+      const bool all = valid.all();
+      const L sgn = L::of(
+          std::size_t(ends[e[0]].first) == node[0] ? 1.0 : -1.0,
+          std::size_t(ends[e[1]].first) == node[1] ? 1.0 : -1.0,
+          std::size_t(ends[e[2]].first) == node[2] ? 1.0 : -1.0,
+          std::size_t(ends[e[3]].first) == node[3] ? 1.0 : -1.0);
+      const L lam = (abs(lane_dot(wl, at_edges(lvl.edge_ux),
+                                  at_edges(lvl.edge_uy),
+                                  at_edges(lvl.edge_uz))) +
+                     snd) *
+                    area;
+      // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
+      const Mat<5> j =
+          lane_flux_jacobian(wl, sgn * at_edges(lvl.edge_nx),
+                             sgn * at_edges(lvl.edge_ny),
+                             sgn * at_edges(lvl.edge_nz));
+      for (int rr = 0; rr < 5; ++rr)
+        for (int cc = 0; cc < 5; ++cc)
+          add_where(d(rr, cc), 0.5 * j(rr, cc), valid, all);
+      for (int rr = 0; rr < 5; ++rr)
+        add_where(d(rr, rr), 0.5 * lam, valid, all);
+      add_where(dsa, 0.5 * lam, valid, all);
+      if (phys.viscous) {
+        const L geo = at_edges(lvl.edge_geo);
+        const Mask visc = valid & (geo > 0.0);
+        const bool visc_all = visc.all();
+        auto at_ends = [&](auto&& field) {
+          return std::pair{
+              gather(e, [&](std::size_t x) {
+                return field(std::size_t(ends[x].first));
+              }),
+              gather(e, [&](std::size_t x) {
+                return field(std::size_t(ends[x].second));
+              })};
+        };
+        const auto [mut_a, mut_b] =
+            at_ends([&](std::size_t i) { return mut[i]; });
+        const auto [u5_a, u5_b] =
+            at_ends([&](std::size_t i) { return u[i][5]; });
+        const L cm = (mu_lam + 0.5 * (mut_a + mut_b)) * geo;
+        const L cs = (mu_lam + 0.5 * (u5_a + u5_b)) / kSigma * geo;
+        for (int rr = 1; rr <= 4; ++rr)
+          add_where(d(rr, rr), cm, visc, visc_all);
+        add_where(dsa, cs, visc, visc_all);
+      }
+    }
+    for (int l = 0; l < nreal; ++l) {
+      ImplicitBlock& out = diag[i0 + std::size_t(l)];
+      for (int rr = 0; rr < 5; ++rr)
+        for (int cc = 0; cc < 5; ++cc) out.mean(rr, cc) = d(rr, cc).lane(l);
+      out.sa = dsa.lane(l);
+    }
+  }
+
+  /// Solves one batch: the lines line_classes.items[first, first + count),
+  /// all of length len, in lanes 0..count-1; the other lanes carry identity
+  /// blocks and zero right-hand sides. Row k is assembled, eliminated and
+  /// factored in one pass (solve_block_tridiag_status's forward loop, with
+  /// the row's blocks formed as the line assembly forms them), then both
+  /// systems are back-substituted and each line that met no singular pivot
+  /// is updated. Runs on the baseline lanes of Scratch::LineRow.
+  static void solve_line_batch(const LineSweepArgs& a, std::size_t first,
+                               int count, std::size_t len,
+                               Scratch::LineRow* rows) {
+    const Level& lvl = a.lvl;
+    const Prim* const w = a.s.w.data();
+    const real_t* const mut = a.s.mut.data();
+    const real_t* const snd = a.s.snd.data();
+    const ImplicitBlock* const diag = a.s.diag.data();
+    const Edge* const ends = lvl.edges.data();
+    const std::vector<State>& u = a.u;
+    const real_t mu_lam = a.phys.mu_lam;
+    // Lanes past `count` read lane 0's line; their blocks are then
+    // replaced by the padding.
+    std::span<const index_t> line[kLanes], ledge[kLanes];
+    for (int l = 0; l < kLanes; ++l) {
+      const std::size_t li = std::size_t(
+          lvl.line_classes.items[first + std::size_t(l < count ? l : 0)]);
+      line[l] = lvl.lines.lines[li];
+      ledge[l] = lvl.line_edges[li];
+    }
+    const bool full = count == kLanes;
+    const Mask real = Mask::from_bits((1u << count) - 1u);
+
+    Mask fail = Mask::from_bits(0);
+    // Row k's lower block (from edge k-1) and diagonal block.
+    Mat<5> lower{}, dd;
+    Mat<1> lower_sa{}, dd_sa;
+    for (std::size_t k = 0; k < len; ++k) {
+      Scratch::LineRow& row = rows[k];
+      std::size_t i[kLanes];
+      for (int l = 0; l < kLanes; ++l) i[l] = std::size_t(line[l][k]);
+      for (int rr = 0; rr < 5; ++rr)
+        for (int cc = 0; cc < 5; ++cc)
+          dd(rr, cc) =
+              gather(i, [&](std::size_t x) { return diag[x].mean(rr, cc); });
+      dd_sa(0, 0) = gather(i, [&](std::size_t x) { return diag[x].sa; });
+      for (int c = 0; c < 5; ++c)
+        row.mean.rhs[c] = gather(i, [&](std::size_t x) {
+          return a.f[x][std::size_t(c)] - a.r[x][std::size_t(c)];
+        });
+      row.sa.rhs[0] =
+          gather(i, [&](std::size_t x) { return a.f[x][5] - a.r[x][5]; });
+      if (!full) {
+        for (int rr = 0; rr < 5; ++rr)
+          for (int cc = 0; cc < 5; ++cc)
+            dd(rr, cc) =
+                select(real, dd(rr, cc), L::splat(rr == cc ? 1.0 : 0.0));
+        dd_sa(0, 0) = select(real, dd_sa(0, 0), L::splat(1.0));
+        for (int c = 0; c < 5; ++c)
+          row.mean.rhs[c] = select(real, row.mean.rhs[c], L::zero());
+        row.sa.rhs[0] = select(real, row.sa.rhs[0], L::zero());
+      }
+      if (k == 0) {
+        fail = fail | row.mean.lu.factor(dd) | row.sa.lu.factor(dd_sa);
+      } else {
+        fail = fail |
+               linalg::tridiag_eliminate(rows[k - 1].mean, lower, dd,
+                                         row.mean) |
+               linalg::tridiag_eliminate(rows[k - 1].sa, lower_sa, dd_sa,
+                                         row.sa);
+      }
+      if (k + 1 == len) break;
+
+      // The blocks of line edge k, joining i = line[k] to j = line[k + 1]
+      // (Level::line_edges): row k's upper block and row k+1's lower block.
+      std::size_t j[kLanes], e[kLanes];
+      for (int l = 0; l < kLanes; ++l) {
+        j[l] = std::size_t(line[l][k + 1]);
+        e[l] = std::size_t(ledge[l][k]);
+      }
+      auto at_edges = [&](const std::vector<real_t>& v) {
+        return gather(e, [&](std::size_t x) { return v[x]; });
+      };
+      const L area = at_edges(lvl.edge_area);
+      // An edge without area couples nothing, and a padding lane has no
+      // edge: their blocks stay zero.
+      const Mask has = full ? ~(area <= 0.0) : real & ~(area <= 0.0);
+      const bool has_all = has.all();
+      const L sgn = L::of(std::size_t(ends[e[0]].first) == i[0] ? 1.0 : -1.0,
+                          std::size_t(ends[e[1]].first) == i[1] ? 1.0 : -1.0,
+                          std::size_t(ends[e[2]].first) == i[2] ? 1.0 : -1.0,
+                          std::size_t(ends[e[3]].first) == i[3] ? 1.0 : -1.0);
+      const L n_x = sgn * at_edges(lvl.edge_nx);
+      const L n_y = sgn * at_edges(lvl.edge_ny);
+      const L n_z = sgn * at_edges(lvl.edge_nz);
+      // n_out/area == sgn * edge_unit bitwise (sgn is +-1).
+      const L h_x = sgn * at_edges(lvl.edge_ux);
+      const L h_y = sgn * at_edges(lvl.edge_uy);
+      const L h_z = sgn * at_edges(lvl.edge_uz);
+      const LanePrim wi = gather_prim(w, i), wj = gather_prim(w, j);
+      // The spectral radius |w.vel . nh| + c of euler::spectral_radius, with
+      // the sound speed wave_speeds cached (the same sqrt(g p / rho)).
+      const L lam =
+          (abs(lane_dot(wj, h_x, h_y, h_z)) +
+           gather(j, [&](std::size_t x) { return snd[x]; })) *
+          area;
+      const L lam_i =
+          (abs(lane_dot(wi, h_x, h_y, h_z)) +
+           gather(i, [&](std::size_t x) { return snd[x]; })) *
+          area;
+      const L geo = at_edges(lvl.edge_geo);
+      const Mask visc =
+          a.phys.viscous ? has & (geo > 0.0) : Mask::from_bits(0);
+      const bool visc_all = visc.all();
+      const auto mut_of = [&](std::size_t x) { return mut[x]; };
+      const auto u5_of = [&](std::size_t x) { return u[x][5]; };
+      const L cm =
+          (mu_lam + 0.5 * (gather(i, mut_of) + gather(j, mut_of))) * geo;
+      const L cs = (mu_lam + 0.5 * (gather(i, u5_of) + gather(j, u5_of))) /
+                   kSigma * geo;
+      // dR_i/du_j = 0.5 (A(w_j, n_out) - lambda_j I), and dR_j/du_i mirrored
+      // with w_i and the opposite normal.
+      const Mat<5> jj = lane_flux_jacobian(wj, n_x, n_y, n_z);
+      const Mat<5> ji =
+          lane_flux_jacobian(wi, -1.0 * n_x, -1.0 * n_y, -1.0 * n_z);
+      for (int rr = 0; rr < 5; ++rr)
+        for (int cc = 0; cc < 5; ++cc) {
+          L up = 0.5 * jj(rr, cc), lo = 0.5 * ji(rr, cc);
+          if (rr == cc) {
+            up = up - 0.5 * lam;
+            lo = lo - 0.5 * lam_i;
+            if (rr >= 1) {
+              up = select_where(visc, visc_all, up - cm, up);
+              lo = select_where(visc, visc_all, lo - cm, lo);
+            }
+          }
+          row.mean.upper(rr, cc) = select_where(has, has_all, up, L::zero());
+          lower(rr, cc) = select_where(has, has_all, lo, L::zero());
+        }
+      const L up_sa = 0.0 - 0.5 * lam, lo_sa = 0.0 - 0.5 * lam_i;
+      row.sa.upper(0, 0) = select_where(
+          has, has_all, select_where(visc, visc_all, up_sa - cs, up_sa),
+          L::zero());
+      lower_sa(0, 0) = select_where(
+          has, has_all, select_where(visc, visc_all, lo_sa - cs, lo_sa),
+          L::zero());
+    }
+    linalg::tridiag_back_substitute<L, 5>(
+        [&](std::size_t k) -> auto& { return rows[k].mean; }, len);
+    linalg::tridiag_back_substitute<L, 1>(
+        [&](std::size_t k) -> auto& { return rows[k].sa; }, len);
+
+    for (int l = 0; l < count; ++l) {
+      if (fail.lane(l)) {
+        OBS_COUNT("resil.singular_pivot", 1);
+        continue;
+      }
+      for (std::size_t k = 0; k < len; ++k) {
+        BlockVec<5> du;
+        for (int c = 0; c < 5; ++c) du[c] = rows[k].mean.rhs[c].lane(l);
+        apply_update(a.u, std::size_t(line[l][k]), a.relax, du,
+                     rows[k].sa.rhs[0].lane(l));
+      }
+    }
+  }
+};
+
+/// Arguments of assemble_diag's pooled chunks.
+struct AssembleArgs {
+  const Level& lvl;
+  const Physics& phys;
+  real_t cfl;
+  std::span<const State> u;
+  const Scratch& s;
+  ImplicitBlock* diag;
+};
+
+/// Edge terms of nodes [b, e), kLanes at a time.
+template <class L>
+void assemble_range(const AssembleArgs& a, std::size_t b, std::size_t e) {
+  for (std::size_t i = b; i < e; i += kLanes)
+    LaneKernels<L>::assemble_lanes(a.lvl, a.phys, a.cfl, a.u, a.s, i,
+                                   int(std::min<std::size_t>(kLanes, e - i)),
+                                   a.diag);
+}
+
+// One instantiation of assemble_range per instruction set; flatten inlines
+// the whole lane kernel into each, so the AVX2 one is compiled for AVX2
+// throughout.
+[[gnu::flatten]] void assemble_range_baseline(const AssembleArgs& a,
+                                              std::size_t b, std::size_t e) {
+  assemble_range<linalg::LanesBaseline>(a, b, e);
+}
+#if COLUMBIA_LANES_AVX2
+[[gnu::target("avx2"), gnu::flatten]] void assemble_range_avx2(
+    const AssembleArgs& a, std::size_t b, std::size_t e) {
+  assemble_range<linalg::LanesAvx>(a, b, e);
+}
+#endif
 }  // namespace
+
+#pragma GCC diagnostic pop
+
+// The diagonal blocks are gathered per node over Level::incident rather
+// than scattered per edge: each edge side only updates its own node's
+// block, and incident lists are in edge storage order (color-major) —
+// the order the colored scatter added the terms in — so every block
+// accumulates the identical sequence. The gather needs no color barriers
+// and no thread ever writes another node's block. On the coarse levels,
+// whose scattered node numbering made the scatter's blocks bounce between
+// cores every color, that turned no speedup at 4 threads into 2.5x; at 1
+// thread it costs the same as the scatter. Four nodes run side by side in
+// lanes (kNodeGrain is a multiple of kLanes, so a group never straddles
+// two chunks).
+void assemble_diag_on(LaneIsa isa, const Level& lvl, const Physics& phys,
+                      real_t cfl, std::span<const State> u, Scratch& s) {
+  static_assert(kNodeGrain % kLanes == 0);
+  COLUMBIA_REQUIRE(isa == LaneIsa::Baseline || lane_isa() == LaneIsa::Avx2);
+  const std::size_t n = std::size_t(lvl.num_nodes);
+  s.diag.resize(n);
+  const Prim* const w = s.w.data();
+  ImplicitBlock* const diag = s.diag.data();
+  const AssembleArgs args{lvl, phys, cfl, u, s, diag};
+  smp::ThreadPool::global().parallel_for(
+      0, n, kNodeGrain, [&](std::size_t b, std::size_t e, int) {
+#if COLUMBIA_LANES_AVX2
+        if (isa == LaneIsa::Avx2)
+          assemble_range_avx2(args, b, e);
+        else
+#endif
+          assemble_range_baseline(args, b, e);
+        // Farfield linearization keeps boundary nodes well conditioned; it
+        // comes after every edge term, as in the node-by-node sum.
+        for (std::size_t i = b; i < e; ++i) {
+          Vec3 bn{};
+          for (const Vec3& t : lvl.boundary_normal[i]) bn += t;
+          const real_t ba = norm(bn);
+          if (ba > 0) {
+            const real_t lam = euler::spectral_radius(w[i], bn / ba) * ba;
+            for (int rr = 0; rr < 5; ++rr) diag[i].mean(rr, rr) += 0.5 * lam;
+            diag[i].sa += 0.5 * lam;
+          }
+        }
+      });
+}
+
+void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
+                   std::span<const State> u, Scratch& s) {
+  assemble_diag_on(lane_isa(), lvl, phys, cfl, u, s);
+}
 
 void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
                  std::span<const State> r, Scratch& s, std::vector<State>& u) {
@@ -777,103 +1183,37 @@ void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
 void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
                 std::span<const State> f, std::span<const State> r,
                 Scratch& s, std::vector<State>& u) {
-  // Block-tridiagonal solve along each implicit line; off-line couplings
-  // stay explicit (Jacobi) as in the paper's scheme. Lines are
-  // node-disjoint, so they solve in parallel; each pool thread uses its
-  // own factorization scratch.
+  // Block-tridiagonal solves along the implicit lines, kLanes lines of one
+  // length at a time; off-line couplings stay explicit (Jacobi) as in the
+  // paper's scheme. Lines are node-disjoint, so batches solve in parallel;
+  // each pool thread uses its own slot of rows. Batches run longest first,
+  // so the long lines do not trail the sweep.
   smp::ThreadPool& pool = smp::ThreadPool::global();
-  const auto& all_lines = lvl.lines.lines;
-  if (s.line_scratch.size() < std::size_t(pool.num_threads())) {
-    std::size_t longest = 0;
-    for (const auto& line : all_lines) longest = std::max(longest, line.size());
-    s.line_scratch.resize(std::size_t(pool.num_threads()));
-    for (Scratch::LineScratch& ls : s.line_scratch) {
-      ls.mean.reserve(longest);
-      ls.sa.reserve(longest);
-    }
-  }
-  const Prim* const w = s.w.data();
-  const real_t* const mut = s.mut.data();
-  const ImplicitBlock* const diag = s.diag.data();
-  const real_t mu_lam = phys.mu_lam;
-  const bool viscous = phys.viscous;
-  OBS_COUNT("nsu3d.line_solves", all_lines.size());
-  pool.parallel_for(0, all_lines.size(), kLineGrain,
-                    [&](std::size_t lb, std::size_t le, int tid) {
-    Scratch::LineScratch& ls = s.line_scratch[std::size_t(tid)];
-    Scratch::Tridiag<5>& mf = ls.mean;
-    Scratch::Tridiag<1>& sa = ls.sa;
-    for (std::size_t li = lb; li < le; ++li) {
-      const auto& line = all_lines[li];
-      const auto& ledges = lvl.line_edges[li];
-      const std::size_t len = line.size();
-      mf.assign(len);
-      sa.assign(len);
-      for (std::size_t k = 0; k < len; ++k) {
-        const std::size_t i = std::size_t(line[k]);
-        mf.dd[k] = diag[i].mean;
-        sa.dd[k](0, 0) = diag[i].sa;
-        for (int c = 0; c < 5; ++c)
-          mf.rhs[k][c] = f[i][std::size_t(c)] - r[i][std::size_t(c)];
-        sa.rhs[k][0] = f[i][5] - r[i][5];
-      }
-      // Off-diagonal blocks for consecutive line nodes; the connecting
-      // edge was located once at level construction (Level::line_edges).
-      for (std::size_t k = 0; k + 1 < len; ++k) {
-        const auto [eid, sgn] = ledges[k];
-        if (eid == kInvalidIndex) continue;
-        const std::size_t ei = std::size_t(eid);
-        const real_t area = lvl.edge_area[ei];
-        if (area <= 0) continue;
-        const std::size_t i = std::size_t(line[k]);
-        const std::size_t j = std::size_t(line[k + 1]);
-        const Vec3 n_out = sgn * lvl.edge_normal(ei);
-        // n_out/area == sgn * edge_unit bitwise (sgn is +-1).
-        const Vec3 nh = sgn * lvl.edge_unit(ei);
-        // dR_i/du_j = 0.5 (A(w_j, n_out) - lambda_j I).
-        const BlockMat<5> jj = euler::flux_jacobian(w[j], n_out);
-        const real_t lam = euler::spectral_radius(w[j], nh) * area;
-        BlockMat<5>& off = mf.upper[k];
-        for (int rr = 0; rr < 5; ++rr) {
-          for (int cc = 0; cc < 5; ++cc) off(rr, cc) = 0.5 * jj(rr, cc);
-          off(rr, rr) -= 0.5 * lam;
-        }
-        real_t& off_sa = sa.upper[k](0, 0);
-        off_sa -= 0.5 * lam;
-        real_t cm = 0, cs = 0;
-        const bool visc_edge = viscous && lvl.edge_geo[ei] > 0;
-        if (visc_edge) {
-          const real_t geo = lvl.edge_geo[ei];
-          cm = (mu_lam + 0.5 * (mut[i] + mut[j])) * geo;
-          cs = (mu_lam + 0.5 * (u[i][5] + u[j][5])) / kSigma * geo;
-          for (int rr = 1; rr <= 4; ++rr) off(rr, rr) -= cm;
-          off_sa -= cs;
-        }
-        // dR_j/du_i: mirrored with w_i and the opposite normal.
-        const BlockMat<5> ji = euler::flux_jacobian(w[i], -1.0 * n_out);
-        const real_t lam_i = euler::spectral_radius(w[i], nh) * area;
-        BlockMat<5>& offl = mf.lower[k + 1];
-        for (int rr = 0; rr < 5; ++rr) {
-          for (int cc = 0; cc < 5; ++cc) offl(rr, cc) = 0.5 * ji(rr, cc);
-          offl(rr, rr) -= 0.5 * lam_i;
-        }
-        real_t& offl_sa = sa.lower[k + 1](0, 0);
-        offl_sa -= 0.5 * lam_i;
-        if (visc_edge) {
-          for (int rr = 1; rr <= 4; ++rr) offl(rr, rr) -= cm;
-          offl_sa -= cs;
-        }
-      }
-      if (!linalg::solve_block_tridiag_status<5>(mf.lower, mf.dd, mf.upper,
-                                                 mf.rhs, mf.lu) ||
-          !linalg::solve_block_tridiag_status<1>(sa.lower, sa.dd, sa.upper,
-                                                 sa.rhs, sa.lu)) {
-        OBS_COUNT("resil.singular_pivot", 1);
-        continue;
-      }
-      for (std::size_t k = 0; k < len; ++k)
-        apply_update(u, std::size_t(line[k]), relax, mf.rhs[k],
-                     sa.rhs[k][0]);
+  const FlatLists<index_t>& classes = lvl.line_classes;
+  s.line_batches.clear();
+  for (std::size_t c = classes.size(); c-- > 0;)
+    for (std::size_t q = classes.offsets[c]; q < classes.offsets[c + 1];
+         q += kLanes)
+      s.line_batches.emplace_back(
+          std::uint32_t(q),
+          std::uint32_t(std::min<std::size_t>(kLanes,
+                                              classes.offsets[c + 1] - q)));
+  const std::size_t longest = std::size_t(lvl.lines.longest());
+  if (s.line_rows.size() < std::size_t(pool.num_threads()))
+    s.line_rows.resize(std::size_t(pool.num_threads()));
+  for (std::vector<Scratch::LineRow>& rows : s.line_rows)
+    if (rows.size() < longest) rows.resize(longest);
+  OBS_COUNT("nsu3d.line_solves", lvl.lines.lines.size());
+  const LineSweepArgs args{lvl, phys, relax, f, r, s, u};
+  pool.parallel_for(0, s.line_batches.size(), kLineGrain,
+                    [&](std::size_t b, std::size_t e, int tid) {
+    Scratch::LineRow* const rows = s.line_rows[std::size_t(tid)].data();
+    for (std::size_t k = b; k < e; ++k) {
+      const auto [first, count] = s.line_batches[k];
+      const std::size_t len =
+          lvl.lines.lines[std::size_t(classes.items[first])].size();
+      LaneKernels<linalg::LanesBaseline>::solve_line_batch(
+          args, first, int(count), len, rows);
     }
   });
 }

@@ -33,12 +33,14 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "euler/flux.hpp"
 #include "euler/state.hpp"
 #include "linalg/block.hpp"
+#include "linalg/lanes.hpp"
 #include "nsu3d/level.hpp"
 #include "support/types.hpp"
 
@@ -155,35 +157,23 @@ struct Scratch {
   // Smoother scratch: wave-speed sums, cached sound speeds, 5+1 blocks.
   std::vector<real_t> wave, snd;
   std::vector<ImplicitBlock> diag;
-  /// One block-tridiagonal system along a line (Thomas algorithm scratch).
-  template <int N>
-  struct Tridiag {
-    std::vector<linalg::BlockMat<N>> lower, dd, upper;
-    std::vector<linalg::BlockVec<N>> rhs;
-    std::vector<linalg::BlockLU<N>> lu;  // factorization scratch
-    void reserve(std::size_t len) {
-      lower.reserve(len);
-      dd.reserve(len);
-      upper.reserve(len);
-      rhs.reserve(len);
-      lu.reserve(len);
-    }
-    /// Zeroes the system for a line of `len` nodes.
-    void assign(std::size_t len) {
-      lower.assign(len, linalg::BlockMat<N>{});
-      dd.assign(len, linalg::BlockMat<N>{});
-      upper.assign(len, linalg::BlockMat<N>{});
-      rhs.assign(len, linalg::BlockVec<N>{});
-    }
+  /// One row of a batch of linalg::kLanes lines of one length, lane-major:
+  /// what the batched line solve's back substitution reads of the row (the
+  /// factored diagonal blocks, upper blocks and right-hand sides of the
+  /// mean-flow and SA systems). The lower and diagonal blocks are folded in
+  /// as they are formed and never stored.
+  struct LineRow {
+    linalg::LaneTridiagRow<linalg::LanesBaseline, 5> mean;
+    linalg::LaneTridiagRow<linalg::LanesBaseline, 1> sa;
   };
-  struct LineScratch {
-    Tridiag<5> mean;  // mean-flow blocks
-    Tridiag<1> sa;    // SA scalars
-  };
-  /// One slot per pool thread, each reserved for the level's longest line:
-  /// chunks go to whichever thread claims them first, so any slot may meet
-  /// any line, and none grows in steady state.
-  std::vector<LineScratch> line_scratch;
+  /// One slot of rows per pool thread, each sized for the level's longest
+  /// line: batches go to whichever thread claims them first, so any slot
+  /// may meet any batch, and none grows in steady state.
+  std::vector<std::vector<LineRow>> line_rows;
+  /// The line sweep's batches, longest lines first: {first, count} into
+  /// Level::line_classes.items, count <= linalg::kLanes lines of one
+  /// length; derived from the level's schedule by each sweep.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> line_batches;
 
   /// Sizes the per-node fields every residual reads (the second-order
   /// fields ph and edq, and the smoother fields, are sized by their
@@ -230,14 +220,31 @@ void residual(const Level& lvl, const Physics& phys, int level,
 
 // --- Smoother kernels ---
 
+/// Instruction sets assemble_diag's lane kernel is built for: baseline
+/// x86-64 lanes (two 128-bit halves) and, on x86, AVX2 lanes (one 256-bit
+/// register). Every lane performs the scalar operation sequence, so both
+/// give the same bits. (line_sweep runs baseline lanes only: its AVX2
+/// instantiation measured slower.)
+enum class LaneIsa { Baseline, Avx2 };
+
+/// The instruction set assemble_diag runs: AVX2 where the CPU has it.
+LaneIsa lane_isa();
+
 /// Wave-speed sums (local time-step denominators) into s.wave; also caches
 /// per-node sound speeds in s.snd.
 void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s);
 
-/// Assembles the 5+1 point-implicit diagonal blocks into s.diag.
-/// Requires prim_cache and wave_speeds to have run for the same state.
+/// Assembles the 5+1 point-implicit diagonal blocks into s.diag, four
+/// consecutive nodes per lane group, each lane adding its own node's edge
+/// terms in incident order. Requires prim_cache and wave_speeds to have
+/// run for the same state.
 void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
                    std::span<const State> u, Scratch& s);
+
+/// assemble_diag on a given instruction set: Baseline, or Avx2 where
+/// lane_isa() is Avx2. assemble_diag runs lane_isa(); tests run each.
+void assemble_diag_on(LaneIsa isa, const Level& lvl, const Physics& phys,
+                      real_t cfl, std::span<const State> u, Scratch& s);
 
 /// Point-implicit update sweep: factors each node's 5x5 block and SA
 /// scalar and applies the under-relaxed update to u. A singular pivot in
@@ -248,9 +255,13 @@ void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
 
 /// Line-implicit update sweep: a 5x5 block-tridiagonal solve plus a scalar
 /// tridiagonal SA solve along each implicit line (off-line couplings stay
-/// explicit). A singular pivot in either skips the line and is counted
-/// once. Lines are node-disjoint, so reading u for the viscous
-/// linearization while other lines update theirs is race-free.
+/// explicit), linalg::kLanes lines of one length at a time
+/// (Level::line_classes), each lane performing exactly the scalar solve's
+/// operations. A singular pivot in either solve leaves the line unchanged
+/// and is counted once. Lines are node-disjoint, so reading u for the
+/// viscous linearization while other lines update theirs is race-free.
+/// Requires assemble_diag (and so wave_speeds, whose sound speeds the
+/// line-edge spectral radii read) to have run for the same state.
 void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
                 std::span<const State> f, std::span<const State> r,
                 Scratch& s, std::vector<State>& u);

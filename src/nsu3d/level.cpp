@@ -70,37 +70,59 @@ std::vector<real_t> coupling_weights(const std::vector<Vec3>& normal,
   return w;
 }
 
-/// For each line, the (edge id, sign) joining consecutive line nodes: one
+/// For each line, the id of the edge joining consecutive line nodes: one
 /// pass over the edges with each node's line and position at hand. Edges
-/// are unique, so at most one edge joins two nodes.
-FlatLists<std::pair<index_t, real_t>> line_edge_table(
+/// are unique, so at most one edge joins two nodes, and extract_lines only
+/// chains graph neighbours, so every entry is found.
+FlatLists<index_t> line_edge_table(
     index_t num_nodes, const graph::LineSet& lines,
     const std::vector<std::pair<index_t, index_t>>& edges) {
-  FlatLists<std::pair<index_t, real_t>> le;
+  FlatLists<index_t> le;
   const std::size_t nl = lines.lines.size();
   le.offsets.assign(nl + 1, 0);
   std::vector<index_t> line_of(std::size_t(num_nodes), kInvalidIndex);
   std::vector<index_t> pos(std::size_t(num_nodes), 0);
   for (std::size_t li = 0; li < nl; ++li) {
-    const auto& line = lines.lines[li];
+    const auto line = lines.lines[li];
     le.offsets[li + 1] = le.offsets[li] + (line.empty() ? 0 : line.size() - 1);
     for (std::size_t k = 0; k < line.size(); ++k) {
       line_of[std::size_t(line[k])] = index_t(li);
       pos[std::size_t(line[k])] = index_t(k);
     }
   }
-  le.items.assign(le.offsets.back(), {kInvalidIndex, 0.0});
+  le.items.assign(le.offsets.back(), kInvalidIndex);
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const auto [a, b] = edges[e];
     const index_t li = line_of[std::size_t(a)];
     if (li == kInvalidIndex || li != line_of[std::size_t(b)]) continue;
     const index_t pa = pos[std::size_t(a)], pb = pos[std::size_t(b)];
     if (pb == pa + 1)
-      le.items[le.offsets[std::size_t(li)] + std::size_t(pa)] = {index_t(e), +1.0};
+      le.items[le.offsets[std::size_t(li)] + std::size_t(pa)] = index_t(e);
     else if (pa == pb + 1)
-      le.items[le.offsets[std::size_t(li)] + std::size_t(pb)] = {index_t(e), -1.0};
+      le.items[le.offsets[std::size_t(li)] + std::size_t(pb)] = index_t(e);
   }
+  for (const index_t e : le.items) COLUMBIA_REQUIRE(e != kInvalidIndex);
   return le;
+}
+
+/// The line ids grouped by length, classes ascending (a stable sort, so
+/// each class keeps extraction order).
+FlatLists<index_t> line_length_classes(const graph::LineSet& lines) {
+  const std::size_t nl = lines.lines.size();
+  FlatLists<index_t> cls;
+  cls.items.resize(nl);
+  for (std::size_t li = 0; li < nl; ++li) cls.items[li] = index_t(li);
+  std::stable_sort(cls.items.begin(), cls.items.end(),
+                   [&](index_t x, index_t y) {
+                     return lines.lines[std::size_t(x)].size() <
+                            lines.lines[std::size_t(y)].size();
+                   });
+  for (std::size_t k = 1; k < nl; ++k)
+    if (lines.lines[std::size_t(cls.items[k])].size() !=
+        lines.lines[std::size_t(cls.items[k - 1])].size())
+      cls.offsets.push_back(k);
+  if (nl > 0) cls.offsets.push_back(nl);
+  return cls;
 }
 
 /// Colors + reorders the edge arrays color-major. The next coarser level
@@ -120,7 +142,8 @@ void order_edges(Level& lvl, std::vector<Vec3>& normal) {
 }
 
 /// Sorts each color span by first node, derives the per-edge streams from
-/// the normals (which die here), and builds `incident` and `line_edges`.
+/// the normals (which die here), and builds `incident`, `line_edges` and
+/// the line schedule.
 /// Runs after edges/normals/lengths/centers are final and the next coarser
 /// level has been built.
 void finalize_edges(Level& lvl, std::vector<Vec3> normal) {
@@ -186,6 +209,7 @@ void finalize_edges(Level& lvl, std::vector<Vec3> normal) {
 
   lvl.incident = edge_incidence(lvl.num_nodes, edges);
   lvl.line_edges = line_edge_table(lvl.num_nodes, lvl.lines, edges);
+  lvl.line_classes = line_length_classes(lvl.lines);
 }
 
 /// Coarse level from a fine level via agglomeration of its edge graph;

@@ -60,9 +60,19 @@ struct Level {
   std::vector<std::array<geom::Vec3, 3>> boundary_normal;
   std::vector<real_t> wall_distance;
 
-  /// Implicit line set (fine level only has meaningful multi-node lines;
-  /// coarse levels carry singleton lines).
+  /// Implicit line set, in extraction order. Every level has one: lines
+  /// are extracted again from each agglomerated coupling graph, so coarse
+  /// levels keep multi-node lines where the coupling stays anisotropic
+  /// (level 1 of the nsu3d-wing mesh: 536 of its 773 lines, up to 71 nodes)
+  /// and single points elsewhere.
   graph::LineSet lines;
+
+  /// The line solver's schedule: line ids grouped by length. Class c is
+  /// line_classes[c]; its lines all have the same length, classes ascend
+  /// in length, and within a class ids keep extraction order (a stable
+  /// sort). The batched line sweep solves consecutive lines of one class
+  /// side by side.
+  FlatLists<index_t> line_classes;
 
   /// Map to the next coarser level (empty on the coarsest).
   std::vector<index_t> to_coarse;
@@ -71,11 +81,12 @@ struct Level {
   /// is edge e's 'a' side when edges[e].first == v.
   FlatLists<index_t> incident;
 
-  /// For line k, entry j is the (edge id, sign) connecting line[j] to
-  /// line[j+1] (sign +1 when line[j] is the edge's 'a' endpoint), or
-  /// (kInvalidIndex, 0) when no such edge exists. Precomputed so the
-  /// block-tridiagonal assembly does not search `incident` every sweep.
-  FlatLists<std::pair<index_t, real_t>> line_edges;
+  /// For line k, entry j is the id of the edge joining line[j] to
+  /// line[j+1]; line[j] is its 'a' side when edges[e].first == line[j].
+  /// Lines only chain graph neighbours, so the edge always exists.
+  /// Precomputed so the block-tridiagonal assembly does not search
+  /// `incident` every sweep.
+  FlatLists<index_t> line_edges;
 
   index_t num_edge_colors() const {
     return color_offsets.size() < 2 ? 0 : index_t(color_offsets.size() - 1);

@@ -130,7 +130,8 @@ PartitionPlan build_partition_plan(const std::vector<Level>& levels,
 }
 
 bool lines_unbroken(const Level& fine, std::span<const index_t> part) {
-  for (const auto& line : fine.lines.lines) {
+  for (std::size_t li = 0; li < fine.lines.lines.size(); ++li) {
+    const auto line = fine.lines.lines[li];
     for (index_t v : line)
       if (part[std::size_t(v)] != part[std::size_t(line[0])]) return false;
   }

@@ -89,12 +89,21 @@ void Nsu3dSolver::smooth(int l, int steps) {
     const std::vector<State>& r = residual_[std::size_t(l)];
     // The primitive/SoA caches in k hold the same u as r (level_residual
     // refreshed them, or they are still fresh).
-    kernels::wave_speeds(lvl, phys_, k);
-    kernels::assemble_diag(lvl, phys_, opt_.cfl, u, k);
-    if (!lines)
+    {
+      OBS_SPAN("nsu3d.wave_speeds", "level", l);
+      kernels::wave_speeds(lvl, phys_, k);
+    }
+    {
+      OBS_SPAN("nsu3d.assemble_diag", "level", l);
+      kernels::assemble_diag(lvl, phys_, opt_.cfl, u, k);
+    }
+    if (!lines) {
+      OBS_SPAN("nsu3d.point_sweep", "level", l);
       kernels::point_sweep(lvl, opt_.relax, f, r, k, u);
-    else
+    } else {
+      OBS_SPAN("nsu3d.line_sweep", "level", l);
       kernels::line_sweep(lvl, phys_, opt_.relax, f, r, k, u);
+    }
     fresh_[std::size_t(l)] = false;
     project(l, u);
   }

@@ -368,8 +368,8 @@ void line_sweep_reference(const Level& lvl, const Physics& phys, real_t relax,
   const real_t mu_lam = phys.mu_lam;
   const bool viscous = phys.viscous;
   for (std::size_t li = 0; li < lvl.lines.lines.size(); ++li) {
-    const auto& line = lvl.lines.lines[li];
-    const auto& ledges = lvl.line_edges[li];
+    const auto line = lvl.lines.lines[li];
+    const auto ledges = lvl.line_edges[li];
     const std::size_t len = line.size();
     std::vector<BlockMat<6>> lower(len), dd(len), upper(len);
     std::vector<BlockVec<6>> rhs(len);
@@ -379,9 +379,8 @@ void line_sweep_reference(const Level& lvl, const Physics& phys, real_t relax,
       rhs[k] = rhs_of(f, r, i);
     }
     for (std::size_t k = 0; k + 1 < len; ++k) {
-      const auto [eid, sgn] = ledges[k];
-      if (eid == kInvalidIndex) continue;
-      const std::size_t ei = std::size_t(eid);
+      const std::size_t ei = std::size_t(ledges[k]);
+      const real_t sgn = lvl.edges[ei].first == line[k] ? 1.0 : -1.0;
       const real_t area = lvl.edge_area[ei];
       if (area <= 0) continue;
       const std::size_t i = std::size_t(line[k]);

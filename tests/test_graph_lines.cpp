@@ -33,8 +33,8 @@ TEST(Lines, EveryVertexInExactlyOneLine) {
   const Csr g = stretched_grid(8, 10);
   const LineSet ls = extract_lines(g);
   std::vector<int> seen(80, 0);
-  for (const auto& line : ls.lines)
-    for (index_t v : line) ++seen[std::size_t(v)];
+  for (std::size_t li = 0; li < ls.lines.size(); ++li)
+    for (index_t v : ls.lines[li]) ++seen[std::size_t(v)];
   for (int s : seen) EXPECT_EQ(s, 1);
 }
 
@@ -44,15 +44,16 @@ TEST(Lines, FollowsStrongDirection) {
   // Lines should run vertically: full columns of length 10.
   EXPECT_EQ(ls.longest(), 10);
   index_t full_columns = 0;
-  for (const auto& line : ls.lines)
-    if (index_t(line.size()) == 10) ++full_columns;
+  for (std::size_t li = 0; li < ls.lines.size(); ++li)
+    if (index_t(ls.lines[li].size()) == 10) ++full_columns;
   EXPECT_EQ(full_columns, 8);
 }
 
 TEST(Lines, LinesArePaths) {
   const Csr g = stretched_grid(6, 12);
   const LineSet ls = extract_lines(g);
-  for (const auto& line : ls.lines) {
+  for (std::size_t li = 0; li < ls.lines.size(); ++li) {
+    const auto line = ls.lines[li];
     for (std::size_t k = 0; k + 1 < line.size(); ++k) {
       // Consecutive line vertices are graph neighbors.
       const auto nb = g.neighbors(line[k]);
@@ -99,7 +100,8 @@ TEST(ContractLines, PartitionNeverBreaksALine) {
   const ContractedGraph cg = contract_lines(g, ls);
   const auto line_part = partition(cg.graph, 4);
   const auto part = expand_line_partition(cg, line_part);
-  for (const auto& line : ls.lines) {
+  for (std::size_t li = 0; li < ls.lines.size(); ++li) {
+    const auto line = ls.lines[li];
     for (index_t v : line)
       EXPECT_EQ(part[std::size_t(v)], part[std::size_t(line[0])]);
   }

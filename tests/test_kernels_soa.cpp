@@ -22,6 +22,7 @@
 #include "geom/components.hpp"
 #include "linalg/block.hpp"
 #include "linalg/block_tridiag.hpp"
+#include "linalg/lanes.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/kernels.hpp"
 #include "nsu3d/partitioned.hpp"
@@ -265,11 +266,35 @@ struct ObsOn {
   ~ObsOn() { obs::set_enabled(false); }
 };
 
+/// True when the 5+1 blocks are the 6x6 blocks' mean-flow part and SA
+/// diagonal bit for bit, and the 6x6 coupling entries are zero.
+::testing::AssertionResult blocks_match(
+    const std::vector<nsu3d::kernels::ImplicitBlock>& diag,
+    const std::vector<Block6>& diag6) {
+  const auto bits = [](real_t x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t i = 0; i < diag6.size(); ++i) {
+    const Block6& d6 = diag6[i];
+    const auto& d = diag[i];
+    bool same = bits(d6(5, 5)) == bits(d.sa);
+    for (int rr = 0; rr < 5; ++rr) {
+      same = same && d6(rr, 5) == 0 && d6(5, rr) == 0;
+      for (int cc = 0; cc < 5; ++cc)
+        same = same && bits(d6(rr, cc)) == bits(d.mean(rr, cc));
+    }
+    if (!same)
+      return ::testing::AssertionFailure() << "diagonal block of node " << i;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(Nsu3dSmoother, SplitBlocksMatchCoupledOracleOnWingLevels) {
-  // Levels 0 and 1 of the nsu3d-wing mesh after five W-cycles: the 5+1
+  // All four levels of the nsu3d-wing mesh after five W-cycles: the 5+1
   // blocks are the 6x6 blocks' mean-flow part and SA diagonal (nothing
-  // couples them), and both sweeps leave the state bit-identical to the
-  // 6x6 oracle's, at pool sizes 1 and 4.
+  // couples them) on every lane instruction set the host runs, and both
+  // sweeps leave the state bit-identical to the 6x6 oracle's, at pool
+  // sizes 1, 2 and 4. Level 2's length classes (30x1, 12x2, 11x3, 3x4,
+  // 6x5, 2x6, 3x7, 1x14) give the line batches every number of padding
+  // lanes.
   PoolGuard guard;
   mesh::WingMeshSpec spec;
   spec.n_wrap = 64;
@@ -285,28 +310,27 @@ TEST(Nsu3dSmoother, SplitBlocksMatchCoupledOracleOnWingLevels) {
   smp::set_global_threads(4);
   nsu3d::Nsu3dSolver solver(m, fc, o);
   for (int c = 0; c < 5; ++c) solver.run_cycle();
+  ASSERT_EQ(solver.num_levels(), 4);
   const auto phys = wing_physics(fc);
   ObsOn obs_on;  // count singular pivots
+  namespace K = nsu3d::kernels;
+  std::vector<K::LaneIsa> isas{K::LaneIsa::Baseline};
+  if (K::lane_isa() == K::LaneIsa::Avx2) isas.push_back(K::LaneIsa::Avx2);
 
-  for (int level : {0, 1}) {
+  for (int level = 0; level < solver.num_levels(); ++level) {
     const nsu3d::Level& lvl = solver.level(level);
     const std::vector<nsu3d::State> u = solver.solution(level);
-    for (int threads : {1, 4}) {
+    for (int threads : {1, 2, 4}) {
       SCOPED_TRACE("level " + std::to_string(level) + ", pool size " +
                    std::to_string(threads));
       smp::set_global_threads(threads);
       SmootherInputs in = smoother_inputs(lvl, phys, level, u, o.cfl);
-      for (std::size_t i = 0; i < in.diag6.size(); ++i) {
-        const Block6& d6 = in.diag6[i];
-        const auto& d = in.k.diag[i];
-        const auto bits = [](real_t x) { return std::bit_cast<std::uint64_t>(x); };
-        bool same = bits(d6(5, 5)) == bits(d.sa);
-        for (int rr = 0; rr < 5; ++rr) {
-          same = same && d6(rr, 5) == 0 && d6(5, rr) == 0;
-          for (int cc = 0; cc < 5; ++cc)
-            same = same && bits(d6(rr, cc)) == bits(d.mean(rr, cc));
-        }
-        ASSERT_TRUE(same) << "diagonal block of node " << i;
+      ASSERT_TRUE(blocks_match(in.k.diag, in.diag6));
+      for (const K::LaneIsa isa : isas) {
+        SCOPED_TRACE(isa == K::LaneIsa::Avx2 ? "AVX2 lanes" : "baseline lanes");
+        in.k.diag.clear();
+        K::assemble_diag_on(isa, lvl, phys, o.cfl, u, in.k);
+        ASSERT_TRUE(blocks_match(in.k.diag, in.diag6));
       }
       for (bool lines : {false, true}) {
         const auto [got, pivots] = sweep_both(lvl, phys, lines, in, u);
@@ -336,7 +360,7 @@ TEST(Nsu3dSmoother, SingularAndNanPivotsMatchCoupledOracle) {
   const auto u = wing_state(lvl, phys);
   std::size_t li = 0;
   while (lvl.lines.lines[li].size() < 4) ++li;
-  const auto& line = lvl.lines.lines[li];
+  const auto line = lvl.lines.lines[li];
   // The line's first node: its block is the line solve's first pivot.
   const std::size_t i0 = std::size_t(line[0]);
 
@@ -367,8 +391,9 @@ TEST(Nsu3dSmoother, SingularAndNanPivotsMatchCoupledOracle) {
         const auto [got, pivots] = sweep_both(lvl, phys, lines, in, u);
         EXPECT_EQ(pivots, want_pivots);
         // The poisoned node keeps its state; so does its whole line.
-        const auto& skipped =
-            lines ? line : std::vector<index_t>{index_t(i0)};
+        const std::vector<index_t> skipped =
+            lines ? std::vector<index_t>(line.begin(), line.end())
+                  : std::vector<index_t>{index_t(i0)};
         for (index_t v : skipped)
           EXPECT_EQ(std::memcmp(&got[std::size_t(v)], &u[std::size_t(v)],
                                 sizeof(nsu3d::State)),
@@ -376,6 +401,62 @@ TEST(Nsu3dSmoother, SingularAndNanPivotsMatchCoupledOracle) {
               << (lines ? "line" : "point") << " sweep moved node " << v;
         EXPECT_FALSE(same_bits(got, u)) << "the sweep updated nothing";
       }
+    }
+  }
+}
+
+TEST(Nsu3dSmoother, MixedOutcomesInOneLineBatch) {
+  // One batch of four lines of one length: a singular mean-flow pivot in
+  // lane 0 and a NaN SA pivot in lane 2 beside two healthy lines. The
+  // healthy lanes update exactly as the 6x6 oracle does, both poisoned
+  // lines keep their state, and only the singular pivot is counted.
+  PoolGuard guard;
+  ObsOn obs_on;
+  const auto m = small_wing();
+  nsu3d::LevelOptions lo;
+  lo.num_levels = 1;
+  const auto levels = nsu3d::build_levels(m, lo);
+  const nsu3d::Level& lvl = levels[0];
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.reynolds = 3e6;
+  const auto phys = wing_physics(fc);
+  const auto u = wing_state(lvl, phys);
+  // The first batch of the first class of multi-node lines holding a full
+  // batch: its lanes are the class's first four lines.
+  std::size_t c = 0;
+  while (lvl.lines.lines[std::size_t(lvl.line_classes[c][0])].size() < 2 ||
+         lvl.line_classes[c].size() < std::size_t(linalg::kLanes))
+    ++c;
+  const auto line_in_lane = [&](int lane) {
+    return lvl.lines.lines[std::size_t(lvl.line_classes[c][std::size_t(lane)])];
+  };
+  const auto first_node = [&](int lane) {
+    return std::size_t(line_in_lane(lane)[0]);
+  };
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("pool size " + std::to_string(threads));
+    smp::set_global_threads(threads);
+    SmootherInputs in = smoother_inputs(lvl, phys, 0, u, 20.0);
+    const std::size_t singular = first_node(0), nan = first_node(2);
+    in.k.diag[singular].mean = {};
+    for (int rr = 0; rr < 5; ++rr)
+      for (int cc = 0; cc < 5; ++cc) in.diag6[singular](rr, cc) = 0;
+    in.k.diag[nan].sa = in.diag6[nan](5, 5) =
+        std::numeric_limits<real_t>::quiet_NaN();
+    const auto [got, pivots] = sweep_both(lvl, phys, true, in, u);
+    EXPECT_EQ(pivots, 1u);
+    for (int lane : {0, 2})
+      for (const index_t v : line_in_lane(lane))
+        EXPECT_EQ(std::memcmp(&got[std::size_t(v)], &u[std::size_t(v)],
+                              sizeof(nsu3d::State)),
+                  0)
+            << "lane " << lane << " moved node " << v;
+    for (int lane : {1, 3}) {
+      const std::size_t v = first_node(lane);
+      EXPECT_NE(std::memcmp(&got[v], &u[v], sizeof(nsu3d::State)), 0)
+          << "healthy lane " << lane << " did not update";
     }
   }
 }

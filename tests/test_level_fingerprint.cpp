@@ -67,22 +67,35 @@ class Fnv1a {
     for (const auto& t : v)
       for (const geom::Vec3& x : t) add(x);
   }
-  /// A list of (edge id, sign) lists: each list's length, then its pairs.
-  template <class Lists>
-  void add_signed_lists(const Lists& lists) {
+  /// A list of lists of index_t, each hashed as a vector: its length,
+  /// then its entries.
+  void add_lists(const FlatLists<index_t>& lists) {
     add(std::size_t(lists.size()));
-    for (std::size_t i = 0; i < std::size_t(lists.size()); ++i) {
-      const auto& list = lists[i];
-      add(std::size_t(list.size()));
-      for (const auto& [eid, sgn] : list) {
-        add(eid);
-        add(sgn);
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      add(std::size_t(lists[i].size()));
+      for (const index_t x : lists[i]) add(x);
+    }
+  }
+  /// Per-line edge ids, each hashed with its side sign (+1 when line[k]
+  /// is the edge's first endpoint, else -1): each line's length, then its
+  /// (edge id, sign) pairs.
+  void add_line_edges(const FlatLists<index_t>& line_edges,
+                      const FlatLists<index_t>& lines,
+                      const std::vector<std::pair<index_t, index_t>>& edges) {
+    add(std::size_t(line_edges.size()));
+    for (std::size_t li = 0; li < line_edges.size(); ++li) {
+      const auto ids = line_edges[li];
+      add(std::size_t(ids.size()));
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        add(ids[k]);
+        add(real_t(edges[std::size_t(ids[k])].first == lines[li][k] ? 1.0
+                                                                    : -1.0));
       }
     }
   }
   /// Per-node incident edge ids, each hashed with its side sign (+1 when
   /// the node is the edge's first endpoint, else -1): the same (edge id,
-  /// sign) sequence add_signed_lists hashes for the line-edge table.
+  /// sign) sequence add_line_edges hashes for the line-edge table.
   void add_incidence(const FlatLists<index_t>& inc,
                      const std::vector<std::pair<index_t, index_t>>& edges) {
     add(std::size_t(inc.size()));
@@ -121,11 +134,10 @@ std::uint64_t topology_hash(const nsu3d::Level& l) {
   h.add(l.num_nodes);
   h.add_all(l.edges);
   h.add_all(l.color_offsets);
-  h.add(l.lines.lines.size());
-  for (const auto& line : l.lines.lines) h.add_all(line);
+  h.add_lists(l.lines.lines);
   h.add_all(l.to_coarse);
   h.add_incidence(l.incident, l.edges);
-  h.add_signed_lists(l.line_edges);
+  h.add_line_edges(l.line_edges, l.lines.lines, l.edges);
   return h.value();
 }
 

@@ -31,6 +31,61 @@ TEST(Levels, HierarchyShrinksGeometrically) {
   }
 }
 
+TEST(Levels, LineScheduleCoversEveryLineByLength) {
+  // Every level of the nsu3d-wing hierarchy: the schedule lists each line
+  // id once, its classes hold lines of one length and ascend, each node
+  // lies on exactly one line, and each line-edge id joins consecutive
+  // line nodes.
+  mesh::WingMeshSpec spec;
+  spec.n_wrap = 64;
+  spec.n_span = 12;
+  spec.n_normal = 24;
+  spec.wall_spacing = 1e-4;
+  LevelOptions opt;
+  opt.num_levels = 4;
+  const auto levels = build_levels(mesh::make_wing_mesh(spec), opt);
+  ASSERT_EQ(levels.size(), 4u);
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    SCOPED_TRACE("level " + std::to_string(l));
+    const Level& lvl = levels[l];
+    const FlatLists<index_t>& lines = lvl.lines.lines;
+    const FlatLists<index_t>& classes = lvl.line_classes;
+    std::vector<int> listed(lines.size(), 0);
+    std::size_t prev_len = 0;
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      ASSERT_FALSE(classes[c].empty());
+      const std::size_t len = lines[std::size_t(classes[c][0])].size();
+      EXPECT_GT(len, prev_len) << "class " << c;
+      prev_len = len;
+      index_t prev_id = -1;
+      for (const index_t li : classes[c]) {
+        ++listed[std::size_t(li)];
+        EXPECT_EQ(lines[std::size_t(li)].size(), len) << "line " << li;
+        EXPECT_GT(li, prev_id) << "class " << c << " not in extraction order";
+        prev_id = li;
+      }
+    }
+    for (std::size_t li = 0; li < listed.size(); ++li)
+      EXPECT_EQ(listed[li], 1) << "line " << li;
+
+    std::vector<int> on_line(std::size_t(lvl.num_nodes), 0);
+    ASSERT_EQ(lvl.line_edges.size(), lines.size());
+    for (std::size_t li = 0; li < lines.size(); ++li) {
+      const auto line = lines[li];
+      for (const index_t v : line) ++on_line[std::size_t(v)];
+      ASSERT_EQ(lvl.line_edges[li].size(), line.size() - 1) << "line " << li;
+      for (std::size_t k = 0; k + 1 < line.size(); ++k) {
+        const auto [a, b] = lvl.edges[std::size_t(lvl.line_edges[li][k])];
+        EXPECT_TRUE((a == line[k] && b == line[k + 1]) ||
+                    (b == line[k] && a == line[k + 1]))
+            << "line " << li << " edge " << k;
+      }
+    }
+    for (index_t v = 0; v < lvl.num_nodes; ++v)
+      EXPECT_EQ(on_line[std::size_t(v)], 1) << "node " << v;
+  }
+}
+
 TEST(Levels, CoarseVolumesConserved) {
   const auto m = small_wing();
   LevelOptions opt;

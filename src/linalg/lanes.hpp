@@ -109,9 +109,6 @@ struct alignas(sizeof(V)) LanesOf {
   COLUMBIA_LANE_INLINE real_t lane(int l) const {
     return h[l / kPer][l % kPer];
   }
-  COLUMBIA_LANE_INLINE void set_lane(int l, real_t x) {
-    h[l / kPer][l % kPer] = x;
-  }
 
 #define COLUMBIA_LANE_BINARY(op)                                          \
   COLUMBIA_LANE_INLINE friend LanesOf operator op(LanesOf a,              \

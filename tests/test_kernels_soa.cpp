@@ -653,5 +653,70 @@ TEST(BlockSolvesSoA, TridiagMatchesNaiveFormulationBitwise) {
   }
 }
 
+/// kLanes random block-tridiagonal systems of 7 rows solved side by side:
+/// lane by lane, the batched elimination and back substitution equal
+/// solve_block_tridiag_status bit for bit. Entries uniform in [-1, 1]
+/// make partial pivoting swap rows in most columns, so every select of
+/// the pivot search, the row swaps and the permuted solves runs. Lane 1's
+/// first diagonal block is zero: only that lane is flagged singular.
+template <class L, int N>
+void expect_lane_tridiag_matches_scalar(std::uint64_t seed) {
+  using linalg::kLanes;
+  constexpr std::size_t n = 7;
+  Xoshiro256 rng(seed);
+  std::vector<linalg::BlockMat<N>> lower[kLanes], diag[kLanes], upper[kLanes];
+  std::vector<linalg::BlockVec<N>> rhs[kLanes];
+  for (int l = 0; l < kLanes; ++l)
+    for (std::size_t k = 0; k < n; ++k) {
+      lower[l].push_back(random_mat<N>(rng, 0.0));
+      diag[l].push_back(random_mat<N>(rng, 0.0));
+      upper[l].push_back(random_mat<N>(rng, 0.0));
+      rhs[l].push_back(random_vec<N>(rng));
+    }
+  diag[1][0] = {};
+  const auto lanes = [](auto&& at) { return L::of(at(0), at(1), at(2), at(3)); };
+  std::vector<linalg::LaneTridiagRow<L, N>> rows(n);
+  typename L::Mask fail = L::Mask::from_bits(0);
+  for (std::size_t k = 0; k < n; ++k) {
+    linalg::LaneMat<L, N> lo, dd;
+    for (int r = 0; r < N; ++r) {
+      rows[k].rhs[r] = lanes([&](int l) { return rhs[l][k][r]; });
+      for (int c = 0; c < N; ++c) {
+        lo(r, c) = lanes([&](int l) { return lower[l][k](r, c); });
+        dd(r, c) = lanes([&](int l) { return diag[l][k](r, c); });
+        rows[k].upper(r, c) = lanes([&](int l) { return upper[l][k](r, c); });
+      }
+    }
+    fail = fail | (k == 0 ? rows[0].lu.factor(dd)
+                          : linalg::tridiag_eliminate(rows[k - 1], lo, dd,
+                                                      rows[k]));
+  }
+  linalg::tridiag_back_substitute<L, N>(
+      [&](std::size_t k) -> auto& { return rows[k]; }, n);
+  for (int l = 0; l < kLanes; ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l));
+    const bool ok = linalg::solve_block_tridiag_status<N>(lower[l], diag[l],
+                                                          upper[l], rhs[l])
+                        .ok();
+    EXPECT_EQ(ok, l != 1);
+    EXPECT_EQ(fail.lane(l), !ok);
+    if (!ok) continue;
+    for (std::size_t k = 0; k < n; ++k)
+      for (int r = 0; r < N; ++r)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(rows[k].rhs[r].lane(l)),
+                  std::bit_cast<std::uint64_t>(rhs[l][k][r]))
+            << "row " << k << ", component " << r;
+  }
+}
+
+TEST(BlockSolvesSoA, LaneTridiagMatchesScalarPerLaneBitwise) {
+  // The line sweep's lanes, at both block sizes it solves.
+  for (std::uint64_t seed : {3u, 11u, 29u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_lane_tridiag_matches_scalar<linalg::LanesBaseline, 5>(seed);
+    expect_lane_tridiag_matches_scalar<linalg::LanesBaseline, 1>(seed);
+  }
+}
+
 }  // namespace
 }  // namespace columbia

@@ -26,11 +26,6 @@
 
 #include "support/types.hpp"
 
-// The 256-bit lane type is passed by value between always-inlined
-// functions; the ABI note GCC attaches to such signatures never applies.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
-
 #define COLUMBIA_LANE_INLINE [[gnu::always_inline]] inline
 
 namespace columbia::linalg {
@@ -381,4 +376,3 @@ COLUMBIA_LANE_INLINE void tridiag_back_substitute(RowAt&& row, std::size_t n) {
 }  // namespace columbia::linalg
 
 #undef COLUMBIA_LANE_INLINE
-#pragma GCC diagnostic pop

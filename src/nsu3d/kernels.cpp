@@ -696,12 +696,6 @@ LaneIsa lane_isa() {
 #endif
 }
 
-// The lane kernels pass 256-bit lanes by value between functions that are
-// all inlined into one instruction-set entry point; GCC's note that such
-// signatures changed ABI never applies.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
-
 namespace {
 
 using linalg::kLanes;
@@ -1001,7 +995,7 @@ struct LaneKernels {
       const L n_x = sgn * at_edges(lvl.edge_nx);
       const L n_y = sgn * at_edges(lvl.edge_ny);
       const L n_z = sgn * at_edges(lvl.edge_nz);
-      // n_out/area == sgn * edge_unit bitwise (sgn is +-1).
+      // n_out/area == sgn * the unit normal bitwise (sgn is +-1).
       const L h_x = sgn * at_edges(lvl.edge_ux);
       const L h_y = sgn * at_edges(lvl.edge_uy);
       const L h_z = sgn * at_edges(lvl.edge_uz);
@@ -1106,8 +1100,6 @@ void assemble_range(const AssembleArgs& a, std::size_t b, std::size_t e) {
 }
 #endif
 }  // namespace
-
-#pragma GCC diagnostic pop
 
 // The diagonal blocks are gathered per node over Level::incident rather
 // than scattered per edge: each edge side only updates its own node's

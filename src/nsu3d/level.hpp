@@ -96,10 +96,6 @@ struct Level {
   geom::Vec3 edge_normal(std::size_t e) const {
     return {edge_nx[e], edge_ny[e], edge_nz[e]};
   }
-  /// Unit normal of edge e (0 if degenerate).
-  geom::Vec3 edge_unit(std::size_t e) const {
-    return {edge_ux[e], edge_uy[e], edge_uz[e]};
-  }
 
   bool is_wall_node(index_t v) const {
     const geom::Vec3& n =

@@ -245,7 +245,7 @@ std::vector<State> parallel_residual(const Level& lvl,
     const auto [a, b] = lvl.edges[e];
     const real_t area = lvl.edge_area[e];
     if (area <= 0) return;
-    const Vec3 nh = lvl.edge_unit(e);
+    const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
     const euler::Prim wl = prim_of(a);
     const euler::Prim wr = prim_of(b);
     const euler::Cons flux =

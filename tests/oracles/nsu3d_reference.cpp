@@ -174,7 +174,7 @@ void residual_reference(const Level& lvl, const Physics& phys, int level,
     const std::size_t a = std::size_t(ai), b = std::size_t(bi);
     const real_t area = lvl.edge_area[e];
     if (area <= 0) continue;
-    const Vec3 nh = lvl.edge_unit(e);
+    const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
     const Vec3 dab{lvl.edge_dx[e], lvl.edge_dy[e], lvl.edge_dz[e]};
     real_t nut_l, nut_r;
     const Prim wl = reconstruct(a, dab, nut_l);
@@ -311,7 +311,7 @@ void assemble_diag_reference(const Level& lvl, const Physics& phys,
       const std::size_t e = std::size_t(eid);
       const real_t area = lvl.edge_area[e];
       if (area <= 0) continue;
-      const Vec3 nh = lvl.edge_unit(e);
+      const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
       const real_t lam = (std::abs(dot(wi.vel, nh)) + s.snd[i]) * area;
       // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
       const bool side_a = std::size_t(lvl.edges[e].first) == i;
@@ -386,7 +386,8 @@ void line_sweep_reference(const Level& lvl, const Physics& phys, real_t relax,
       const std::size_t i = std::size_t(line[k]);
       const std::size_t j = std::size_t(line[k + 1]);
       const Vec3 n_out = sgn * lvl.edge_normal(ei);
-      const Vec3 nh = sgn * lvl.edge_unit(ei);
+      const Vec3 nh =
+          sgn * Vec3{lvl.edge_ux[ei], lvl.edge_uy[ei], lvl.edge_uz[ei]};
       // dR_i/du_j = 0.5 (A(w_j, n_out) - lambda_j I).
       const BlockMat<5> jj = euler::flux_jacobian(w[j], n_out);
       const real_t lam = euler::spectral_radius(w[j], nh) * area;

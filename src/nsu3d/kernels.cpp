@@ -1099,6 +1099,7 @@ void assemble_range(const AssembleArgs& a, std::size_t b, std::size_t e) {
   assemble_range<linalg::LanesAvx>(a, b, e);
 }
 #endif
+
 }  // namespace
 
 // The diagonal blocks are gathered per node over Level::incident rather

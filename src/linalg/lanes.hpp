@@ -11,13 +11,6 @@
 // the scalar kernel's bit for bit, provided nothing contracts a*b+c into a
 // fused multiply-add: code using these kernels is compiled with
 // -ffp-contract=off.
-//
-// Two lane types share the templates. LanesBaseline holds the four lanes in
-// two 128-bit halves, the form baseline x86-64 executes natively (GCC
-// lowers 256-bit vector compares and selects to scalar branches without
-// AVX). LanesAvx holds them in one 256-bit register and is only for code
-// compiled with target("avx2"). Everything is always inlined, so a kernel
-// instantiated inside an AVX2 function is compiled for AVX2 as a whole.
 #pragma once
 
 #include <cstddef>
@@ -33,45 +26,43 @@ namespace columbia::linalg {
 /// Systems per batch.
 inline constexpr int kLanes = 4;
 
-/// Four real_t lanes as H hardware vectors V (mask vectors M) of 4/H
-/// lanes each. Arithmetic, comparisons and selects act lane by lane. The
-/// alignment is explicit: code compiled without AVX gives a 256-bit vector
-/// type only 16-byte alignment, while AVX code moves it with aligned
-/// 32-byte loads and stores, so storage allocated by the one and used by
-/// the other must be aligned for both.
-template <class V, class M, int H>
-struct alignas(sizeof(V)) LanesOf {
-  static constexpr int kPer = kLanes / H;
-  V h[H];
+/// Four real_t lanes in two 128-bit GCC vectors, the width baseline x86-64
+/// executes natively (without AVX, GCC lowers 256-bit vector compares and
+/// selects to scalar branches). Arithmetic, comparisons and selects act
+/// lane by lane.
+struct Lanes {
+  using V = real_t __attribute__((vector_size(2 * sizeof(real_t))));
+  using M = std::int64_t __attribute__((vector_size(2 * sizeof(std::int64_t))));
+  static constexpr int kHalves = 2;
+  static constexpr int kPer = kLanes / kHalves;
+  V h[kHalves];
 
   /// Mask: all bits set in a lane where a comparison holds.
   struct Mask {
-    M h[H];
+    M h[kHalves];
     COLUMBIA_LANE_INLINE friend Mask operator|(Mask a, Mask b) {
-      for (int k = 0; k < H; ++k) a.h[k] |= b.h[k];
+      for (int k = 0; k < kHalves; ++k) a.h[k] |= b.h[k];
       return a;
     }
     COLUMBIA_LANE_INLINE friend Mask operator&(Mask a, Mask b) {
-      for (int k = 0; k < H; ++k) a.h[k] &= b.h[k];
+      for (int k = 0; k < kHalves; ++k) a.h[k] &= b.h[k];
       return a;
     }
     COLUMBIA_LANE_INLINE friend Mask operator~(Mask a) {
-      for (int k = 0; k < H; ++k) a.h[k] = ~a.h[k];
+      for (int k = 0; k < kHalves; ++k) a.h[k] = ~a.h[k];
       return a;
     }
     COLUMBIA_LANE_INLINE bool lane(int l) const {
       return h[l / kPer][l % kPer] != 0;
     }
     COLUMBIA_LANE_INLINE bool any() const {
-      M o = h[0];
-      for (int k = 1; k < H; ++k) o |= h[k];
+      const M o = h[0] | h[1];
       for (int l = 0; l < kPer; ++l)
         if (o[l] != 0) return true;
       return false;
     }
     COLUMBIA_LANE_INLINE bool all() const {
-      M a = h[0];
-      for (int k = 1; k < H; ++k) a &= h[k];
+      const M a = h[0] & h[1];
       for (int l = 0; l < kPer; ++l)
         if (a[l] == 0) return false;
       return true;
@@ -85,43 +76,38 @@ struct alignas(sizeof(V)) LanesOf {
     }
   };
 
-  COLUMBIA_LANE_INLINE static LanesOf splat(real_t x) {
-    LanesOf r;
-    for (int k = 0; k < H; ++k)
+  COLUMBIA_LANE_INLINE static Lanes splat(real_t x) {
+    Lanes r;
+    for (int k = 0; k < kHalves; ++k)
       for (int l = 0; l < kPer; ++l) r.h[k][l] = x;
     return r;
   }
-  COLUMBIA_LANE_INLINE static LanesOf zero() { return splat(0.0); }
+  COLUMBIA_LANE_INLINE static Lanes zero() { return splat(0.0); }
   /// Lanes 0..3 set to x0..x3.
-  COLUMBIA_LANE_INLINE static LanesOf of(real_t x0, real_t x1, real_t x2,
-                                         real_t x3) {
-    const real_t x[kLanes] = {x0, x1, x2, x3};
-    LanesOf r;
-    for (int k = 0; k < H; ++k)
-      for (int l = 0; l < kPer; ++l) r.h[k][l] = x[k * kPer + l];
-    return r;
+  COLUMBIA_LANE_INLINE static Lanes of(real_t x0, real_t x1, real_t x2,
+                                       real_t x3) {
+    return {{V{x0, x1}, V{x2, x3}}};
   }
   COLUMBIA_LANE_INLINE real_t lane(int l) const {
     return h[l / kPer][l % kPer];
   }
 
-#define COLUMBIA_LANE_BINARY(op)                                          \
-  COLUMBIA_LANE_INLINE friend LanesOf operator op(LanesOf a,              \
-                                                  const LanesOf& b) {     \
-    for (int k = 0; k < H; ++k) a.h[k] = a.h[k] op b.h[k];                \
-    return a;                                                             \
-  }                                                                       \
-  COLUMBIA_LANE_INLINE friend LanesOf operator op(LanesOf a, real_t s) {  \
-    for (int k = 0; k < H; ++k) a.h[k] = a.h[k] op s;                     \
-    return a;                                                             \
-  }                                                                       \
-  COLUMBIA_LANE_INLINE friend LanesOf operator op(real_t s, LanesOf a) {  \
-    for (int k = 0; k < H; ++k) a.h[k] = s op a.h[k];                     \
-    return a;                                                             \
-  }                                                                       \
-  COLUMBIA_LANE_INLINE LanesOf& operator op##=(const LanesOf& b) {        \
-    for (int k = 0; k < H; ++k) h[k] = h[k] op b.h[k];                    \
-    return *this;                                                         \
+#define COLUMBIA_LANE_BINARY(op)                                            \
+  COLUMBIA_LANE_INLINE friend Lanes operator op(Lanes a, const Lanes& b) {  \
+    for (int k = 0; k < kHalves; ++k) a.h[k] = a.h[k] op b.h[k];            \
+    return a;                                                               \
+  }                                                                         \
+  COLUMBIA_LANE_INLINE friend Lanes operator op(Lanes a, real_t s) {        \
+    for (int k = 0; k < kHalves; ++k) a.h[k] = a.h[k] op s;                 \
+    return a;                                                               \
+  }                                                                         \
+  COLUMBIA_LANE_INLINE friend Lanes operator op(real_t s, Lanes a) {        \
+    for (int k = 0; k < kHalves; ++k) a.h[k] = s op a.h[k];                 \
+    return a;                                                               \
+  }                                                                         \
+  COLUMBIA_LANE_INLINE Lanes& operator op##=(const Lanes& b) {              \
+    for (int k = 0; k < kHalves; ++k) h[k] = h[k] op b.h[k];                \
+    return *this;                                                           \
   }
   COLUMBIA_LANE_BINARY(+)
   COLUMBIA_LANE_BINARY(-)
@@ -129,18 +115,17 @@ struct alignas(sizeof(V)) LanesOf {
   COLUMBIA_LANE_BINARY(/)
 #undef COLUMBIA_LANE_BINARY
 
-#define COLUMBIA_LANE_COMPARE(op)                                         \
-  COLUMBIA_LANE_INLINE friend Mask operator op(const LanesOf& a,          \
-                                               const LanesOf& b) {        \
-    Mask m;                                                               \
-    for (int k = 0; k < H; ++k) m.h[k] = a.h[k] op b.h[k];                \
-    return m;                                                             \
-  }                                                                       \
-  COLUMBIA_LANE_INLINE friend Mask operator op(const LanesOf& a,          \
-                                               real_t s) {                \
-    Mask m;                                                               \
-    for (int k = 0; k < H; ++k) m.h[k] = a.h[k] op s;                     \
-    return m;                                                             \
+#define COLUMBIA_LANE_COMPARE(op)                                           \
+  COLUMBIA_LANE_INLINE friend Mask operator op(const Lanes& a,              \
+                                               const Lanes& b) {            \
+    Mask m;                                                                 \
+    for (int k = 0; k < kHalves; ++k) m.h[k] = a.h[k] op b.h[k];            \
+    return m;                                                               \
+  }                                                                         \
+  COLUMBIA_LANE_INLINE friend Mask operator op(const Lanes& a, real_t s) {  \
+    Mask m;                                                                 \
+    for (int k = 0; k < kHalves; ++k) m.h[k] = a.h[k] op s;                 \
+    return m;                                                               \
   }
   COLUMBIA_LANE_COMPARE(>)
   COLUMBIA_LANE_COMPARE(<)
@@ -149,68 +134,58 @@ struct alignas(sizeof(V)) LanesOf {
 #undef COLUMBIA_LANE_COMPARE
 
   /// Lane by lane `m ? a : b`.
-  COLUMBIA_LANE_INLINE friend LanesOf select(const Mask& m, LanesOf a,
-                                             const LanesOf& b) {
-    for (int k = 0; k < H; ++k) a.h[k] = m.h[k] ? a.h[k] : b.h[k];
+  COLUMBIA_LANE_INLINE friend Lanes select(const Mask& m, Lanes a,
+                                           const Lanes& b) {
+    for (int k = 0; k < kHalves; ++k) a.h[k] = m.h[k] ? a.h[k] : b.h[k];
     return a;
   }
   /// std::abs lane by lane: the sign bit cleared.
-  COLUMBIA_LANE_INLINE friend LanesOf abs(LanesOf a) {
-    for (int k = 0; k < H; ++k)
+  COLUMBIA_LANE_INLINE friend Lanes abs(Lanes a) {
+    for (int k = 0; k < kHalves; ++k)
       a.h[k] = (V)((M)a.h[k] & std::numeric_limits<std::int64_t>::max());
     return a;
   }
 };
 
-namespace lane_vectors {
-using V2 = real_t __attribute__((vector_size(2 * sizeof(real_t))));
-using M2 = std::int64_t __attribute__((vector_size(2 * sizeof(std::int64_t))));
-using V4 = real_t __attribute__((vector_size(4 * sizeof(real_t))));
-using M4 = std::int64_t __attribute__((vector_size(4 * sizeof(std::int64_t))));
-}  // namespace lane_vectors
-
-using LanesBaseline = LanesOf<lane_vectors::V2, lane_vectors::M2, 2>;
-using LanesAvx = LanesOf<lane_vectors::V4, lane_vectors::M4, 1>;
-
 /// N-vector of lanes (BlockVec<N> per lane).
-template <class L, int N>
+template <int N>
 struct LaneVec {
-  L v[N];
-  COLUMBIA_LANE_INLINE L& operator[](int i) { return v[i]; }
-  COLUMBIA_LANE_INLINE const L& operator[](int i) const { return v[i]; }
+  Lanes v[N];
+  COLUMBIA_LANE_INLINE Lanes& operator[](int i) { return v[i]; }
+  COLUMBIA_LANE_INLINE const Lanes& operator[](int i) const { return v[i]; }
 };
 
 /// Row-major NxN matrix of lanes (BlockMat<N> per lane).
-template <class L, int N>
+template <int N>
 struct LaneMat {
-  L a[N][N];
-  COLUMBIA_LANE_INLINE L& operator()(int r, int c) { return a[r][c]; }
-  COLUMBIA_LANE_INLINE const L& operator()(int r, int c) const {
+  Lanes a[N][N];
+  COLUMBIA_LANE_INLINE Lanes& operator()(int r, int c) { return a[r][c]; }
+  COLUMBIA_LANE_INLINE const Lanes& operator()(int r, int c) const {
     return a[r][c];
   }
 };
 
 /// msub(BlockVec&, BlockMat, BlockVec) lane by lane: r -= m * x, each row's
 /// dot product accumulated from zero in ascending j.
-template <class L, int N>
-COLUMBIA_LANE_INLINE void msub(LaneVec<L, N>& r, const LaneMat<L, N>& m,
-                               const LaneVec<L, N>& x) {
+template <int N>
+COLUMBIA_LANE_INLINE void msub(LaneVec<N>& r, const LaneMat<N>& m,
+                               const LaneVec<N>& x) {
   for (int i = 0; i < N; ++i) {
-    L s = L::zero();
+    Lanes s = Lanes::zero();
     for (int j = 0; j < N; ++j) s += m(i, j) * x[j];
     r[i] -= s;
   }
 }
 
 /// msub(BlockMat&, BlockMat, BlockMat) lane by lane: r -= x * y.
-template <class L, int N>
-COLUMBIA_LANE_INLINE void msub(LaneMat<L, N>& r, const LaneMat<L, N>& x,
-                               const LaneMat<L, N>& y) {
+template <int N>
+COLUMBIA_LANE_INLINE void msub(LaneMat<N>& r, const LaneMat<N>& x,
+                               const LaneMat<N>& y) {
   for (int i = 0; i < N; ++i) {
-    L acc[N];
-    for (int j = 0; j < N; ++j) acc[j] = L::zero();
+    Lanes acc[N];
+    for (int j = 0; j < N; ++j) acc[j] = Lanes::zero();
     for (int k = 0; k < N; ++k) {
-      const L xi = x(i, k);
+      const Lanes xi = x(i, k);
       for (int j = 0; j < N; ++j) acc[j] += xi * y(k, j);
     }
     for (int j = 0; j < N; ++j) r(i, j) -= acc[j];
@@ -219,33 +194,33 @@ COLUMBIA_LANE_INLINE void msub(LaneMat<L, N>& r, const LaneMat<L, N>& x,
 
 /// kLanes independent BlockLU<N>: lane l factors and solves exactly as
 /// BlockLU<N> does on lane l's block, partial pivoting included.
-template <class L, int N>
+template <int N>
 class LaneLU {
  public:
-  using Mask = typename L::Mask;
+  using Mask = Lanes::Mask;
 
   /// BlockLU<N>::factor_status lane by lane. The pivot search is a strict
   /// `>` per lane (the first maximum wins), row swaps are selects, and a
   /// lane whose best pivot falls below `tiny` is flagged in the returned
   /// mask (a NaN pivot is not singular, as in the scalar test). A flagged
   /// lane keeps computing on its unusable factors; the caller discards it.
-  COLUMBIA_LANE_INLINE Mask factor(const LaneMat<L, N>& m,
+  COLUMBIA_LANE_INLINE Mask factor(const LaneMat<N>& m,
                                    real_t tiny = 1e-300) {
     lu_ = m;
     // Row indices per lane, held exactly as small reals so the pivot
     // bookkeeping uses the same compares and selects as the values.
-    L piv[N];
-    for (int i = 0; i < N; ++i) piv[i] = L::splat(i);
+    Lanes piv[N];
+    for (int i = 0; i < N; ++i) piv[i] = Lanes::splat(i);
     Mask singular = Mask::from_bits(0);
     permuted_ = false;
     for (int col = 0; col < N; ++col) {
-      L p = L::splat(col);
-      L best = abs(lu_(col, col));
+      Lanes p = Lanes::splat(col);
+      Lanes best = abs(lu_(col, col));
       for (int r = col + 1; r < N; ++r) {
-        const L v = abs(lu_(r, col));
+        const Lanes v = abs(lu_(r, col));
         const Mask gt = v > best;
         best = select(gt, v, best);
-        p = select(gt, L::splat(r), p);
+        p = select(gt, Lanes::splat(r), p);
       }
       singular = singular | (best < tiny);
       if ((~(p == real_t(col))).any()) {
@@ -253,18 +228,18 @@ class LaneLU {
         for (int r = col + 1; r < N; ++r) {
           const Mask m_r = p == real_t(r);
           for (int c = 0; c < N; ++c) {
-            const L top = lu_(col, c), low = lu_(r, c);
+            const Lanes top = lu_(col, c), low = lu_(r, c);
             lu_(col, c) = select(m_r, low, top);
             lu_(r, c) = select(m_r, top, low);
           }
-          const L pc = piv[col], pr = piv[r];
+          const Lanes pc = piv[col], pr = piv[r];
           piv[col] = select(m_r, pr, pc);
           piv[r] = select(m_r, pc, pr);
         }
       }
-      const L inv = 1.0 / lu_(col, col);
+      const Lanes inv = 1.0 / lu_(col, col);
       for (int r = col + 1; r < N; ++r) {
-        const L f = lu_(r, col) * inv;
+        const Lanes f = lu_(r, col) * inv;
         lu_(r, col) = f;
         for (int c = col + 1; c < N; ++c) lu_(r, c) -= f * lu_(col, c);
       }
@@ -277,16 +252,16 @@ class LaneLU {
   }
 
   /// BlockLU<N>::solve(BlockVec) lane by lane: L U x = P b.
-  COLUMBIA_LANE_INLINE LaneVec<L, N> solve(const LaneVec<L, N>& b) const {
-    LaneVec<L, N> x;
+  COLUMBIA_LANE_INLINE LaneVec<N> solve(const LaneVec<N>& b) const {
+    LaneVec<N> x;
     for (int i = 0; i < N; ++i) x[i] = permuted_ ? gather(b.v, i) : b[i];
     for (int i = 1; i < N; ++i) {
-      L s = x[i];
+      Lanes s = x[i];
       for (int j = 0; j < i; ++j) s -= lu_(i, j) * x[j];
       x[i] = s;
     }
     for (int i = N - 1; i >= 0; --i) {
-      L s = x[i];
+      Lanes s = x[i];
       for (int j = i + 1; j < N; ++j) s -= lu_(i, j) * x[j];
       x[i] = s / lu_(i, i);
     }
@@ -295,24 +270,24 @@ class LaneLU {
 
   /// BlockLU<N>::solve(BlockMat) lane by lane: X = A^{-1} B, all columns
   /// advanced row-wise with the per-element chain of a vector solve.
-  COLUMBIA_LANE_INLINE LaneMat<L, N> solve(const LaneMat<L, N>& b) const {
-    LaneMat<L, N> x;
+  COLUMBIA_LANE_INLINE LaneMat<N> solve(const LaneMat<N>& b) const {
+    LaneMat<N> x;
     for (int c = 0; c < N; ++c) {
-      L col[N];
+      Lanes col[N];
       for (int i = 0; i < N; ++i) col[i] = b(i, c);
       for (int i = 0; i < N; ++i) x(i, c) = permuted_ ? gather(col, i) : col[i];
     }
     for (int i = 1; i < N; ++i)
       for (int j = 0; j < i; ++j) {
-        const L f = lu_(i, j);
+        const Lanes f = lu_(i, j);
         for (int c = 0; c < N; ++c) x(i, c) -= f * x(j, c);
       }
     for (int i = N - 1; i >= 0; --i) {
       for (int j = i + 1; j < N; ++j) {
-        const L f = lu_(i, j);
+        const Lanes f = lu_(i, j);
         for (int c = 0; c < N; ++c) x(i, c) -= f * x(j, c);
       }
-      const L d = lu_(i, i);
+      const Lanes d = lu_(i, i);
       for (int c = 0; c < N; ++c) x(i, c) = x(i, c) / d;
     }
     return x;
@@ -320,40 +295,40 @@ class LaneLU {
 
  private:
   /// Lane by lane v[piv[i]]: a chain of selects over the candidate rows.
-  COLUMBIA_LANE_INLINE L gather(const L* v, int i) const {
+  COLUMBIA_LANE_INLINE Lanes gather(const Lanes* v, int i) const {
     unsigned bits[N] = {};
     for (int l = 0; l < kLanes; ++l) bits[piv_[i][l]] |= 1u << l;
-    L x = v[0];
+    Lanes x = v[0];
     for (int k = 1; k < N; ++k)
       if (bits[k] != 0) x = select(Mask::from_bits(bits[k]), v[k], x);
     return x;
   }
 
-  LaneMat<L, N> lu_;
+  LaneMat<N> lu_;
   std::uint8_t piv_[N][kLanes];  // BlockLU's piv_, per lane; set if permuted_
   bool permuted_ = false;        // some lane swapped rows
 };
 
 /// One row of a batched block-tridiagonal elimination: what back
 /// substitution reads of it.
-template <class L, int N>
+template <int N>
 struct LaneTridiagRow {
-  LaneLU<L, N> lu;      // factors of the eliminated diagonal block
-  LaneMat<L, N> upper;  // the row's upper block
-  LaneVec<L, N> rhs;    // eliminated right-hand side, then the solution
+  LaneLU<N> lu;      // factors of the eliminated diagonal block
+  LaneMat<N> upper;  // the row's upper block
+  LaneVec<N> rhs;    // eliminated right-hand side, then the solution
 };
 
 /// Row i >= 1 of solve_block_tridiag_status's forward elimination, lane by
 /// lane: with row i-1 in `prev`, eliminates `lower` (row i's lower block)
 /// from `diag` and `row.rhs`, then factors `diag` into `row.lu`. Returns
 /// the lanes whose pivot was singular.
-template <class L, int N>
-COLUMBIA_LANE_INLINE typename L::Mask tridiag_eliminate(
-    const LaneTridiagRow<L, N>& prev, const LaneMat<L, N>& lower,
-    LaneMat<L, N>& diag, LaneTridiagRow<L, N>& row) {
-  const LaneMat<L, N> m = prev.lu.solve(prev.upper);
+template <int N>
+COLUMBIA_LANE_INLINE Lanes::Mask tridiag_eliminate(
+    const LaneTridiagRow<N>& prev, const LaneMat<N>& lower, LaneMat<N>& diag,
+    LaneTridiagRow<N>& row) {
+  const LaneMat<N> m = prev.lu.solve(prev.upper);
   msub(diag, lower, m);
-  const LaneVec<L, N> r = prev.lu.solve(prev.rhs);
+  const LaneVec<N> r = prev.lu.solve(prev.rhs);
   msub(row.rhs, lower, r);
   return row.lu.factor(diag);
 }
@@ -361,13 +336,13 @@ COLUMBIA_LANE_INLINE typename L::Mask tridiag_eliminate(
 /// solve_block_tridiag_status's back substitution over rows [0, n), lane
 /// by lane; `row(i)` is row i's LaneTridiagRow. Leaves the solution in each
 /// row's rhs.
-template <class L, int N, class RowAt>
+template <int N, class RowAt>
 COLUMBIA_LANE_INLINE void tridiag_back_substitute(RowAt&& row, std::size_t n) {
-  LaneTridiagRow<L, N>& last = row(n - 1);
+  LaneTridiagRow<N>& last = row(n - 1);
   last.rhs = last.lu.solve(last.rhs);
   for (std::size_t i = n - 1; i-- > 0;) {
-    LaneTridiagRow<L, N>& ri = row(i);
-    LaneVec<L, N> r = ri.rhs;
+    LaneTridiagRow<N>& ri = row(i);
+    LaneVec<N> r = ri.rhs;
     msub(r, ri.upper, row(i + 1).rhs);
     ri.rhs = ri.lu.solve(r);
   }

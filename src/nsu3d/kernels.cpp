@@ -678,27 +678,13 @@ void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s) {
   });
 }
 
-// AVX2 instantiations of the lane kernels exist on x86, chosen at run
-// time; elsewhere the baseline lanes are the only ones.
-#if defined(__x86_64__) || defined(__i386__)
-#define COLUMBIA_LANES_AVX2 1
-#else
-#define COLUMBIA_LANES_AVX2 0
-#endif
-
-LaneIsa lane_isa() {
-#if COLUMBIA_LANES_AVX2
-  static const LaneIsa isa =
-      __builtin_cpu_supports("avx2") ? LaneIsa::Avx2 : LaneIsa::Baseline;
-  return isa;
-#else
-  return LaneIsa::Baseline;
-#endif
-}
-
 namespace {
 
 using linalg::kLanes;
+using linalg::Lanes;
+using Mask = Lanes::Mask;
+template <int N>
+using Mat = linalg::LaneMat<N>;
 
 /// Applies the under-relaxed mean-flow and SA updates to node i, keeping
 /// the old state when the new one is not physical.
@@ -721,384 +707,344 @@ struct LineSweepArgs {
   std::vector<State>& u;
 };
 
-/// The lane kernels, on lane type L (linalg::LanesBaseline or
-/// linalg::LanesAvx; see lane_isa()).
-template <class L>
-struct LaneKernels {
-  using Mask = typename L::Mask;
-  template <int N>
-  using Mat = linalg::LaneMat<L, N>;
+/// A primitive state in lanes.
+struct LanePrim {
+  Lanes rho, vx, vy, vz, p;
+};
 
-  /// A primitive state in lanes.
-  struct LanePrim {
-    L rho, vx, vy, vz, p;
-  };
+/// Lane l of the result is at(idx[l]).
+template <class Fn>
+inline Lanes gather(const std::size_t (&idx)[kLanes], Fn&& at) {
+  return Lanes::of(at(idx[0]), at(idx[1]), at(idx[2]), at(idx[3]));
+}
 
-  /// Lane l of the result is at(idx[l]).
-  template <class Fn>
-  static L gather(const std::size_t (&idx)[kLanes], Fn&& at) {
-    return L::of(at(idx[0]), at(idx[1]), at(idx[2]), at(idx[3]));
+inline LanePrim gather_prim(const Prim* w, const std::size_t (&idx)[kLanes]) {
+  return {gather(idx, [&](std::size_t i) { return w[i].rho; }),
+          gather(idx, [&](std::size_t i) { return w[i].vel.x; }),
+          gather(idx, [&](std::size_t i) { return w[i].vel.y; }),
+          gather(idx, [&](std::size_t i) { return w[i].vel.z; }),
+          gather(idx, [&](std::size_t i) { return w[i].p; })};
+}
+
+/// dot(w.vel, n) of geom::dot, lane by lane.
+inline Lanes lane_dot(const LanePrim& w, const Lanes& nx, const Lanes& ny,
+                      const Lanes& nz) {
+  return w.vx * nx + w.vy * ny + w.vz * nz;
+}
+
+/// euler::flux_jacobian lane by lane: the same expressions, evaluated in
+/// the same order.
+Mat<5> lane_flux_jacobian(const LanePrim& w, const Lanes& nx,
+                          const Lanes& ny, const Lanes& nz) {
+  const real_t g = euler::kGamma;
+  const Lanes& u = w.vx;
+  const Lanes& v = w.vy;
+  const Lanes& wz = w.vz;
+  const Lanes q2 = u * u + v * v + wz * wz;
+  const Lanes un = lane_dot(w, nx, ny, nz);
+  const Lanes h = g / (g - 1) * w.p / w.rho + 0.5 * q2;
+  const real_t gm1 = g - 1;
+
+  Mat<5> a;
+  a(0, 0) = Lanes::zero();
+  a(0, 1) = nx;
+  a(0, 2) = ny;
+  a(0, 3) = nz;
+  a(0, 4) = Lanes::zero();
+  const Lanes* const vel[3] = {&u, &v, &wz};
+  const Lanes* const nn[3] = {&nx, &ny, &nz};
+  for (int i = 0; i < 3; ++i) {
+    a(1 + i, 0) = 0.5 * gm1 * q2 * *nn[i] - *vel[i] * un;
+    for (int j = 0; j < 3; ++j)
+      a(1 + i, 1 + j) =
+          i == j ? *vel[i] * *nn[j] - gm1 * *vel[j] * *nn[i] + un
+                 : *vel[i] * *nn[j] - gm1 * *vel[j] * *nn[i] + 0.0;
+    a(1 + i, 4) = gm1 * *nn[i];
   }
+  a(4, 0) = (0.5 * gm1 * q2 - h) * un;
+  for (int j = 0; j < 3; ++j) a(4, 1 + j) = h * *nn[j] - gm1 * *vel[j] * un;
+  a(4, 4) = g * un;
+  return a;
+}
 
-  static LanePrim gather_prim(const Prim* w, const std::size_t (&idx)[kLanes]) {
-    return {gather(idx, [&](std::size_t i) { return w[i].rho; }),
-            gather(idx, [&](std::size_t i) { return w[i].vel.x; }),
-            gather(idx, [&](std::size_t i) { return w[i].vel.y; }),
-            gather(idx, [&](std::size_t i) { return w[i].vel.z; }),
-            gather(idx, [&](std::size_t i) { return w[i].p; })};
+/// select(m, a, b), skipped when every lane of m is on (`all`).
+inline Lanes select_where(const Mask& m, bool all, const Lanes& a,
+                          const Lanes& b) {
+  return all ? a : select(m, a, b);
+}
+
+/// x += t in the lanes of m. Where a lane is off it keeps x through a
+/// select, never an add of zero, so no signed zero can change.
+inline void add_where(Lanes& x, const Lanes& t, const Mask& m, bool all) {
+  x = select_where(m, all, x + t, x);
+}
+
+/// Edge terms of kLanes consecutive nodes' diagonal blocks (the lane-wise
+/// body of assemble_diag): lane l walks node i0 + l's incident list in
+/// edge order, and a lane whose list has ended, or whose edge has no
+/// area, keeps its block. Lanes past `nreal` repeat node i0 and are not
+/// stored.
+void assemble_lanes(const Level& lvl, const Physics& phys, real_t cfl,
+                    std::span<const State> u, const Scratch& s, std::size_t i0,
+                    int nreal, ImplicitBlock* diag) {
+  const Edge* const ends = lvl.edges.data();
+  const real_t* const mut = s.mut.data();
+  std::size_t node[kLanes];
+  std::span<const index_t> inc[kLanes];
+  std::size_t most = 0;
+  for (int l = 0; l < kLanes; ++l) {
+    node[l] = i0 + std::size_t(l < nreal ? l : 0);
+    inc[l] = lvl.incident[node[l]];
+    most = std::max(most, inc[l].size());
   }
-
-  /// dot(w.vel, n) of geom::dot, lane by lane.
-  static L lane_dot(const LanePrim& w, const L& nx, const L& ny,
-                    const L& nz) {
-    return w.vx * nx + w.vy * ny + w.vz * nz;
-  }
-
-  /// euler::flux_jacobian lane by lane: the same expressions, evaluated in
-  /// the same order.
-  static Mat<5> lane_flux_jacobian(const LanePrim& w, const L& nx,
-                                   const L& ny, const L& nz) {
-    const real_t g = euler::kGamma;
-    const L& u = w.vx;
-    const L& v = w.vy;
-    const L& wz = w.vz;
-    const L q2 = u * u + v * v + wz * wz;
-    const L un = lane_dot(w, nx, ny, nz);
-    const L h = g / (g - 1) * w.p / w.rho + 0.5 * q2;
-    const real_t gm1 = g - 1;
-
-    Mat<5> a;
-    a(0, 0) = L::zero();
-    a(0, 1) = nx;
-    a(0, 2) = ny;
-    a(0, 3) = nz;
-    a(0, 4) = L::zero();
-    const L* const vel[3] = {&u, &v, &wz};
-    const L* const nn[3] = {&nx, &ny, &nz};
-    for (int i = 0; i < 3; ++i) {
-      a(1 + i, 0) = 0.5 * gm1 * q2 * *nn[i] - *vel[i] * un;
-      for (int j = 0; j < 3; ++j)
-        a(1 + i, 1 + j) =
-            i == j ? *vel[i] * *nn[j] - gm1 * *vel[j] * *nn[i] + un
-                   : *vel[i] * *nn[j] - gm1 * *vel[j] * *nn[i] + 0.0;
-      a(1 + i, 4) = gm1 * *nn[i];
-    }
-    a(4, 0) = (0.5 * gm1 * q2 - h) * un;
-    for (int j = 0; j < 3; ++j) a(4, 1 + j) = h * *nn[j] - gm1 * *vel[j] * un;
-    a(4, 4) = g * un;
-    return a;
-  }
-
-  /// select(m, a, b), skipped when every lane of m is on (`all`).
-  static L select_where(const Mask& m, bool all, const L& a, const L& b) {
-    return all ? a : select(m, a, b);
-  }
-
-  /// x += t in the lanes of m. Where a lane is off it keeps x through a
-  /// select, never an add of zero, so no signed zero can change.
-  static void add_where(L& x, const L& t, const Mask& m, bool all) {
-    x = select_where(m, all, x + t, x);
-  }
-
-  /// Edge terms of kLanes consecutive nodes' diagonal blocks (the lane-wise
-  /// body of assemble_diag): lane l walks node i0 + l's incident list in
-  /// edge order, and a lane whose list has ended, or whose edge has no
-  /// area, keeps its block. Lanes past `nreal` repeat node i0 and are not
-  /// stored.
-  static void assemble_lanes(const Level& lvl, const Physics& phys,
-                             real_t cfl, std::span<const State> u,
-                             const Scratch& s, std::size_t i0, int nreal,
-                             ImplicitBlock* diag) {
-    const Edge* const ends = lvl.edges.data();
-    const real_t* const mut = s.mut.data();
-    std::size_t node[kLanes];
-    std::span<const index_t> inc[kLanes];
-    std::size_t most = 0;
-    for (int l = 0; l < kLanes; ++l) {
-      node[l] = i0 + std::size_t(l < nreal ? l : 0);
-      inc[l] = lvl.incident[node[l]];
-      most = std::max(most, inc[l].size());
-    }
-    const LanePrim wl = gather_prim(s.w.data(), node);
-    const L wave = gather(node, [&](std::size_t i) { return s.wave[i]; });
-    const L vol =
-        gather(node, [&](std::size_t i) { return lvl.node_volume[i]; });
-    const L snd = gather(node, [&](std::size_t i) { return s.snd[i]; });
-    const L dt = select(wave > 0.0, cfl * vol / wave, L::splat(1e30));
-    const L d0 = vol / dt;
-    Mat<5> d;
-    for (int rr = 0; rr < 5; ++rr)
-      for (int cc = 0; cc < 5; ++cc) d(rr, cc) = rr == cc ? d0 : L::zero();
-    L dsa = d0;
-    const real_t mu_lam = phys.mu_lam;
-    for (std::size_t k = 0; k < most; ++k) {
-      // A lane whose list has ended reads an edge of a lane still walking;
-      // its mask bit is off.
-      std::size_t e[kLanes] = {};
-      std::size_t walking = 0;
-      unsigned on = 0;
-      for (int l = 0; l < kLanes; ++l)
-        if (k < inc[l].size()) {
-          e[l] = walking = std::size_t(inc[l][k]);
-          on |= 1u << l;
-        }
-      for (int l = 0; l < kLanes; ++l)
-        if (!(on >> l & 1u)) e[l] = walking;
-      auto at_edges = [&](const std::vector<real_t>& v) {
-        return gather(e, [&](std::size_t x) { return v[x]; });
-      };
-      const L area = at_edges(lvl.edge_area);
-      const Mask valid = Mask::from_bits(on) & ~(area <= 0.0);
-      const bool all = valid.all();
-      const L sgn = L::of(
-          std::size_t(ends[e[0]].first) == node[0] ? 1.0 : -1.0,
-          std::size_t(ends[e[1]].first) == node[1] ? 1.0 : -1.0,
-          std::size_t(ends[e[2]].first) == node[2] ? 1.0 : -1.0,
-          std::size_t(ends[e[3]].first) == node[3] ? 1.0 : -1.0);
-      const L lam = (abs(lane_dot(wl, at_edges(lvl.edge_ux),
-                                  at_edges(lvl.edge_uy),
-                                  at_edges(lvl.edge_uz))) +
-                     snd) *
-                    area;
-      // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
-      const Mat<5> j =
-          lane_flux_jacobian(wl, sgn * at_edges(lvl.edge_nx),
-                             sgn * at_edges(lvl.edge_ny),
-                             sgn * at_edges(lvl.edge_nz));
-      for (int rr = 0; rr < 5; ++rr)
-        for (int cc = 0; cc < 5; ++cc)
-          add_where(d(rr, cc), 0.5 * j(rr, cc), valid, all);
-      for (int rr = 0; rr < 5; ++rr)
-        add_where(d(rr, rr), 0.5 * lam, valid, all);
-      add_where(dsa, 0.5 * lam, valid, all);
-      if (phys.viscous) {
-        const L geo = at_edges(lvl.edge_geo);
-        const Mask visc = valid & (geo > 0.0);
-        const bool visc_all = visc.all();
-        auto at_ends = [&](auto&& field) {
-          return std::pair{
-              gather(e, [&](std::size_t x) {
-                return field(std::size_t(ends[x].first));
-              }),
-              gather(e, [&](std::size_t x) {
-                return field(std::size_t(ends[x].second));
-              })};
-        };
-        const auto [mut_a, mut_b] =
-            at_ends([&](std::size_t i) { return mut[i]; });
-        const auto [u5_a, u5_b] =
-            at_ends([&](std::size_t i) { return u[i][5]; });
-        const L cm = (mu_lam + 0.5 * (mut_a + mut_b)) * geo;
-        const L cs = (mu_lam + 0.5 * (u5_a + u5_b)) / kSigma * geo;
-        for (int rr = 1; rr <= 4; ++rr)
-          add_where(d(rr, rr), cm, visc, visc_all);
-        add_where(dsa, cs, visc, visc_all);
+  const LanePrim wl = gather_prim(s.w.data(), node);
+  const Lanes wave = gather(node, [&](std::size_t i) { return s.wave[i]; });
+  const Lanes vol =
+      gather(node, [&](std::size_t i) { return lvl.node_volume[i]; });
+  const Lanes snd = gather(node, [&](std::size_t i) { return s.snd[i]; });
+  const Lanes dt = select(wave > 0.0, cfl * vol / wave, Lanes::splat(1e30));
+  const Lanes d0 = vol / dt;
+  Mat<5> d;
+  for (int rr = 0; rr < 5; ++rr)
+    for (int cc = 0; cc < 5; ++cc) d(rr, cc) = rr == cc ? d0 : Lanes::zero();
+  Lanes dsa = d0;
+  const real_t mu_lam = phys.mu_lam;
+  for (std::size_t k = 0; k < most; ++k) {
+    // A lane whose list has ended reads an edge of a lane still walking;
+    // its mask bit is off.
+    std::size_t e[kLanes] = {};
+    std::size_t walking = 0;
+    unsigned on = 0;
+    for (int l = 0; l < kLanes; ++l)
+      if (k < inc[l].size()) {
+        e[l] = walking = std::size_t(inc[l][k]);
+        on |= 1u << l;
       }
-    }
-    for (int l = 0; l < nreal; ++l) {
-      ImplicitBlock& out = diag[i0 + std::size_t(l)];
-      for (int rr = 0; rr < 5; ++rr)
-        for (int cc = 0; cc < 5; ++cc) out.mean(rr, cc) = d(rr, cc).lane(l);
-      out.sa = dsa.lane(l);
+    for (int l = 0; l < kLanes; ++l)
+      if (!(on >> l & 1u)) e[l] = walking;
+    auto at_edges = [&](const std::vector<real_t>& v) {
+      return gather(e, [&](std::size_t x) { return v[x]; });
+    };
+    const Lanes area = at_edges(lvl.edge_area);
+    const Mask valid = Mask::from_bits(on) & ~(area <= 0.0);
+    const bool all = valid.all();
+    const Lanes sgn = Lanes::of(
+        std::size_t(ends[e[0]].first) == node[0] ? 1.0 : -1.0,
+        std::size_t(ends[e[1]].first) == node[1] ? 1.0 : -1.0,
+        std::size_t(ends[e[2]].first) == node[2] ? 1.0 : -1.0,
+        std::size_t(ends[e[3]].first) == node[3] ? 1.0 : -1.0);
+    const Lanes lam = (abs(lane_dot(wl, at_edges(lvl.edge_ux),
+                                    at_edges(lvl.edge_uy),
+                                    at_edges(lvl.edge_uz))) +
+                       snd) *
+                      area;
+    // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
+    const Mat<5> j =
+        lane_flux_jacobian(wl, sgn * at_edges(lvl.edge_nx),
+                           sgn * at_edges(lvl.edge_ny),
+                           sgn * at_edges(lvl.edge_nz));
+    for (int rr = 0; rr < 5; ++rr)
+      for (int cc = 0; cc < 5; ++cc)
+        add_where(d(rr, cc), 0.5 * j(rr, cc), valid, all);
+    for (int rr = 0; rr < 5; ++rr)
+      add_where(d(rr, rr), 0.5 * lam, valid, all);
+    add_where(dsa, 0.5 * lam, valid, all);
+    if (phys.viscous) {
+      const Lanes geo = at_edges(lvl.edge_geo);
+      const Mask visc = valid & (geo > 0.0);
+      const bool visc_all = visc.all();
+      auto at_ends = [&](auto&& field) {
+        return std::pair{
+            gather(e, [&](std::size_t x) {
+              return field(std::size_t(ends[x].first));
+            }),
+            gather(e, [&](std::size_t x) {
+              return field(std::size_t(ends[x].second));
+            })};
+      };
+      const auto [mut_a, mut_b] =
+          at_ends([&](std::size_t i) { return mut[i]; });
+      const auto [u5_a, u5_b] =
+          at_ends([&](std::size_t i) { return u[i][5]; });
+      const Lanes cm = (mu_lam + 0.5 * (mut_a + mut_b)) * geo;
+      const Lanes cs = (mu_lam + 0.5 * (u5_a + u5_b)) / kSigma * geo;
+      for (int rr = 1; rr <= 4; ++rr)
+        add_where(d(rr, rr), cm, visc, visc_all);
+      add_where(dsa, cs, visc, visc_all);
     }
   }
+  for (int l = 0; l < nreal; ++l) {
+    ImplicitBlock& out = diag[i0 + std::size_t(l)];
+    for (int rr = 0; rr < 5; ++rr)
+      for (int cc = 0; cc < 5; ++cc) out.mean(rr, cc) = d(rr, cc).lane(l);
+    out.sa = dsa.lane(l);
+  }
+}
 
-  /// Solves one batch: the lines line_classes.items[first, first + count),
-  /// all of length len, in lanes 0..count-1; the other lanes carry identity
-  /// blocks and zero right-hand sides. Row k is assembled, eliminated and
-  /// factored in one pass (solve_block_tridiag_status's forward loop, with
-  /// the row's blocks formed as the line assembly forms them), then both
-  /// systems are back-substituted and each line that met no singular pivot
-  /// is updated. Runs on the baseline lanes of Scratch::LineRow.
-  static void solve_line_batch(const LineSweepArgs& a, std::size_t first,
-                               int count, std::size_t len,
-                               Scratch::LineRow* rows) {
-    const Level& lvl = a.lvl;
-    const Prim* const w = a.s.w.data();
-    const real_t* const mut = a.s.mut.data();
-    const real_t* const snd = a.s.snd.data();
-    const ImplicitBlock* const diag = a.s.diag.data();
-    const Edge* const ends = lvl.edges.data();
-    const std::vector<State>& u = a.u;
-    const real_t mu_lam = a.phys.mu_lam;
-    // Lanes past `count` read lane 0's line; their blocks are then
-    // replaced by the padding.
-    std::span<const index_t> line[kLanes], ledge[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
-      const std::size_t li = std::size_t(
-          lvl.line_classes.items[first + std::size_t(l < count ? l : 0)]);
-      line[l] = lvl.lines.lines[li];
-      ledge[l] = lvl.line_edges[li];
-    }
-    const bool full = count == kLanes;
-    const Mask real = Mask::from_bits((1u << count) - 1u);
+/// Solves one batch (Level::line_batches): its lines in lanes
+/// 0..count-1, the other lanes carrying identity blocks and zero
+/// right-hand sides. Row k is assembled, eliminated and factored in one
+/// pass (solve_block_tridiag_status's forward loop, with the row's blocks
+/// formed as the line assembly forms them), then both systems are
+/// back-substituted and each line that met no singular pivot is updated.
+void solve_line_batch(const LineSweepArgs& a, const Level::LineBatch& batch,
+                      Scratch::LineRow* rows) {
+  const Level& lvl = a.lvl;
+  const int count = int(batch.count);
+  const std::size_t len = batch.length;
+  const Prim* const w = a.s.w.data();
+  const real_t* const mut = a.s.mut.data();
+  const real_t* const snd = a.s.snd.data();
+  const ImplicitBlock* const diag = a.s.diag.data();
+  const Edge* const ends = lvl.edges.data();
+  const std::vector<State>& u = a.u;
+  const real_t mu_lam = a.phys.mu_lam;
+  // Lanes past `count` read lane 0's line; their blocks are then
+  // replaced by the padding.
+  std::span<const index_t> line[kLanes], ledge[kLanes];
+  for (int l = 0; l < kLanes; ++l) {
+    const std::size_t li = std::size_t(
+        lvl.line_order[batch.first + std::size_t(l < count ? l : 0)]);
+    line[l] = lvl.lines.lines[li];
+    ledge[l] = lvl.line_edges[li];
+  }
+  const bool full = count == kLanes;
+  const Mask real = Mask::from_bits((1u << count) - 1u);
 
-    Mask fail = Mask::from_bits(0);
-    // Row k's lower block (from edge k-1) and diagonal block.
-    Mat<5> lower{}, dd;
-    Mat<1> lower_sa{}, dd_sa;
-    for (std::size_t k = 0; k < len; ++k) {
-      Scratch::LineRow& row = rows[k];
-      std::size_t i[kLanes];
-      for (int l = 0; l < kLanes; ++l) i[l] = std::size_t(line[l][k]);
+  Mask fail = Mask::from_bits(0);
+  // Row k's lower block (from edge k-1) and diagonal block.
+  Mat<5> lower{}, dd;
+  Mat<1> lower_sa{}, dd_sa;
+  for (std::size_t k = 0; k < len; ++k) {
+    Scratch::LineRow& row = rows[k];
+    std::size_t i[kLanes];
+    for (int l = 0; l < kLanes; ++l) i[l] = std::size_t(line[l][k]);
+    for (int rr = 0; rr < 5; ++rr)
+      for (int cc = 0; cc < 5; ++cc)
+        dd(rr, cc) =
+            gather(i, [&](std::size_t x) { return diag[x].mean(rr, cc); });
+    dd_sa(0, 0) = gather(i, [&](std::size_t x) { return diag[x].sa; });
+    for (int c = 0; c < 5; ++c)
+      row.mean.rhs[c] = gather(i, [&](std::size_t x) {
+        return a.f[x][std::size_t(c)] - a.r[x][std::size_t(c)];
+      });
+    row.sa.rhs[0] =
+        gather(i, [&](std::size_t x) { return a.f[x][5] - a.r[x][5]; });
+    if (!full) {
       for (int rr = 0; rr < 5; ++rr)
         for (int cc = 0; cc < 5; ++cc)
           dd(rr, cc) =
-              gather(i, [&](std::size_t x) { return diag[x].mean(rr, cc); });
-      dd_sa(0, 0) = gather(i, [&](std::size_t x) { return diag[x].sa; });
+              select(real, dd(rr, cc), Lanes::splat(rr == cc ? 1.0 : 0.0));
+      dd_sa(0, 0) = select(real, dd_sa(0, 0), Lanes::splat(1.0));
       for (int c = 0; c < 5; ++c)
-        row.mean.rhs[c] = gather(i, [&](std::size_t x) {
-          return a.f[x][std::size_t(c)] - a.r[x][std::size_t(c)];
-        });
-      row.sa.rhs[0] =
-          gather(i, [&](std::size_t x) { return a.f[x][5] - a.r[x][5]; });
-      if (!full) {
-        for (int rr = 0; rr < 5; ++rr)
-          for (int cc = 0; cc < 5; ++cc)
-            dd(rr, cc) =
-                select(real, dd(rr, cc), L::splat(rr == cc ? 1.0 : 0.0));
-        dd_sa(0, 0) = select(real, dd_sa(0, 0), L::splat(1.0));
-        for (int c = 0; c < 5; ++c)
-          row.mean.rhs[c] = select(real, row.mean.rhs[c], L::zero());
-        row.sa.rhs[0] = select(real, row.sa.rhs[0], L::zero());
-      }
-      if (k == 0) {
-        fail = fail | row.mean.lu.factor(dd) | row.sa.lu.factor(dd_sa);
-      } else {
-        fail = fail |
-               linalg::tridiag_eliminate(rows[k - 1].mean, lower, dd,
-                                         row.mean) |
-               linalg::tridiag_eliminate(rows[k - 1].sa, lower_sa, dd_sa,
-                                         row.sa);
-      }
-      if (k + 1 == len) break;
-
-      // The blocks of line edge k, joining i = line[k] to j = line[k + 1]
-      // (Level::line_edges): row k's upper block and row k+1's lower block.
-      std::size_t j[kLanes], e[kLanes];
-      for (int l = 0; l < kLanes; ++l) {
-        j[l] = std::size_t(line[l][k + 1]);
-        e[l] = std::size_t(ledge[l][k]);
-      }
-      auto at_edges = [&](const std::vector<real_t>& v) {
-        return gather(e, [&](std::size_t x) { return v[x]; });
-      };
-      const L area = at_edges(lvl.edge_area);
-      // An edge without area couples nothing, and a padding lane has no
-      // edge: their blocks stay zero.
-      const Mask has = full ? ~(area <= 0.0) : real & ~(area <= 0.0);
-      const bool has_all = has.all();
-      const L sgn = L::of(std::size_t(ends[e[0]].first) == i[0] ? 1.0 : -1.0,
-                          std::size_t(ends[e[1]].first) == i[1] ? 1.0 : -1.0,
-                          std::size_t(ends[e[2]].first) == i[2] ? 1.0 : -1.0,
-                          std::size_t(ends[e[3]].first) == i[3] ? 1.0 : -1.0);
-      const L n_x = sgn * at_edges(lvl.edge_nx);
-      const L n_y = sgn * at_edges(lvl.edge_ny);
-      const L n_z = sgn * at_edges(lvl.edge_nz);
-      // n_out/area == sgn * the unit normal bitwise (sgn is +-1).
-      const L h_x = sgn * at_edges(lvl.edge_ux);
-      const L h_y = sgn * at_edges(lvl.edge_uy);
-      const L h_z = sgn * at_edges(lvl.edge_uz);
-      const LanePrim wi = gather_prim(w, i), wj = gather_prim(w, j);
-      // The spectral radius |w.vel . nh| + c of euler::spectral_radius, with
-      // the sound speed wave_speeds cached (the same sqrt(g p / rho)).
-      const L lam =
-          (abs(lane_dot(wj, h_x, h_y, h_z)) +
-           gather(j, [&](std::size_t x) { return snd[x]; })) *
-          area;
-      const L lam_i =
-          (abs(lane_dot(wi, h_x, h_y, h_z)) +
-           gather(i, [&](std::size_t x) { return snd[x]; })) *
-          area;
-      const L geo = at_edges(lvl.edge_geo);
-      const Mask visc =
-          a.phys.viscous ? has & (geo > 0.0) : Mask::from_bits(0);
-      const bool visc_all = visc.all();
-      const auto mut_of = [&](std::size_t x) { return mut[x]; };
-      const auto u5_of = [&](std::size_t x) { return u[x][5]; };
-      const L cm =
-          (mu_lam + 0.5 * (gather(i, mut_of) + gather(j, mut_of))) * geo;
-      const L cs = (mu_lam + 0.5 * (gather(i, u5_of) + gather(j, u5_of))) /
-                   kSigma * geo;
-      // dR_i/du_j = 0.5 (A(w_j, n_out) - lambda_j I), and dR_j/du_i mirrored
-      // with w_i and the opposite normal.
-      const Mat<5> jj = lane_flux_jacobian(wj, n_x, n_y, n_z);
-      const Mat<5> ji =
-          lane_flux_jacobian(wi, -1.0 * n_x, -1.0 * n_y, -1.0 * n_z);
-      for (int rr = 0; rr < 5; ++rr)
-        for (int cc = 0; cc < 5; ++cc) {
-          L up = 0.5 * jj(rr, cc), lo = 0.5 * ji(rr, cc);
-          if (rr == cc) {
-            up = up - 0.5 * lam;
-            lo = lo - 0.5 * lam_i;
-            if (rr >= 1) {
-              up = select_where(visc, visc_all, up - cm, up);
-              lo = select_where(visc, visc_all, lo - cm, lo);
-            }
-          }
-          row.mean.upper(rr, cc) = select_where(has, has_all, up, L::zero());
-          lower(rr, cc) = select_where(has, has_all, lo, L::zero());
-        }
-      const L up_sa = 0.0 - 0.5 * lam, lo_sa = 0.0 - 0.5 * lam_i;
-      row.sa.upper(0, 0) = select_where(
-          has, has_all, select_where(visc, visc_all, up_sa - cs, up_sa),
-          L::zero());
-      lower_sa(0, 0) = select_where(
-          has, has_all, select_where(visc, visc_all, lo_sa - cs, lo_sa),
-          L::zero());
+        row.mean.rhs[c] = select(real, row.mean.rhs[c], Lanes::zero());
+      row.sa.rhs[0] = select(real, row.sa.rhs[0], Lanes::zero());
     }
-    linalg::tridiag_back_substitute<L, 5>(
-        [&](std::size_t k) -> auto& { return rows[k].mean; }, len);
-    linalg::tridiag_back_substitute<L, 1>(
-        [&](std::size_t k) -> auto& { return rows[k].sa; }, len);
+    if (k == 0) {
+      fail = fail | row.mean.lu.factor(dd) | row.sa.lu.factor(dd_sa);
+    } else {
+      fail = fail |
+             linalg::tridiag_eliminate(rows[k - 1].mean, lower, dd,
+                                       row.mean) |
+             linalg::tridiag_eliminate(rows[k - 1].sa, lower_sa, dd_sa,
+                                       row.sa);
+    }
+    if (k + 1 == len) break;
 
-    for (int l = 0; l < count; ++l) {
-      if (fail.lane(l)) {
-        OBS_COUNT("resil.singular_pivot", 1);
-        continue;
+    // The blocks of line edge k, joining i = line[k] to j = line[k + 1]
+    // (Level::line_edges): row k's upper block and row k+1's lower block.
+    std::size_t j[kLanes], e[kLanes];
+    for (int l = 0; l < kLanes; ++l) {
+      j[l] = std::size_t(line[l][k + 1]);
+      e[l] = std::size_t(ledge[l][k]);
+    }
+    auto at_edges = [&](const std::vector<real_t>& v) {
+      return gather(e, [&](std::size_t x) { return v[x]; });
+    };
+    const Lanes area = at_edges(lvl.edge_area);
+    // An edge without area couples nothing, and a padding lane has no
+    // edge: their blocks stay zero.
+    const Mask has = full ? ~(area <= 0.0) : real & ~(area <= 0.0);
+    const bool has_all = has.all();
+    const Lanes sgn =
+        Lanes::of(std::size_t(ends[e[0]].first) == i[0] ? 1.0 : -1.0,
+                  std::size_t(ends[e[1]].first) == i[1] ? 1.0 : -1.0,
+                  std::size_t(ends[e[2]].first) == i[2] ? 1.0 : -1.0,
+                  std::size_t(ends[e[3]].first) == i[3] ? 1.0 : -1.0);
+    const Lanes n_x = sgn * at_edges(lvl.edge_nx);
+    const Lanes n_y = sgn * at_edges(lvl.edge_ny);
+    const Lanes n_z = sgn * at_edges(lvl.edge_nz);
+    // n_out/area == sgn * the unit normal bitwise (sgn is +-1).
+    const Lanes h_x = sgn * at_edges(lvl.edge_ux);
+    const Lanes h_y = sgn * at_edges(lvl.edge_uy);
+    const Lanes h_z = sgn * at_edges(lvl.edge_uz);
+    const LanePrim wi = gather_prim(w, i), wj = gather_prim(w, j);
+    // The spectral radius |w.vel . nh| + c of euler::spectral_radius, with
+    // the sound speed wave_speeds cached (the same sqrt(g p / rho)).
+    const Lanes lam =
+        (abs(lane_dot(wj, h_x, h_y, h_z)) +
+         gather(j, [&](std::size_t x) { return snd[x]; })) *
+        area;
+    const Lanes lam_i =
+        (abs(lane_dot(wi, h_x, h_y, h_z)) +
+         gather(i, [&](std::size_t x) { return snd[x]; })) *
+        area;
+    const Lanes geo = at_edges(lvl.edge_geo);
+    const Mask visc =
+        a.phys.viscous ? has & (geo > 0.0) : Mask::from_bits(0);
+    const bool visc_all = visc.all();
+    const auto mut_of = [&](std::size_t x) { return mut[x]; };
+    const auto u5_of = [&](std::size_t x) { return u[x][5]; };
+    const Lanes cm =
+        (mu_lam + 0.5 * (gather(i, mut_of) + gather(j, mut_of))) * geo;
+    const Lanes cs =
+        (mu_lam + 0.5 * (gather(i, u5_of) + gather(j, u5_of))) / kSigma * geo;
+    // dR_i/du_j = 0.5 (A(w_j, n_out) - lambda_j I), and dR_j/du_i mirrored
+    // with w_i and the opposite normal.
+    const Mat<5> jj = lane_flux_jacobian(wj, n_x, n_y, n_z);
+    const Mat<5> ji =
+        lane_flux_jacobian(wi, -1.0 * n_x, -1.0 * n_y, -1.0 * n_z);
+    for (int rr = 0; rr < 5; ++rr)
+      for (int cc = 0; cc < 5; ++cc) {
+        Lanes up = 0.5 * jj(rr, cc), lo = 0.5 * ji(rr, cc);
+        if (rr == cc) {
+          up = up - 0.5 * lam;
+          lo = lo - 0.5 * lam_i;
+          if (rr >= 1) {
+            up = select_where(visc, visc_all, up - cm, up);
+            lo = select_where(visc, visc_all, lo - cm, lo);
+          }
+        }
+        row.mean.upper(rr, cc) =
+            select_where(has, has_all, up, Lanes::zero());
+        lower(rr, cc) = select_where(has, has_all, lo, Lanes::zero());
       }
-      for (std::size_t k = 0; k < len; ++k) {
-        BlockVec<5> du;
-        for (int c = 0; c < 5; ++c) du[c] = rows[k].mean.rhs[c].lane(l);
-        apply_update(a.u, std::size_t(line[l][k]), a.relax, du,
-                     rows[k].sa.rhs[0].lane(l));
-      }
+    const Lanes up_sa = 0.0 - 0.5 * lam, lo_sa = 0.0 - 0.5 * lam_i;
+    row.sa.upper(0, 0) = select_where(
+        has, has_all, select_where(visc, visc_all, up_sa - cs, up_sa),
+        Lanes::zero());
+    lower_sa(0, 0) = select_where(
+        has, has_all, select_where(visc, visc_all, lo_sa - cs, lo_sa),
+        Lanes::zero());
+  }
+  linalg::tridiag_back_substitute<5>(
+      [&](std::size_t k) -> auto& { return rows[k].mean; }, len);
+  linalg::tridiag_back_substitute<1>(
+      [&](std::size_t k) -> auto& { return rows[k].sa; }, len);
+
+  for (int l = 0; l < count; ++l) {
+    if (fail.lane(l)) {
+      OBS_COUNT("resil.singular_pivot", 1);
+      continue;
+    }
+    for (std::size_t k = 0; k < len; ++k) {
+      BlockVec<5> du;
+      for (int c = 0; c < 5; ++c) du[c] = rows[k].mean.rhs[c].lane(l);
+      apply_update(a.u, std::size_t(line[l][k]), a.relax, du,
+                   rows[k].sa.rhs[0].lane(l));
     }
   }
-};
-
-/// Arguments of assemble_diag's pooled chunks.
-struct AssembleArgs {
-  const Level& lvl;
-  const Physics& phys;
-  real_t cfl;
-  std::span<const State> u;
-  const Scratch& s;
-  ImplicitBlock* diag;
-};
-
-/// Edge terms of nodes [b, e), kLanes at a time.
-template <class L>
-void assemble_range(const AssembleArgs& a, std::size_t b, std::size_t e) {
-  for (std::size_t i = b; i < e; i += kLanes)
-    LaneKernels<L>::assemble_lanes(a.lvl, a.phys, a.cfl, a.u, a.s, i,
-                                   int(std::min<std::size_t>(kLanes, e - i)),
-                                   a.diag);
 }
-
-// One instantiation of assemble_range per instruction set; flatten inlines
-// the whole lane kernel into each, so the AVX2 one is compiled for AVX2
-// throughout.
-[[gnu::flatten]] void assemble_range_baseline(const AssembleArgs& a,
-                                              std::size_t b, std::size_t e) {
-  assemble_range<linalg::LanesBaseline>(a, b, e);
-}
-#if COLUMBIA_LANES_AVX2
-[[gnu::target("avx2"), gnu::flatten]] void assemble_range_avx2(
-    const AssembleArgs& a, std::size_t b, std::size_t e) {
-  assemble_range<linalg::LanesAvx>(a, b, e);
-}
-#endif
 
 }  // namespace
 
@@ -1113,23 +1059,18 @@ void assemble_range(const AssembleArgs& a, std::size_t b, std::size_t e) {
 // thread it costs the same as the scatter. Four nodes run side by side in
 // lanes (kNodeGrain is a multiple of kLanes, so a group never straddles
 // two chunks).
-void assemble_diag_on(LaneIsa isa, const Level& lvl, const Physics& phys,
-                      real_t cfl, std::span<const State> u, Scratch& s) {
+void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
+                   std::span<const State> u, Scratch& s) {
   static_assert(kNodeGrain % kLanes == 0);
-  COLUMBIA_REQUIRE(isa == LaneIsa::Baseline || lane_isa() == LaneIsa::Avx2);
   const std::size_t n = std::size_t(lvl.num_nodes);
   s.diag.resize(n);
   const Prim* const w = s.w.data();
   ImplicitBlock* const diag = s.diag.data();
-  const AssembleArgs args{lvl, phys, cfl, u, s, diag};
   smp::ThreadPool::global().parallel_for(
       0, n, kNodeGrain, [&](std::size_t b, std::size_t e, int) {
-#if COLUMBIA_LANES_AVX2
-        if (isa == LaneIsa::Avx2)
-          assemble_range_avx2(args, b, e);
-        else
-#endif
-          assemble_range_baseline(args, b, e);
+        for (std::size_t i = b; i < e; i += kLanes)
+          assemble_lanes(lvl, phys, cfl, u, s, i,
+                         int(std::min<std::size_t>(kLanes, e - i)), diag);
         // Farfield linearization keeps boundary nodes well conditioned; it
         // comes after every edge term, as in the node-by-node sum.
         for (std::size_t i = b; i < e; ++i) {
@@ -1143,11 +1084,6 @@ void assemble_diag_on(LaneIsa isa, const Level& lvl, const Physics& phys,
           }
         }
       });
-}
-
-void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
-                   std::span<const State> u, Scratch& s) {
-  assemble_diag_on(lane_isa(), lvl, phys, cfl, u, s);
 }
 
 void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
@@ -1182,15 +1118,6 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
   // each pool thread uses its own slot of rows. Batches run longest first,
   // so the long lines do not trail the sweep.
   smp::ThreadPool& pool = smp::ThreadPool::global();
-  const FlatLists<index_t>& classes = lvl.line_classes;
-  s.line_batches.clear();
-  for (std::size_t c = classes.size(); c-- > 0;)
-    for (std::size_t q = classes.offsets[c]; q < classes.offsets[c + 1];
-         q += kLanes)
-      s.line_batches.emplace_back(
-          std::uint32_t(q),
-          std::uint32_t(std::min<std::size_t>(kLanes,
-                                              classes.offsets[c + 1] - q)));
   const std::size_t longest = std::size_t(lvl.lines.longest());
   if (s.line_rows.size() < std::size_t(pool.num_threads()))
     s.line_rows.resize(std::size_t(pool.num_threads()));
@@ -1198,16 +1125,11 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
     if (rows.size() < longest) rows.resize(longest);
   OBS_COUNT("nsu3d.line_solves", lvl.lines.lines.size());
   const LineSweepArgs args{lvl, phys, relax, f, r, s, u};
-  pool.parallel_for(0, s.line_batches.size(), kLineGrain,
+  pool.parallel_for(0, lvl.line_batches.size(), kLineGrain,
                     [&](std::size_t b, std::size_t e, int tid) {
     Scratch::LineRow* const rows = s.line_rows[std::size_t(tid)].data();
-    for (std::size_t k = b; k < e; ++k) {
-      const auto [first, count] = s.line_batches[k];
-      const std::size_t len =
-          lvl.lines.lines[std::size_t(classes.items[first])].size();
-      LaneKernels<linalg::LanesBaseline>::solve_line_batch(
-          args, first, int(count), len, rows);
-    }
+    for (std::size_t k = b; k < e; ++k)
+      solve_line_batch(args, lvl.line_batches[k], rows);
   });
 }
 

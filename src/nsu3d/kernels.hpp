@@ -163,17 +163,13 @@ struct Scratch {
   /// mean-flow and SA systems). The lower and diagonal blocks are folded in
   /// as they are formed and never stored.
   struct LineRow {
-    linalg::LaneTridiagRow<linalg::LanesBaseline, 5> mean;
-    linalg::LaneTridiagRow<linalg::LanesBaseline, 1> sa;
+    linalg::LaneTridiagRow<5> mean;
+    linalg::LaneTridiagRow<1> sa;
   };
   /// One slot of rows per pool thread, each sized for the level's longest
   /// line: batches go to whichever thread claims them first, so any slot
   /// may meet any batch, and none grows in steady state.
   std::vector<std::vector<LineRow>> line_rows;
-  /// The line sweep's batches, longest lines first: {first, count} into
-  /// Level::line_classes.items, count <= linalg::kLanes lines of one
-  /// length; derived from the level's schedule by each sweep.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> line_batches;
 
   /// Sizes the per-node fields every residual reads (the second-order
   /// fields ph and edq, and the smoother fields, are sized by their
@@ -220,16 +216,6 @@ void residual(const Level& lvl, const Physics& phys, int level,
 
 // --- Smoother kernels ---
 
-/// Instruction sets assemble_diag's lane kernel is built for: baseline
-/// x86-64 lanes (two 128-bit halves) and, on x86, AVX2 lanes (one 256-bit
-/// register). Every lane performs the scalar operation sequence, so both
-/// give the same bits. (line_sweep runs baseline lanes only: its AVX2
-/// instantiation measured slower.)
-enum class LaneIsa { Baseline, Avx2 };
-
-/// The instruction set assemble_diag runs: AVX2 where the CPU has it.
-LaneIsa lane_isa();
-
 /// Wave-speed sums (local time-step denominators) into s.wave; also caches
 /// per-node sound speeds in s.snd.
 void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s);
@@ -241,11 +227,6 @@ void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s);
 void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
                    std::span<const State> u, Scratch& s);
 
-/// assemble_diag on a given instruction set: Baseline, or Avx2 where
-/// lane_isa() is Avx2. assemble_diag runs lane_isa(); tests run each.
-void assemble_diag_on(LaneIsa isa, const Level& lvl, const Physics& phys,
-                      real_t cfl, std::span<const State> u, Scratch& s);
-
 /// Point-implicit update sweep: factors each node's 5x5 block and SA
 /// scalar and applies the under-relaxed update to u. A singular pivot in
 /// either keeps the node's previous state and is counted once on the
@@ -256,7 +237,7 @@ void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
 /// Line-implicit update sweep: a 5x5 block-tridiagonal solve plus a scalar
 /// tridiagonal SA solve along each implicit line (off-line couplings stay
 /// explicit), linalg::kLanes lines of one length at a time
-/// (Level::line_classes), each lane performing exactly the scalar solve's
+/// (Level::line_batches), each lane performing exactly the scalar solve's
 /// operations. A singular pivot in either solve leaves the line unchanged
 /// and is counted once. Lines are node-disjoint, so reading u for the
 /// viscous linearization while other lines update theirs is race-free.

@@ -8,6 +8,7 @@
 #include "graph/coloring.hpp"
 #include "graph/csr.hpp"
 #include "graph/lines.hpp"
+#include "linalg/lanes.hpp"
 #include "smp/pool.hpp"
 #include "support/assert.hpp"
 #include "support/edge_index.hpp"
@@ -105,24 +106,27 @@ FlatLists<index_t> line_edge_table(
   return le;
 }
 
-/// The line ids grouped by length, classes ascending (a stable sort, so
-/// each class keeps extraction order).
-FlatLists<index_t> line_length_classes(const graph::LineSet& lines) {
-  const std::size_t nl = lines.lines.size();
-  FlatLists<index_t> cls;
-  cls.items.resize(nl);
-  for (std::size_t li = 0; li < nl; ++li) cls.items[li] = index_t(li);
-  std::stable_sort(cls.items.begin(), cls.items.end(),
-                   [&](index_t x, index_t y) {
-                     return lines.lines[std::size_t(x)].size() <
-                            lines.lines[std::size_t(y)].size();
-                   });
-  for (std::size_t k = 1; k < nl; ++k)
-    if (lines.lines[std::size_t(cls.items[k])].size() !=
-        lines.lines[std::size_t(cls.items[k - 1])].size())
-      cls.offsets.push_back(k);
-  if (nl > 0) cls.offsets.push_back(nl);
-  return cls;
+/// Level::line_order and Level::line_batches of the level's lines.
+void schedule_lines(Level& lvl) {
+  const FlatLists<index_t>& lines = lvl.lines.lines;
+  const auto length = [&](index_t li) { return lines[std::size_t(li)].size(); };
+  const std::size_t nl = lines.size();
+  lvl.line_order.resize(nl);
+  for (std::size_t li = 0; li < nl; ++li) lvl.line_order[li] = index_t(li);
+  std::stable_sort(lvl.line_order.begin(), lvl.line_order.end(),
+                   [&](index_t x, index_t y) { return length(x) > length(y); });
+  lvl.line_batches.clear();
+  for (std::size_t run = 0; run < nl;) {
+    const std::size_t len = length(lvl.line_order[run]);
+    std::size_t end = run;
+    while (end < nl && length(lvl.line_order[end]) == len) ++end;
+    for (std::size_t q = run; q < end; q += std::size_t(linalg::kLanes))
+      lvl.line_batches.push_back(
+          {std::uint32_t(q),
+           std::uint32_t(std::min(end - q, std::size_t(linalg::kLanes))),
+           std::uint32_t(len)});
+    run = end;
+  }
 }
 
 /// Colors + reorders the edge arrays color-major. The next coarser level
@@ -209,7 +213,7 @@ void finalize_edges(Level& lvl, std::vector<Vec3> normal) {
 
   lvl.incident = edge_incidence(lvl.num_nodes, edges);
   lvl.line_edges = line_edge_table(lvl.num_nodes, lvl.lines, edges);
-  lvl.line_classes = line_length_classes(lvl.lines);
+  schedule_lines(lvl);
 }
 
 /// Coarse level from a fine level via agglomeration of its edge graph;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "geom/vec3.hpp"
@@ -67,12 +68,19 @@ struct Level {
   /// and single points elsewhere.
   graph::LineSet lines;
 
-  /// The line solver's schedule: line ids grouped by length. Class c is
-  /// line_classes[c]; its lines all have the same length, classes ascend
-  /// in length, and within a class ids keep extraction order (a stable
-  /// sort). The batched line sweep solves consecutive lines of one class
-  /// side by side.
-  FlatLists<index_t> line_classes;
+  /// One batch of the line solver: the lines line_order[first, first +
+  /// count), each `length` nodes long, solved side by side.
+  struct LineBatch {
+    std::uint32_t first = 0, count = 0, length = 0;
+  };
+  /// The line solver's schedule, built with the level. line_order lists
+  /// the line ids by length, longest first; lines of one length keep
+  /// extraction order (a stable sort). line_batches cuts each run of one
+  /// length into batches of linalg::kLanes lines, the last one shorter if
+  /// the run does not divide, and tiles line_order in order: the sweep
+  /// solves the long lines first, so they do not trail it.
+  std::vector<index_t> line_order;
+  std::vector<LineBatch> line_batches;
 
   /// Map to the next coarser level (empty on the coarsest).
   std::vector<index_t> to_coarse;

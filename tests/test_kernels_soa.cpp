@@ -7,6 +7,7 @@
 // contract documented in nsu3d/kernels.hpp and cart3d/kernels.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -290,11 +291,10 @@ struct ObsOn {
 TEST(Nsu3dSmoother, SplitBlocksMatchCoupledOracleOnWingLevels) {
   // All four levels of the nsu3d-wing mesh after five W-cycles: the 5+1
   // blocks are the 6x6 blocks' mean-flow part and SA diagonal (nothing
-  // couples them) on every lane instruction set the host runs, and both
-  // sweeps leave the state bit-identical to the 6x6 oracle's, at pool
-  // sizes 1, 2 and 4. Level 2's length classes (30x1, 12x2, 11x3, 3x4,
-  // 6x5, 2x6, 3x7, 1x14) give the line batches every number of padding
-  // lanes.
+  // couples them), and both sweeps leave the state bit-identical to the
+  // 6x6 oracle's, at pool sizes 1, 2 and 4. Level 2's length classes
+  // (30x1, 12x2, 11x3, 3x4, 6x5, 2x6, 3x7, 1x14) give the line batches
+  // every number of padding lanes.
   PoolGuard guard;
   mesh::WingMeshSpec spec;
   spec.n_wrap = 64;
@@ -313,10 +313,6 @@ TEST(Nsu3dSmoother, SplitBlocksMatchCoupledOracleOnWingLevels) {
   ASSERT_EQ(solver.num_levels(), 4);
   const auto phys = wing_physics(fc);
   ObsOn obs_on;  // count singular pivots
-  namespace K = nsu3d::kernels;
-  std::vector<K::LaneIsa> isas{K::LaneIsa::Baseline};
-  if (K::lane_isa() == K::LaneIsa::Avx2) isas.push_back(K::LaneIsa::Avx2);
-
   for (int level = 0; level < solver.num_levels(); ++level) {
     const nsu3d::Level& lvl = solver.level(level);
     const std::vector<nsu3d::State> u = solver.solution(level);
@@ -326,12 +322,6 @@ TEST(Nsu3dSmoother, SplitBlocksMatchCoupledOracleOnWingLevels) {
       smp::set_global_threads(threads);
       SmootherInputs in = smoother_inputs(lvl, phys, level, u, o.cfl);
       ASSERT_TRUE(blocks_match(in.k.diag, in.diag6));
-      for (const K::LaneIsa isa : isas) {
-        SCOPED_TRACE(isa == K::LaneIsa::Avx2 ? "AVX2 lanes" : "baseline lanes");
-        in.k.diag.clear();
-        K::assemble_diag_on(isa, lvl, phys, o.cfl, u, in.k);
-        ASSERT_TRUE(blocks_match(in.k.diag, in.diag6));
-      }
       for (bool lines : {false, true}) {
         const auto [got, pivots] = sweep_both(lvl, phys, lines, in, u);
         EXPECT_FALSE(same_bits(got, u)) << "the sweep updated nothing";
@@ -422,14 +412,16 @@ TEST(Nsu3dSmoother, MixedOutcomesInOneLineBatch) {
   fc.reynolds = 3e6;
   const auto phys = wing_physics(fc);
   const auto u = wing_state(lvl, phys);
-  // The first batch of the first class of multi-node lines holding a full
-  // batch: its lanes are the class's first four lines.
-  std::size_t c = 0;
-  while (lvl.lines.lines[std::size_t(lvl.line_classes[c][0])].size() < 2 ||
-         lvl.line_classes[c].size() < std::size_t(linalg::kLanes))
-    ++c;
+  // The first full batch of multi-node lines: lane l solves the line
+  // line_order[first + l].
+  const auto batch = std::find_if(
+      lvl.line_batches.begin(), lvl.line_batches.end(), [](const auto& b) {
+        return b.length >= 2 && b.count == std::uint32_t(linalg::kLanes);
+      });
+  ASSERT_NE(batch, lvl.line_batches.end());
   const auto line_in_lane = [&](int lane) {
-    return lvl.lines.lines[std::size_t(lvl.line_classes[c][std::size_t(lane)])];
+    return lvl.lines.lines[std::size_t(
+        lvl.line_order[batch->first + std::size_t(lane)])];
   };
   const auto first_node = [&](int lane) {
     return std::size_t(line_in_lane(lane)[0]);
@@ -659,7 +651,7 @@ TEST(BlockSolvesSoA, TridiagMatchesNaiveFormulationBitwise) {
 /// make partial pivoting swap rows in most columns, so every select of
 /// the pivot search, the row swaps and the permuted solves runs. Lane 1's
 /// first diagonal block is zero: only that lane is flagged singular.
-template <class L, int N>
+template <int N>
 void expect_lane_tridiag_matches_scalar(std::uint64_t seed) {
   using linalg::kLanes;
   constexpr std::size_t n = 7;
@@ -674,11 +666,13 @@ void expect_lane_tridiag_matches_scalar(std::uint64_t seed) {
       rhs[l].push_back(random_vec<N>(rng));
     }
   diag[1][0] = {};
-  const auto lanes = [](auto&& at) { return L::of(at(0), at(1), at(2), at(3)); };
-  std::vector<linalg::LaneTridiagRow<L, N>> rows(n);
-  typename L::Mask fail = L::Mask::from_bits(0);
+  const auto lanes = [](auto&& at) {
+    return linalg::Lanes::of(at(0), at(1), at(2), at(3));
+  };
+  std::vector<linalg::LaneTridiagRow<N>> rows(n);
+  linalg::Lanes::Mask fail = linalg::Lanes::Mask::from_bits(0);
   for (std::size_t k = 0; k < n; ++k) {
-    linalg::LaneMat<L, N> lo, dd;
+    linalg::LaneMat<N> lo, dd;
     for (int r = 0; r < N; ++r) {
       rows[k].rhs[r] = lanes([&](int l) { return rhs[l][k][r]; });
       for (int c = 0; c < N; ++c) {
@@ -691,7 +685,7 @@ void expect_lane_tridiag_matches_scalar(std::uint64_t seed) {
                           : linalg::tridiag_eliminate(rows[k - 1], lo, dd,
                                                       rows[k]));
   }
-  linalg::tridiag_back_substitute<L, N>(
+  linalg::tridiag_back_substitute<N>(
       [&](std::size_t k) -> auto& { return rows[k]; }, n);
   for (int l = 0; l < kLanes; ++l) {
     SCOPED_TRACE("lane " + std::to_string(l));
@@ -713,8 +707,8 @@ TEST(BlockSolvesSoA, LaneTridiagMatchesScalarPerLaneBitwise) {
   // The line sweep's lanes, at both block sizes it solves.
   for (std::uint64_t seed : {3u, 11u, 29u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    expect_lane_tridiag_matches_scalar<linalg::LanesBaseline, 5>(seed);
-    expect_lane_tridiag_matches_scalar<linalg::LanesBaseline, 1>(seed);
+    expect_lane_tridiag_matches_scalar<5>(seed);
+    expect_lane_tridiag_matches_scalar<1>(seed);
   }
 }
 

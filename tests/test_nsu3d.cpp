@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <malloc.h>
 
+#include "linalg/lanes.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
 #include "nsu3d/solver.hpp"
@@ -33,9 +34,10 @@ TEST(Levels, HierarchyShrinksGeometrically) {
 
 TEST(Levels, LineScheduleCoversEveryLineByLength) {
   // Every level of the nsu3d-wing hierarchy: the schedule lists each line
-  // id once, its classes hold lines of one length and ascend, each node
-  // lies on exactly one line, and each line-edge id joins consecutive
-  // line nodes.
+  // id once, longest first, ids of one length in extraction order; its
+  // batches tile it with lines of one length, full but for each length's
+  // last; each node lies on exactly one line, and each line-edge id joins
+  // consecutive line nodes.
   mesh::WingMeshSpec spec;
   spec.n_wrap = 64;
   spec.n_span = 12;
@@ -49,24 +51,39 @@ TEST(Levels, LineScheduleCoversEveryLineByLength) {
     SCOPED_TRACE("level " + std::to_string(l));
     const Level& lvl = levels[l];
     const FlatLists<index_t>& lines = lvl.lines.lines;
-    const FlatLists<index_t>& classes = lvl.line_classes;
+    const std::vector<index_t>& order = lvl.line_order;
+    const auto length = [&](std::size_t q) {
+      return lines[std::size_t(order[q])].size();
+    };
+    ASSERT_EQ(order.size(), lines.size());
     std::vector<int> listed(lines.size(), 0);
-    std::size_t prev_len = 0;
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-      ASSERT_FALSE(classes[c].empty());
-      const std::size_t len = lines[std::size_t(classes[c][0])].size();
-      EXPECT_GT(len, prev_len) << "class " << c;
-      prev_len = len;
-      index_t prev_id = -1;
-      for (const index_t li : classes[c]) {
-        ++listed[std::size_t(li)];
-        EXPECT_EQ(lines[std::size_t(li)].size(), len) << "line " << li;
-        EXPECT_GT(li, prev_id) << "class " << c << " not in extraction order";
-        prev_id = li;
-      }
-    }
+    for (const index_t li : order) ++listed[std::size_t(li)];
     for (std::size_t li = 0; li < listed.size(); ++li)
       EXPECT_EQ(listed[li], 1) << "line " << li;
+    for (std::size_t q = 1; q < order.size(); ++q) {
+      EXPECT_GE(length(q - 1), length(q)) << "position " << q;
+      if (length(q - 1) == length(q)) {
+        EXPECT_LT(order[q - 1], order[q]) << "position " << q;
+      }
+    }
+
+    std::size_t next = 0;
+    const auto& batches = lvl.line_batches;
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      const Level::LineBatch& batch = batches[b];
+      EXPECT_EQ(batch.first, next) << "batch " << b;
+      EXPECT_GE(batch.count, 1u) << "batch " << b;
+      EXPECT_LE(batch.count, std::uint32_t(linalg::kLanes)) << "batch " << b;
+      next = batch.first + batch.count;
+      ASSERT_LE(next, order.size());
+      for (std::size_t q = batch.first; q < next; ++q)
+        EXPECT_EQ(length(q), batch.length) << "batch " << b;
+      if (b + 1 < batches.size() && batches[b + 1].length == batch.length) {
+        EXPECT_EQ(batch.count, std::uint32_t(linalg::kLanes))
+            << "batch " << b << " is short but not its length's last";
+      }
+    }
+    EXPECT_EQ(next, order.size());
 
     std::vector<int> on_line(std::size_t(lvl.num_nodes), 0);
     ASSERT_EQ(lvl.line_edges.size(), lines.size());

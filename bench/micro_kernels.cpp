@@ -1,6 +1,8 @@
 // Google-benchmark microbenchmarks for the hot kernels of both solvers:
-// Riemann fluxes, dense block solves, block-tridiagonal lines, SFC encoding,
-// graph agglomeration and graph partitioning.
+// Riemann fluxes, SFC encoding, graph agglomeration and graph
+// partitioning. The NSU3D smoother's block solves run only as lane kernels
+// and are timed in place, as the nsu3d_point_sweep and nsu3d_line_sweep
+// rows of the solver-kernel mode below.
 //
 // `micro_kernels --kernels-json [path]` switches to the solver-kernel
 // timing mode: it sweeps the shared-memory pool over thread counts on the
@@ -25,11 +27,9 @@
 #include "cart3d/solver.hpp"
 #include "cartesian/cart_mesh.hpp"
 #include "euler/flux.hpp"
-#include "euler/jacobian.hpp"
 #include "geom/components.hpp"
 #include "graph/agglomerate.hpp"
 #include "graph/partition.hpp"
-#include "linalg/block_tridiag.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/kernels.hpp"
 #include "nsu3d/solver.hpp"
@@ -39,7 +39,6 @@
 #include "sfc/morton.hpp"
 #include "smp/pool.hpp"
 #include "support/build_info.hpp"
-#include "support/random.hpp"
 
 namespace {
 
@@ -66,59 +65,6 @@ void BM_VanLeerFlux(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VanLeerFlux);
-
-void BM_FluxJacobian(benchmark::State& state) {
-  const euler::Prim w{1.0, {0.5, 0.1, -0.2}, 0.8};
-  const geom::Vec3 n{0.6, 0.8, 0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(euler::flux_jacobian(w, n));
-  }
-}
-BENCHMARK(BM_FluxJacobian);
-
-void BM_Block6LU(benchmark::State& state) {
-  Xoshiro256 rng(1);
-  linalg::BlockMat<6> m;
-  for (int i = 0; i < 6; ++i) {
-    for (int j = 0; j < 6; ++j) m(i, j) = rng.uniform(-1, 1);
-    m(i, i) += 8;
-  }
-  linalg::BlockVec<6> b;
-  for (int i = 0; i < 6; ++i) b[i] = rng.uniform(-1, 1);
-  for (auto _ : state) {
-    linalg::BlockLU<6> lu;
-    lu.factor(m);
-    benchmark::DoNotOptimize(lu.solve(b));
-  }
-}
-BENCHMARK(BM_Block6LU);
-
-void BM_BlockTridiagLine(benchmark::State& state) {
-  const std::size_t n = std::size_t(state.range(0));
-  Xoshiro256 rng(2);
-  std::vector<linalg::BlockMat<6>> lo(n), di(n), up(n);
-  std::vector<linalg::BlockVec<6>> rhs(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    for (int i = 0; i < 6; ++i) {
-      for (int j = 0; j < 6; ++j) {
-        di[k](i, j) = rng.uniform(-0.2, 0.2);
-        lo[k](i, j) = rng.uniform(-0.2, 0.2);
-        up[k](i, j) = rng.uniform(-0.2, 0.2);
-      }
-      di[k](i, i) += 6;
-      rhs[k][i] = rng.uniform(-1, 1);
-    }
-  }
-  for (auto _ : state) {
-    auto l = lo;
-    auto d = di;
-    auto u = up;
-    auto r = rhs;
-    benchmark::DoNotOptimize(linalg::solve_block_tridiag<6>(l, d, u, r));
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
-}
-BENCHMARK(BM_BlockTridiagLine)->Arg(16)->Arg(64);
 
 void BM_Hilbert3(benchmark::State& state) {
   std::uint32_t x = 12345, y = 54321, z = 9999;

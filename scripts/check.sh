@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full suite in the release preset, the
+# kernel and whole-solve bit-identity suites in a -march=native build, the
 # thread-sensitive suites (labels tsan + resil) under ThreadSanitizer, the
 # memory-sensitive suites (label asan) under AddressSanitizer, the
 # reachability gate, the time-to-solution benchmark against its seed-1
 # references, the soak matrix and the perf gate.
 #
-#   scripts/check.sh            # release, tsan, asan, reach, bench,
-#                               # soak, perf gate
+#   scripts/check.sh            # release, native, tsan, asan, reach,
+#                               # bench, soak, perf gate
 #   JOBS=8 scripts/check.sh     # override parallelism
 set -euo pipefail
 
@@ -17,6 +18,18 @@ echo "== release: configure + build + full ctest =="
 cmake --preset release
 cmake --build --preset release -j "$JOBS"
 ctest --preset release -j "$JOBS"
+
+echo
+echo "== native: -march=native build, kernel and solve bit-identity =="
+# With FMA available every a*b+c could contract; the project-wide
+# -ffp-contract=off keeps the lane kernels equal to their scalar oracles
+# (test_kernels_soa) and whole solves equal to their recorded hashes
+# (test_solve_fingerprint) on the host's own instruction set.
+cmake --preset release-native
+cmake --build --preset release-native -j "$JOBS" \
+  --target test_kernels_soa test_solve_fingerprint
+build-native/tests/test_kernels_soa
+build-native/tests/test_solve_fingerprint
 
 echo
 echo "== tsan: configure + build + ctest -L tsan (includes resil) =="

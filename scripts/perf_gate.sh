@@ -10,8 +10,9 @@
 #
 # The gate prints which build configuration produced the measurement
 # (build dir + compiler flags from the CMake cache) so a number measured
-# under the `release-native` preset (-march=native, FP contraction off)
-# is never mistaken for one from the portable `release` build.
+# under the `release-native` preset (-march=native) is never mistaken for
+# one from the portable `release` build. Both compute the same bits: FP
+# contraction is off in every build (src/support/CMakeLists.txt).
 #
 # The default tolerance is deliberately loose: these are wall-clock numbers
 # from a shared CI container, and the gate's job is catching step-function

@@ -1,16 +1,18 @@
-// Four-lane forms of the dense block kernels, for batched solves.
+// Four-lane forms of the dense block kernels, for batched solves: the
+// only block solves production runs.
 //
 // NSU3D's line solver, like the paper's, sorts its lines by length and
 // solves lines of one length side by side, so the block-tridiagonal
-// eliminations vectorize across lines (paper Sec. III). Each lane of a
+// eliminations vectorize across lines (paper Sec. III); its point solver
+// factors four consecutive nodes' blocks the same way. Each lane of a
 // Lanes value carries one independent system, and every kernel here
 // performs, lane by lane, exactly the operation sequence of its scalar
-// counterpart in block.hpp / block_tridiag.hpp (BlockLU<N>, msub,
-// solve_block_tridiag_status), which stay as the reference. IEEE
-// arithmetic on GCC vector types is elementwise, so each lane's result is
-// the scalar kernel's bit for bit, provided nothing contracts a*b+c into a
-// fused multiply-add: code using these kernels is compiled with
-// -ffp-contract=off.
+// counterpart (BlockLU<N>, msub, solve_block_tridiag_status), which the
+// tests keep as the oracle (tests/oracles/block_lu.hpp, block_tridiag.hpp).
+// IEEE arithmetic on GCC vector types is elementwise, so each lane's
+// result is the scalar kernel's bit for bit, provided nothing contracts
+// a*b+c into a fused multiply-add: the build compiles every translation
+// unit with -ffp-contract=off (support/CMakeLists.txt).
 #pragma once
 
 #include <cstddef>

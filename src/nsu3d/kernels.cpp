@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <type_traits>
 
-#include "euler/jacobian.hpp"
-#include "linalg/block_tridiag.hpp"
 #include "obs/obs.hpp"
 #include "smp/pool.hpp"
 #include "support/assert.hpp"
@@ -13,9 +11,6 @@ namespace columbia::nsu3d::kernels {
 
 using euler::Prim;
 using geom::Vec3;
-using linalg::BlockLU;
-using linalg::BlockMat;
-using linalg::BlockVec;
 using Edge = std::pair<index_t, index_t>;
 
 namespace {
@@ -685,17 +680,8 @@ using linalg::Lanes;
 using Mask = Lanes::Mask;
 template <int N>
 using Mat = linalg::LaneMat<N>;
-
-/// Applies the under-relaxed mean-flow and SA updates to node i, keeping
-/// the old state when the new one is not physical.
-void apply_update(std::vector<State>& u, std::size_t i, real_t relax,
-                  const BlockVec<5>& du, real_t dsa) {
-  State unew = u[i];
-  for (int c = 0; c < 5; ++c) unew[std::size_t(c)] += relax * du[c];
-  unew[5] += relax * dsa;
-  unew[5] = std::max<real_t>(unew[5], 0);
-  if (state_valid(unew)) u[i] = unew;
-}
+template <int N>
+using Vec = linalg::LaneVec<N>;
 
 /// Inputs of the batched line solve that every batch reads.
 struct LineSweepArgs {
@@ -732,8 +718,9 @@ inline Lanes lane_dot(const LanePrim& w, const Lanes& nx, const Lanes& ny,
   return w.vx * nx + w.vy * ny + w.vz * nz;
 }
 
-/// euler::flux_jacobian lane by lane: the same expressions, evaluated in
-/// the same order.
+/// The analytic Euler flux Jacobian dF(U, n)/dU lane by lane. Its scalar
+/// oracle is euler::flux_jacobian (tests/oracles/flux_jacobian.hpp): the
+/// same expressions, evaluated in the same order.
 Mat<5> lane_flux_jacobian(const LanePrim& w, const Lanes& nx,
                           const Lanes& ny, const Lanes& nz) {
   const real_t g = euler::kGamma;
@@ -779,6 +766,74 @@ inline void add_where(Lanes& x, const Lanes& t, const Mask& m, bool all) {
   x = select_where(m, all, x + t, x);
 }
 
+/// Lane l of the result is v[e[l]]: a per-edge stream read at kLanes
+/// edges.
+inline Lanes at_edges(const std::vector<real_t>& v,
+                      const std::size_t (&e)[kLanes]) {
+  return gather(e, [&](std::size_t x) { return v[x]; });
+}
+
+/// +1 in lane l where node[l] is edge e[l]'s first end, else -1: the sign
+/// that turns the edge's stored normal into node[l]'s outward one.
+inline Lanes edge_sign(const Edge* ends, const std::size_t (&e)[kLanes],
+                       const std::size_t (&node)[kLanes]) {
+  return Lanes::of(std::size_t(ends[e[0]].first) == node[0] ? 1.0 : -1.0,
+                   std::size_t(ends[e[1]].first) == node[1] ? 1.0 : -1.0,
+                   std::size_t(ends[e[2]].first) == node[2] ? 1.0 : -1.0,
+                   std::size_t(ends[e[3]].first) == node[3] ? 1.0 : -1.0);
+}
+
+/// The spectral radius |w.vel . h| + c of euler::spectral_radius times the
+/// edge area, lane by lane, for the unit normal h and the sound speed c
+/// that wave_speeds cached (the same sqrt(g p / rho)).
+inline Lanes lane_radius(const LanePrim& w, const Lanes& hx, const Lanes& hy,
+                         const Lanes& hz, const Lanes& c, const Lanes& area) {
+  return (abs(lane_dot(w, hx, hy, hz)) + c) * area;
+}
+
+/// One row of a lane group, the point and line solves alike: node[l]'s
+/// 5+1 diagonal blocks into lane l of dd and dd_sa, and its right-hand
+/// sides f - r into rhs and rhs_sa. Lanes from `count` on are padding:
+/// identity blocks and zero right-hand sides, so they meet no singular
+/// pivot and solve to zero. Forced inline: with two callers GCC keeps a
+/// plain `inline` load_row out of line (`nm -C`).
+[[gnu::always_inline]] inline void load_row(
+    const ImplicitBlock* diag, std::span<const State> f,
+    std::span<const State> r, const std::size_t (&node)[kLanes], int count,
+    Mat<5>& dd, Mat<1>& dd_sa, Vec<5>& rhs, Vec<1>& rhs_sa) {
+  for (int rr = 0; rr < 5; ++rr)
+    for (int cc = 0; cc < 5; ++cc)
+      dd(rr, cc) =
+          gather(node, [&](std::size_t x) { return diag[x].mean(rr, cc); });
+  dd_sa(0, 0) = gather(node, [&](std::size_t x) { return diag[x].sa; });
+  for (int c = 0; c < 5; ++c)
+    rhs[c] = gather(node, [&](std::size_t x) {
+      return f[x][std::size_t(c)] - r[x][std::size_t(c)];
+    });
+  rhs_sa[0] = gather(node, [&](std::size_t x) { return f[x][5] - r[x][5]; });
+  if (count == kLanes) return;
+  const Mask real = Mask::from_bits((1u << count) - 1u);
+  for (int rr = 0; rr < 5; ++rr)
+    for (int cc = 0; cc < 5; ++cc)
+      dd(rr, cc) =
+          select(real, dd(rr, cc), Lanes::splat(rr == cc ? 1.0 : 0.0));
+  dd_sa(0, 0) = select(real, dd_sa(0, 0), Lanes::splat(1.0));
+  for (int c = 0; c < 5; ++c) rhs[c] = select(real, rhs[c], Lanes::zero());
+  rhs_sa[0] = select(real, rhs_sa[0], Lanes::zero());
+}
+
+/// Applies lane l of the solved mean-flow and SA updates (du, dsa),
+/// under-relaxed, to node i, keeping the old state when the new one is
+/// not physical.
+inline void apply_update(std::vector<State>& u, std::size_t i, real_t relax,
+                         const Vec<5>& du, const Vec<1>& dsa, int l) {
+  State unew = u[i];
+  for (int c = 0; c < 5; ++c) unew[std::size_t(c)] += relax * du[c].lane(l);
+  unew[5] += relax * dsa[0].lane(l);
+  unew[5] = std::max<real_t>(unew[5], 0);
+  if (state_valid(unew)) u[i] = unew;
+}
+
 /// Edge terms of kLanes consecutive nodes' diagonal blocks (the lane-wise
 /// body of assemble_diag): lane l walks node i0 + l's incident list in
 /// edge order, and a lane whose list has ended, or whose edge has no
@@ -822,27 +877,17 @@ void assemble_lanes(const Level& lvl, const Physics& phys, real_t cfl,
       }
     for (int l = 0; l < kLanes; ++l)
       if (!(on >> l & 1u)) e[l] = walking;
-    auto at_edges = [&](const std::vector<real_t>& v) {
-      return gather(e, [&](std::size_t x) { return v[x]; });
-    };
-    const Lanes area = at_edges(lvl.edge_area);
+    const Lanes area = at_edges(lvl.edge_area, e);
     const Mask valid = Mask::from_bits(on) & ~(area <= 0.0);
     const bool all = valid.all();
-    const Lanes sgn = Lanes::of(
-        std::size_t(ends[e[0]].first) == node[0] ? 1.0 : -1.0,
-        std::size_t(ends[e[1]].first) == node[1] ? 1.0 : -1.0,
-        std::size_t(ends[e[2]].first) == node[2] ? 1.0 : -1.0,
-        std::size_t(ends[e[3]].first) == node[3] ? 1.0 : -1.0);
-    const Lanes lam = (abs(lane_dot(wl, at_edges(lvl.edge_ux),
-                                    at_edges(lvl.edge_uy),
-                                    at_edges(lvl.edge_uz))) +
-                       snd) *
-                      area;
+    const Lanes sgn = edge_sign(ends, e, node);
+    const Lanes lam =
+        lane_radius(wl, at_edges(lvl.edge_ux, e), at_edges(lvl.edge_uy, e),
+                    at_edges(lvl.edge_uz, e), snd, area);
     // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
-    const Mat<5> j =
-        lane_flux_jacobian(wl, sgn * at_edges(lvl.edge_nx),
-                           sgn * at_edges(lvl.edge_ny),
-                           sgn * at_edges(lvl.edge_nz));
+    const Mat<5> j = lane_flux_jacobian(wl, sgn * at_edges(lvl.edge_nx, e),
+                                        sgn * at_edges(lvl.edge_ny, e),
+                                        sgn * at_edges(lvl.edge_nz, e));
     for (int rr = 0; rr < 5; ++rr)
       for (int cc = 0; cc < 5; ++cc)
         add_where(d(rr, cc), 0.5 * j(rr, cc), valid, all);
@@ -850,7 +895,7 @@ void assemble_lanes(const Level& lvl, const Physics& phys, real_t cfl,
       add_where(d(rr, rr), 0.5 * lam, valid, all);
     add_where(dsa, 0.5 * lam, valid, all);
     if (phys.viscous) {
-      const Lanes geo = at_edges(lvl.edge_geo);
+      const Lanes geo = at_edges(lvl.edge_geo, e);
       const Mask visc = valid & (geo > 0.0);
       const bool visc_all = visc.all();
       auto at_ends = [&](auto&& field) {
@@ -883,10 +928,11 @@ void assemble_lanes(const Level& lvl, const Physics& phys, real_t cfl,
 
 /// Solves one batch (Level::line_batches): its lines in lanes
 /// 0..count-1, the other lanes carrying identity blocks and zero
-/// right-hand sides. Row k is assembled, eliminated and factored in one
-/// pass (solve_block_tridiag_status's forward loop, with the row's blocks
-/// formed as the line assembly forms them), then both systems are
-/// back-substituted and each line that met no singular pivot is updated.
+/// right-hand sides (load_row). Row k is assembled, eliminated and
+/// factored in one pass (solve_block_tridiag_status's forward loop, with
+/// the row's blocks formed as the line assembly forms them), then both
+/// systems are back-substituted and each line that met no singular pivot
+/// is updated.
 void solve_line_batch(const LineSweepArgs& a, const Level::LineBatch& batch,
                       Scratch::LineRow* rows) {
   const Level& lvl = a.lvl;
@@ -919,27 +965,7 @@ void solve_line_batch(const LineSweepArgs& a, const Level::LineBatch& batch,
     Scratch::LineRow& row = rows[k];
     std::size_t i[kLanes];
     for (int l = 0; l < kLanes; ++l) i[l] = std::size_t(line[l][k]);
-    for (int rr = 0; rr < 5; ++rr)
-      for (int cc = 0; cc < 5; ++cc)
-        dd(rr, cc) =
-            gather(i, [&](std::size_t x) { return diag[x].mean(rr, cc); });
-    dd_sa(0, 0) = gather(i, [&](std::size_t x) { return diag[x].sa; });
-    for (int c = 0; c < 5; ++c)
-      row.mean.rhs[c] = gather(i, [&](std::size_t x) {
-        return a.f[x][std::size_t(c)] - a.r[x][std::size_t(c)];
-      });
-    row.sa.rhs[0] =
-        gather(i, [&](std::size_t x) { return a.f[x][5] - a.r[x][5]; });
-    if (!full) {
-      for (int rr = 0; rr < 5; ++rr)
-        for (int cc = 0; cc < 5; ++cc)
-          dd(rr, cc) =
-              select(real, dd(rr, cc), Lanes::splat(rr == cc ? 1.0 : 0.0));
-      dd_sa(0, 0) = select(real, dd_sa(0, 0), Lanes::splat(1.0));
-      for (int c = 0; c < 5; ++c)
-        row.mean.rhs[c] = select(real, row.mean.rhs[c], Lanes::zero());
-      row.sa.rhs[0] = select(real, row.sa.rhs[0], Lanes::zero());
-    }
+    load_row(diag, a.f, a.r, i, count, dd, dd_sa, row.mean.rhs, row.sa.rhs);
     if (k == 0) {
       fail = fail | row.mean.lu.factor(dd) | row.sa.lu.factor(dd_sa);
     } else {
@@ -958,38 +984,25 @@ void solve_line_batch(const LineSweepArgs& a, const Level::LineBatch& batch,
       j[l] = std::size_t(line[l][k + 1]);
       e[l] = std::size_t(ledge[l][k]);
     }
-    auto at_edges = [&](const std::vector<real_t>& v) {
-      return gather(e, [&](std::size_t x) { return v[x]; });
-    };
-    const Lanes area = at_edges(lvl.edge_area);
+    const Lanes area = at_edges(lvl.edge_area, e);
     // An edge without area couples nothing, and a padding lane has no
     // edge: their blocks stay zero.
     const Mask has = full ? ~(area <= 0.0) : real & ~(area <= 0.0);
     const bool has_all = has.all();
-    const Lanes sgn =
-        Lanes::of(std::size_t(ends[e[0]].first) == i[0] ? 1.0 : -1.0,
-                  std::size_t(ends[e[1]].first) == i[1] ? 1.0 : -1.0,
-                  std::size_t(ends[e[2]].first) == i[2] ? 1.0 : -1.0,
-                  std::size_t(ends[e[3]].first) == i[3] ? 1.0 : -1.0);
-    const Lanes n_x = sgn * at_edges(lvl.edge_nx);
-    const Lanes n_y = sgn * at_edges(lvl.edge_ny);
-    const Lanes n_z = sgn * at_edges(lvl.edge_nz);
+    const Lanes sgn = edge_sign(ends, e, i);
+    const Lanes n_x = sgn * at_edges(lvl.edge_nx, e);
+    const Lanes n_y = sgn * at_edges(lvl.edge_ny, e);
+    const Lanes n_z = sgn * at_edges(lvl.edge_nz, e);
     // n_out/area == sgn * the unit normal bitwise (sgn is +-1).
-    const Lanes h_x = sgn * at_edges(lvl.edge_ux);
-    const Lanes h_y = sgn * at_edges(lvl.edge_uy);
-    const Lanes h_z = sgn * at_edges(lvl.edge_uz);
+    const Lanes h_x = sgn * at_edges(lvl.edge_ux, e);
+    const Lanes h_y = sgn * at_edges(lvl.edge_uy, e);
+    const Lanes h_z = sgn * at_edges(lvl.edge_uz, e);
     const LanePrim wi = gather_prim(w, i), wj = gather_prim(w, j);
-    // The spectral radius |w.vel . nh| + c of euler::spectral_radius, with
-    // the sound speed wave_speeds cached (the same sqrt(g p / rho)).
-    const Lanes lam =
-        (abs(lane_dot(wj, h_x, h_y, h_z)) +
-         gather(j, [&](std::size_t x) { return snd[x]; })) *
-        area;
+    const auto snd_of = [&](std::size_t x) { return snd[x]; };
+    const Lanes lam = lane_radius(wj, h_x, h_y, h_z, gather(j, snd_of), area);
     const Lanes lam_i =
-        (abs(lane_dot(wi, h_x, h_y, h_z)) +
-         gather(i, [&](std::size_t x) { return snd[x]; })) *
-        area;
-    const Lanes geo = at_edges(lvl.edge_geo);
+        lane_radius(wi, h_x, h_y, h_z, gather(i, snd_of), area);
+    const Lanes geo = at_edges(lvl.edge_geo, e);
     const Mask visc =
         a.phys.viscous ? has & (geo > 0.0) : Mask::from_bits(0);
     const bool visc_all = visc.all();
@@ -1037,12 +1050,9 @@ void solve_line_batch(const LineSweepArgs& a, const Level::LineBatch& batch,
       OBS_COUNT("resil.singular_pivot", 1);
       continue;
     }
-    for (std::size_t k = 0; k < len; ++k) {
-      BlockVec<5> du;
-      for (int c = 0; c < 5; ++c) du[c] = rows[k].mean.rhs[c].lane(l);
-      apply_update(a.u, std::size_t(line[l][k]), a.relax, du,
-                   rows[k].sa.rhs[0].lane(l));
-    }
+    for (std::size_t k = 0; k < len; ++k)
+      apply_update(a.u, std::size_t(line[l][k]), a.relax, rows[k].mean.rhs,
+                   rows[k].sa.rhs, l);
   }
 }
 
@@ -1086,27 +1096,41 @@ void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
       });
 }
 
+// kLanes consecutive nodes per lane group, as in assemble_diag: each lane
+// factors its node's 5x5 block and SA scalar and solves once, the
+// one-row case of a line batch (load_row, apply_update).
 void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
                  std::span<const State> r, Scratch& s, std::vector<State>& u) {
-  const std::size_t n = std::size_t(lvl.num_nodes);
   const ImplicitBlock* const diag = s.diag.data();
-  for_nodes(n, [&](std::size_t i) {
-    BlockLU<5> lu;
-    BlockLU<1> lu_sa;
-    if (!lu.factor_status(diag[i].mean) ||
-        !lu_sa.factor_status(BlockMat<1>::diagonal(diag[i].sa))) {
-      // Singular point: skip the update (explicit fallback) but make
-      // the event visible instead of silently dropping it.
-      OBS_COUNT("resil.singular_pivot", 1);
-      return;
-    }
-    BlockVec<5> rhs;
-    for (int c = 0; c < 5; ++c)
-      rhs[c] = f[i][std::size_t(c)] - r[i][std::size_t(c)];
-    BlockVec<1> rhs_sa;
-    rhs_sa[0] = f[i][5] - r[i][5];
-    apply_update(u, i, relax, lu.solve(rhs), lu_sa.solve(rhs_sa)[0]);
-  });
+  smp::ThreadPool::global().parallel_for(
+      0, std::size_t(lvl.num_nodes), kNodeGrain,
+      [&](std::size_t b, std::size_t e, int) {
+        for (std::size_t i0 = b; i0 < e; i0 += kLanes) {
+          const int count = int(std::min<std::size_t>(kLanes, e - i0));
+          std::size_t node[kLanes];
+          for (int l = 0; l < kLanes; ++l)
+            node[l] = i0 + std::size_t(l < count ? l : 0);
+          Mat<5> dd;
+          Mat<1> dd_sa;
+          Vec<5> rhs;
+          Vec<1> rhs_sa;
+          load_row(diag, f, r, node, count, dd, dd_sa, rhs, rhs_sa);
+          linalg::LaneLU<5> lu;
+          linalg::LaneLU<1> lu_sa;
+          const Mask fail = lu.factor(dd) | lu_sa.factor(dd_sa);
+          const Vec<5> du = lu.solve(rhs);
+          const Vec<1> dsa = lu_sa.solve(rhs_sa);
+          for (int l = 0; l < count; ++l) {
+            // Singular point: skip the update (explicit fallback) but make
+            // the event visible instead of silently dropping it.
+            if (fail.lane(l)) {
+              OBS_COUNT("resil.singular_pivot", 1);
+              continue;
+            }
+            apply_update(u, node[l], relax, du, dsa, l);
+          }
+        }
+      });
 }
 
 void line_sweep(const Level& lvl, const Physics& phys, real_t relax,

@@ -228,9 +228,11 @@ void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
                    std::span<const State> u, Scratch& s);
 
 /// Point-implicit update sweep: factors each node's 5x5 block and SA
-/// scalar and applies the under-relaxed update to u. A singular pivot in
-/// either keeps the node's previous state and is counted once on the
-/// "resil.singular_pivot" observable.
+/// scalar and applies the under-relaxed update to u, linalg::kLanes
+/// consecutive nodes at a time (the line solve's lane kernels on one-node
+/// rows), each lane performing exactly the scalar solve's operations. A
+/// singular pivot in either keeps the node's previous state and is counted
+/// once on the "resil.singular_pivot" observable.
 void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
                  std::span<const State> r, Scratch& s, std::vector<State>& u);
 

@@ -1,15 +1,19 @@
-// Block-tridiagonal LU solver (Thomas algorithm with dense blocks).
+// Block-tridiagonal LU solver (Thomas algorithm with dense blocks): the
+// scalar oracle of the batched elimination in linalg/lanes.hpp.
 //
 // The line-implicit smoother in NSU3D groups the tightly coupled points of
 // each boundary-layer line and solves the discrete equations implicitly
 // along the line with a block-tridiagonal LU decomposition (paper Sec. III,
 // Fig. 5). The algorithm is inherently sequential along a line, which is
-// why partitioning must never split a line across processors.
+// why partitioning must never split a line across processors. Production
+// solves four lines of one length side by side (tridiag_eliminate and
+// tridiag_back_substitute), each lane performing this solve's operations.
 #pragma once
 
 #include <vector>
 
 #include "linalg/block.hpp"
+#include "oracles/block_lu.hpp"
 #include "support/assert.hpp"
 
 namespace columbia::linalg {

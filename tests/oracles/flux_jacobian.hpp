@@ -1,8 +1,12 @@
-// Analytic Euler flux Jacobian dF/dU.
+// Analytic Euler flux Jacobian dF/dU: the scalar oracle of NSU3D's
+// lane_flux_jacobian (nsu3d/kernels.cpp).
 //
 // The point- and line-implicit smoothers of NSU3D assemble implicit blocks
 // per grid point (paper Sec. III): the 5x5 mean-flow block comes from this
-// Jacobian, the SA diagonal from the turbulence linearization.
+// Jacobian, the SA diagonal from the turbulence linearization. Production
+// evaluates it four nodes or lines at a time, lane by lane with these
+// expressions in this order; the tests check this form against finite
+// differences and the lane form against the coupled smoother built on it.
 #pragma once
 
 #include "euler/state.hpp"

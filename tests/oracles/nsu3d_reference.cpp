@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "euler/jacobian.hpp"
-#include "linalg/block_tridiag.hpp"
 #include "obs/obs.hpp"
+#include "oracles/block_tridiag.hpp"
+#include "oracles/flux_jacobian.hpp"
 
 namespace columbia::nsu3d::kernels {
 

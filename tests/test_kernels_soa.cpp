@@ -22,7 +22,6 @@
 #include "core/exchange_plan.hpp"
 #include "geom/components.hpp"
 #include "linalg/block.hpp"
-#include "linalg/block_tridiag.hpp"
 #include "linalg/lanes.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/kernels.hpp"
@@ -30,6 +29,7 @@
 #include "nsu3d/solver.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "oracles/block_tridiag.hpp"
 #include "oracles/cart3d_reference.hpp"
 #include "oracles/nsu3d_reference.hpp"
 #include "smp/pool.hpp"
@@ -395,11 +395,14 @@ TEST(Nsu3dSmoother, SingularAndNanPivotsMatchCoupledOracle) {
   }
 }
 
-TEST(Nsu3dSmoother, MixedOutcomesInOneLineBatch) {
-  // One batch of four lines of one length: a singular mean-flow pivot in
-  // lane 0 and a NaN SA pivot in lane 2 beside two healthy lines. The
-  // healthy lanes update exactly as the 6x6 oracle does, both poisoned
-  // lines keep their state, and only the singular pivot is counted.
+TEST(Nsu3dSmoother, MixedOutcomesInOneLaneGroup) {
+  // One lane group of each sweep: a singular mean-flow pivot in lane 0
+  // and a NaN SA pivot in lane 2 beside two healthy lanes. For the line
+  // sweep the lanes are the four lines of one full batch, for the point
+  // sweep the four consecutive nodes 4g..4g+3 (a 4-aligned group lies in
+  // one kNodeGrain chunk). The healthy lanes update exactly as the 6x6
+  // oracle does, both poisoned lanes keep their state, and only the
+  // singular pivot is counted.
   PoolGuard guard;
   ObsOn obs_on;
   const auto m = small_wing();
@@ -423,34 +426,45 @@ TEST(Nsu3dSmoother, MixedOutcomesInOneLineBatch) {
     return lvl.lines.lines[std::size_t(
         lvl.line_order[batch->first + std::size_t(lane)])];
   };
-  const auto first_node = [&](int lane) {
-    return std::size_t(line_in_lane(lane)[0]);
+  // A point group in the middle of the level, away from chunk ends.
+  const std::size_t g0 =
+      std::size_t(lvl.num_nodes) / 2 / std::size_t(linalg::kLanes) *
+      std::size_t(linalg::kLanes);
+  ASSERT_LE(g0 + std::size_t(linalg::kLanes), std::size_t(lvl.num_nodes));
+  // The nodes lane `lane` solves, and the one it poisons.
+  const auto lane_nodes = [&](bool lines, int lane) {
+    if (!lines) return std::vector<index_t>{index_t(g0 + std::size_t(lane))};
+    const auto line = line_in_lane(lane);
+    return std::vector<index_t>(line.begin(), line.end());
   };
 
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("pool size " + std::to_string(threads));
-    smp::set_global_threads(threads);
-    SmootherInputs in = smoother_inputs(lvl, phys, 0, u, 20.0);
-    const std::size_t singular = first_node(0), nan = first_node(2);
-    in.k.diag[singular].mean = {};
-    for (int rr = 0; rr < 5; ++rr)
-      for (int cc = 0; cc < 5; ++cc) in.diag6[singular](rr, cc) = 0;
-    in.k.diag[nan].sa = in.diag6[nan](5, 5) =
-        std::numeric_limits<real_t>::quiet_NaN();
-    const auto [got, pivots] = sweep_both(lvl, phys, true, in, u);
-    EXPECT_EQ(pivots, 1u);
-    for (int lane : {0, 2})
-      for (const index_t v : line_in_lane(lane))
-        EXPECT_EQ(std::memcmp(&got[std::size_t(v)], &u[std::size_t(v)],
-                              sizeof(nsu3d::State)),
-                  0)
-            << "lane " << lane << " moved node " << v;
-    for (int lane : {1, 3}) {
-      const std::size_t v = first_node(lane);
-      EXPECT_NE(std::memcmp(&got[v], &u[v], sizeof(nsu3d::State)), 0)
-          << "healthy lane " << lane << " did not update";
+  for (bool lines : {false, true})
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(lines ? "line" : "point") +
+                   " sweep, pool size " + std::to_string(threads));
+      smp::set_global_threads(threads);
+      SmootherInputs in = smoother_inputs(lvl, phys, 0, u, 20.0);
+      const std::size_t singular = std::size_t(lane_nodes(lines, 0)[0]);
+      const std::size_t nan = std::size_t(lane_nodes(lines, 2)[0]);
+      in.k.diag[singular].mean = {};
+      for (int rr = 0; rr < 5; ++rr)
+        for (int cc = 0; cc < 5; ++cc) in.diag6[singular](rr, cc) = 0;
+      in.k.diag[nan].sa = in.diag6[nan](5, 5) =
+          std::numeric_limits<real_t>::quiet_NaN();
+      const auto [got, pivots] = sweep_both(lvl, phys, lines, in, u);
+      EXPECT_EQ(pivots, 1u);
+      for (int lane : {0, 2})
+        for (const index_t v : lane_nodes(lines, lane))
+          EXPECT_EQ(std::memcmp(&got[std::size_t(v)], &u[std::size_t(v)],
+                                sizeof(nsu3d::State)),
+                    0)
+              << "lane " << lane << " moved node " << v;
+      for (int lane : {1, 3}) {
+        const std::size_t v = std::size_t(lane_nodes(lines, lane)[0]);
+        EXPECT_NE(std::memcmp(&got[v], &u[v], sizeof(nsu3d::State)), 0)
+            << "healthy lane " << lane << " did not update";
+      }
     }
-  }
 }
 
 // --- Cart3D ---

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "linalg/block.hpp"
-#include "linalg/block_tridiag.hpp"
+#include "oracles/block_lu.hpp"
+#include "oracles/block_tridiag.hpp"
 #include "support/random.hpp"
 
 namespace columbia::linalg {

@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "euler/flux.hpp"
-#include "euler/jacobian.hpp"
 #include "graph/partition.hpp"
 #include "mesh/builders.hpp"
 #include "mesh/dual_metrics.hpp"
+#include "oracles/flux_jacobian.hpp"
 #include "support/random.hpp"
 
 namespace columbia {
@@ -14,8 +14,10 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Flux Jacobian vs finite differences: the implicit smoothers linearize
-// the residual with euler::flux_jacobian; a wrong entry silently degrades
-// convergence, so check every entry against central differences.
+// the residual with the lane form of euler::flux_jacobian, which
+// Nsu3dSmoother.* pins to this oracle (tests/oracles) bit for bit; a wrong
+// entry silently degrades convergence, so check every entry against
+// central differences.
 class JacobianSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(JacobianSweep, MatchesFiniteDifferences) {
